@@ -10,10 +10,9 @@ of idempotent function families for experiments.
 from .catalog import (CatalogEntry, CatalogError, ScalarInstance,
                       VectorInstance, entry_names, get_entry, instantiate,
                       list_entries)
-from .deriv import (GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, Dual,
+from .deriv import (GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY,
                     KinkPointError, UnityReport, UnitySweep, check_unity,
-                    check_univariate_unity, dual_eval, fd_partial, gradient,
-                    ouroboros_gradient, unity_sweep)
+                    dual_eval, fd_partial, gradient, unity_sweep)
 from .expr import (BUILTIN_ARITY, BinOp, Call, Const, EvalDomainError,
                    EvaluationError, Expr, Neg, ParseError,
                    UnboundVariableError, Var, evaluate, format_expr,
@@ -23,8 +22,6 @@ from .finite import (COUNT_LIMIT, ENUMERATION_LIMIT, FiniteEndofunction,
                      image_fixing_holds, is_idempotent, iterate)
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
                      Witness, check_iterated, check_membership,
-                     check_multivariate_membership,
-                     check_operator_idempotence, check_univariate_membership,
-                     unit_uniform)
+                     check_operator_idempotence, unit_uniform)
 
 __version__ = "0.1.0"

@@ -18,18 +18,17 @@ Reports are byte-deterministic for a fixed command line: no timestamps
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
 from datetime import datetime, timezone
 
 from . import catalog as _catalog
-from .deriv import (KINK_RETRY_LIMIT, KinkPointError, UnityReport, check_unity,
-                    unity_sweep)
+from .deriv import KinkPointError, UnityReport, check_unity, unity_sweep
 from .expr import (EvaluationError, Expr, ParseError, format_expr,
                    free_variables, parse)
-from .finite import (COUNT_LIMIT, ENUMERATION_LIMIT, count_idempotent,
-                     enumerate_idempotent)
+from .finite import COUNT_LIMIT, count_idempotent, enumerate_idempotent
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
                      Witness, check_iterated, check_membership)
 
@@ -302,6 +301,18 @@ def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
     return DomainBox.uniform(*DEFAULT_INTERVAL, arity)
 
 
+@contextlib.contextmanager
+def _engine_usage_errors():
+    """Turn an engine's ValueError about the target's shape into a usage
+    error; evaluation and kink faults pass through to main (exit 3)."""
+    try:
+        yield
+    except (EvaluationError, KinkPointError):
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _resolve_plan(o: dict) -> SamplePlan:
     try:
         return SamplePlan(seed=o["seed"], sample_count=o["samples"],
@@ -427,11 +438,9 @@ def _status_exit(overall: Status, strict_degenerate: bool) -> int:
 def cmd_check(o: dict) -> int:
     target, arity, box, target_doc, label = _resolve_target(o)
     plan = _resolve_plan(o)
-    try:
+    with _engine_usage_errors():
         membership = check_membership(target, box, plan)
         iterated = check_iterated(target, box, plan)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     overall = _overall_status([membership, iterated])
 
     if o["format"] == "json":
@@ -470,10 +479,8 @@ def cmd_derive(o: dict) -> int:
 
     membership = None
     if not o["skip_membership"]:
-        try:
+        with _engine_usage_errors():
             membership = check_membership(target, box, plan)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
 
     reports: list[UnityReport] = []
     skipped = 0
@@ -493,10 +500,8 @@ def cmd_derive(o: dict) -> int:
             reports.append(check_unity(target, dict(zip(names, values)),
                                        plan, method))
         else:
-            try:
+            with _engine_usage_errors():
                 sweep = unity_sweep(target, box, plan, method)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
             reports = list(sweep.reports)
             skipped = sweep.points_skipped
 

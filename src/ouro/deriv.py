@@ -17,19 +17,21 @@ yields DEGENERATE.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .expr import (
-    BinOp, Call, Const, EvalDomainError, EvaluationError, Expr, Neg,
-    UnboundVariableError, Var, evaluate, free_variables, pow_value,
+    BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
+    Neg, UnboundVariableError, Undefined, Var, binary_value, call_value,
+    evaluate, free_variables,
 )
 from .verify import DomainBox, SamplePlan, Status
 
 __all__ = [
-    "Dual", "KinkPointError", "UnityReport", "UnitySweep",
-    "dual_eval", "fd_partial", "gradient", "ouroboros_gradient",
-    "check_unity", "check_univariate_unity", "unity_sweep",
+    "KinkPointError", "UnityReport", "UnitySweep",
+    "dual_eval", "fd_partial", "gradient",
+    "check_unity", "unity_sweep",
     "GRADIENT_FLOOR", "TOL_UNITY", "KINK_RETRY_LIMIT",
 ]
 
@@ -54,152 +56,163 @@ class KinkPointError(ValueError):
         self.site = site
 
 
-@dataclass(frozen=True)
-class Dual:
-    """Forward-mode pair (value, d value / d x_i)."""
+# ---------------------------------------------------------------------------
+# tangent walk
+#
+# Vector forward mode: every node yields (value, tangent), the tangent a
+# tuple of any width holding one directional derivative per seed direction.
+# Values come from expr.binary_value / expr.call_value, the same rules
+# evaluate applies, so the value is bit-identical to evaluate(...) by
+# construction.  This module adds only kink checks and derivative rules,
+# applied to each tangent component on its own.
 
-    value: float
-    deriv: float
+Tangent = tuple[float, ...]
 
 
 def _near(a: float, b: float, margin: float) -> bool:
     return abs(a - b) <= margin
 
 
-def _dual(node: Expr, env: Mapping[str, Dual], margin: float) -> Dual:
-    # The value channel repeats expr._eval branch for branch so that
-    # dual_eval(...)[0] is bit-identical to evaluate(...).
+def _neg(t: Tangent) -> Tangent:
+    return tuple([-d for d in t])
+
+
+def _zeros(t: Tangent) -> Tangent:
+    return (0.0,) * len(t)
+
+
+def _check_tie(a: float, b: float, margin: float, site: str) -> None:
+    if _near(a, b, margin):
+        raise KinkPointError(f"{site} tie at {a!r}")
+
+
+def _pow_tangent(a: float, at: Tangent, b: float, bt: Tangent,
+                 v: float) -> Tangent:
+    base = None
+    out = []
+    for da, db in zip(at, bt):
+        if db == 0.0:
+            # constant exponent: d(a^c) = c * a^(c-1) * a'
+            if da == 0.0 or b == 0.0:
+                out.append(0.0)
+                continue
+            if base is None:
+                base = BINARY_RULES["^"](a, b - 1.0)
+            out.append(b * base * da)
+        else:
+            if a <= 0.0:
+                raise Undefined("varying exponent needs a positive base")
+            out.append(v * (db * math.log(a) + b * da / a))
+    return tuple(out)
+
+
+def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
+    """Kink checks and tangent of builtin `func` with value v; args holds
+    the (value, tangent) pair of every argument."""
+    a, t = args[0]
+    if func in ("abs", "relu", "sign"):
+        if _near(a, 0.0, margin):
+            kind = "jump" if func == "sign" else "corner"
+            raise KinkPointError(f"{func} at its {kind} 0")
+        if func == "sign":
+            return _zeros(t)
+        if a > 0.0:
+            return t
+        return _neg(t) if func == "abs" else _zeros(t)
+    if func in ("floor", "ceil"):
+        frac = a - math.floor(a)
+        if frac <= margin or 1.0 - frac <= margin:
+            raise KinkPointError(f"{func} at a jump near {a!r}")
+        return _zeros(t)
+    if func == "exp":
+        return tuple([d * v for d in t])
+    if func == "ln":
+        return tuple([d / a for d in t])
+    if func == "sqrt":
+        if a != 0.0:
+            return tuple([d * 0.5 / v for d in t])
+        if any(t):
+            raise Undefined("derivative of sqrt at zero")
+        return _zeros(t)
+    b, bt = args[1]
+    if func == "min":
+        _check_tie(a, b, margin, "min")
+        return t if a <= b else bt
+    if func == "max":
+        _check_tie(a, b, margin, "max")
+        return t if a >= b else bt
+    # clamp(a, lo, hi) = min(max(a, lo), hi), lo = b
+    hi, hit = args[2]
+    _check_tie(a, b, margin, "clamp lower corner")
+    m, mt = (a, t) if a >= b else (b, bt)
+    _check_tie(m, hi, margin, "clamp upper corner")
+    return mt if m <= hi else hit
+
+
+def _tangent(node: Expr, env, margin: float, zero: Tangent):
     if isinstance(node, Const):
-        return Dual(node.value, 0.0)
+        return node.value, zero
     if isinstance(node, Var):
         try:
             return env[node.name]
         except KeyError:
             raise UnboundVariableError(node.name) from None
     if isinstance(node, Neg):
-        a = _dual(node.operand, env, margin)
-        return Dual(-a.value, -a.deriv)
+        v, t = _tangent(node.operand, env, margin, zero)
+        return -v, _neg(t)
     if isinstance(node, BinOp):
-        a = _dual(node.left, env, margin)
-        b = _dual(node.right, env, margin)
-        inputs = (a.value, b.value)
-        if node.op == "+":
-            out = Dual(a.value + b.value, a.deriv + b.deriv)
-        elif node.op == "-":
-            out = Dual(a.value - b.value, a.deriv - b.deriv)
-        elif node.op == "*":
-            out = Dual(a.value * b.value,
-                       a.deriv * b.value + a.value * b.deriv)
-        elif node.op == "/":
-            if b.value == 0.0:
-                raise EvalDomainError(node, inputs, "division by zero")
-            v = a.value / b.value
-            out = Dual(v, (a.deriv - v * b.deriv) / b.value)
+        a, at = _tangent(node.left, env, margin, zero)
+        b, bt = _tangent(node.right, env, margin, zero)
+        inputs = (a, b)
+        v = binary_value(node, a, b)
+        op = node.op
+        if op == "+":
+            t = tuple(map(operator.add, at, bt))
+        elif op == "-":
+            t = tuple(map(operator.sub, at, bt))
+        elif op == "*":
+            t = tuple([da * b + a * db for da, db in zip(at, bt)])
+        elif op == "/":
+            t = tuple([(da - v * db) / b for da, db in zip(at, bt)])
         else:
-            out = _dual_pow(a, b, node)
-        if not math.isfinite(out.value):
-            raise EvalDomainError(node, inputs, "result is not finite")
-        if not math.isfinite(out.deriv):
-            raise EvalDomainError(node, inputs, "derivative is not finite")
-        return out
-    if isinstance(node, Call):
-        args = tuple(_dual(arg, env, margin) for arg in node.args)
-        out = _dual_builtin(node, args, margin)
-        if not math.isfinite(out.value):
-            raise EvalDomainError(node, tuple(a.value for a in args),
-                                  "result is not finite")
-        if not math.isfinite(out.deriv):
-            raise EvalDomainError(node, tuple(a.value for a in args),
-                                  "derivative is not finite")
-        return out
-    raise TypeError(f"not an Expr: {node!r}")
-
-
-def _dual_pow(a: Dual, b: Dual, node: Expr) -> Dual:
-    inputs = (a.value, b.value)
-    v = pow_value(a.value, b.value, node, inputs)
-    if b.deriv == 0.0:
-        # constant exponent: d(a^c) = c * a^(c-1) * a'
-        c = b.value
-        if a.deriv == 0.0 or c == 0.0:
-            return Dual(v, 0.0)
-        base = pow_value(a.value, c - 1.0, node, inputs)
-        return Dual(v, c * base * a.deriv)
-    if a.value <= 0.0:
-        raise EvalDomainError(node, inputs,
-                              "varying exponent needs a positive base")
-    d = v * (b.deriv * math.log(a.value) + b.value * a.deriv / a.value)
-    return Dual(v, d)
-
-
-def _dual_min(a: Dual, b: Dual, margin: float, site: str) -> Dual:
-    if _near(a.value, b.value, margin):
-        raise KinkPointError(f"{site} tie at {a.value!r}")
-    return a if a.value <= b.value else b
-
-
-def _dual_max(a: Dual, b: Dual, margin: float, site: str) -> Dual:
-    if _near(a.value, b.value, margin):
-        raise KinkPointError(f"{site} tie at {a.value!r}")
-    return a if a.value >= b.value else b
-
-
-def _dual_builtin(node: Call, args: tuple[Dual, ...], margin: float) -> Dual:
-    func = node.func
-    vals = tuple(a.value for a in args)
-    if func == "abs":
-        a = args[0]
-        if _near(a.value, 0.0, margin):
-            raise KinkPointError("abs at its corner 0")
-        return Dual(abs(a.value), a.deriv if a.value > 0.0 else -a.deriv)
-    if func in ("floor", "ceil"):
-        a = args[0]
-        frac = a.value - math.floor(a.value)
-        if frac <= margin or 1.0 - frac <= margin:
-            raise KinkPointError(f"{func} at a jump near {a.value!r}")
-        v = float(math.floor(a.value)) if func == "floor" else float(math.ceil(a.value))
-        return Dual(v, 0.0)
-    if func == "sign":
-        a = args[0]
-        if _near(a.value, 0.0, margin):
-            raise KinkPointError("sign at its jump 0")
-        return Dual(1.0 if a.value > 0.0 else -1.0, 0.0)
-    if func == "relu":
-        a = args[0]
-        if _near(a.value, 0.0, margin):
-            raise KinkPointError("relu at its corner 0")
-        return Dual(a.value, a.deriv) if a.value > 0.0 else Dual(0.0, 0.0)
-    if func == "exp":
-        a = args[0]
+            try:
+                t = _pow_tangent(a, at, b, bt, v)
+            except Undefined as exc:
+                raise EvalDomainError(node, inputs, str(exc)) from None
+    elif isinstance(node, Call):
+        args = [_tangent(arg, env, margin, zero) for arg in node.args]
+        inputs = tuple([a for a, _ in args])
+        v = call_value(node, inputs)
         try:
-            v = math.exp(a.value)
-        except OverflowError:
-            raise EvalDomainError(node, vals, "exp overflows") from None
-        return Dual(v, a.deriv * v)
-    if func == "ln":
-        a = args[0]
-        if a.value <= 0.0:
-            raise EvalDomainError(node, vals, "ln of a non-positive number")
-        return Dual(math.log(a.value), a.deriv / a.value)
-    if func == "sqrt":
-        a = args[0]
-        if a.value < 0.0:
-            raise EvalDomainError(node, vals, "sqrt of a negative number")
-        v = math.sqrt(a.value)
-        if a.value == 0.0:
-            if a.deriv == 0.0:
-                return Dual(0.0, 0.0)
-            raise EvalDomainError(node, vals, "derivative of sqrt at zero")
-        return Dual(v, a.deriv * 0.5 / v)
-    if func == "min":
-        return _dual_min(args[0], args[1], margin, "min")
-    if func == "max":
-        return _dual_max(args[0], args[1], margin, "max")
-    if func == "clamp":
-        v, lo, hi = args
-        inner = _dual_max(v, lo, margin, "clamp lower corner")
-        return _dual_min(inner, hi, margin, "clamp upper corner")
-    raise AssertionError(func)
+            t = _call_tangent(node.func, args, v, margin)
+        except Undefined as exc:
+            raise EvalDomainError(node, inputs, str(exc)) from None
+    else:
+        raise TypeError(f"not an Expr: {node!r}")
+    if not all(map(math.isfinite, t)):
+        raise EvalDomainError(node, inputs, "derivative is not finite")
+    return v, t
+
+
+def _walk(f: Expr, names: list[str], env: Mapping[str, float],
+          seeds: list[Tangent], margin: float) -> tuple[float, Tangent]:
+    """(value, tangent) of f at env, variable names[j] carrying seeds[j];
+    raises KinkPointError within `margin` of a jump or corner."""
+    bound = {}
+    for name, seed in zip(names, seeds):
+        if name not in env:
+            raise UnboundVariableError(name)
+        x = env[name]
+        if not math.isfinite(x):
+            raise EvaluationError(f"non-finite binding {name}={x!r}")
+        bound[name] = (x, seed)
+    zero = _zeros(seeds[0]) if seeds else ()
+    return _tangent(f, bound, margin, zero)
+
+
+def _unit_seeds(n: int) -> list[Tangent]:
+    return [tuple([1.0 if k == j else 0.0 for k in range(n)])
+            for j in range(n)]
 
 
 def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
@@ -214,15 +227,9 @@ def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
     names = free_variables(f)
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
-    for name in names:
-        if name not in env:
-            raise UnboundVariableError(name)
-        if not math.isfinite(env[name]):
-            raise EvaluationError(f"non-finite binding {name}={env[name]!r}")
-    duals = {name: Dual(env[name], 1.0 if j == i else 0.0)
-             for j, name in enumerate(names)}
-    out = _dual(f, duals, kink_margin)
-    return out.value, out.deriv
+    seeds = [(1.0,) if j == i else (0.0,) for j in range(len(names))]
+    value, (deriv,) = _walk(f, names, env, seeds, kink_margin)
+    return value, deriv
 
 
 def fd_partial(f: Expr, env: Mapping[str, float], i: int,
@@ -247,43 +254,26 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int,
     return (evaluate(f, hi_env) - evaluate(f, lo_env)) / (2.0 * h)
 
 
-def _scan_kinks(f: Expr, env: Mapping[str, float], margin: float) -> None:
-    """Raise KinkPointError if evaluating f at env touches a non-smooth
-    locus within `margin`.  Used to guard finite differencing, which cannot
-    see kinks on its own."""
-    names = free_variables(f)
-    duals = {name: Dual(env[name], 0.0) for name in names}
-    _dual(f, duals, margin)
+def _value_and_gradient(f: Expr, names: list[str], env: Mapping[str, float],
+                        method: str, margin: float) -> tuple[float, Tangent]:
+    n = len(names)
+    if method == "dual":
+        return _walk(f, names, env, _unit_seeds(n), margin)
+    # Finite differencing cannot see kinks on its own: a width-0 walk
+    # screens the point first.
+    value, _ = _walk(f, names, env, [()] * n, margin)
+    return value, tuple(fd_partial(f, env, i) for i in range(n))
 
 
 def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
              kink_margin: float = 0.0) -> tuple[float, ...]:
     """All partials of f at `env` by the chosen method."""
+    if method not in TOL_UNITY:
+        raise ValueError(f"unknown method {method!r}")
     names = free_variables(f)
-    if method == "dual":
-        return tuple(dual_eval(f, env, i, kink_margin=kink_margin)[1]
-                     for i in range(len(names)))
-    if method == "fd":
-        _scan_kinks(f, env, kink_margin)
-        return tuple(fd_partial(f, env, i) for i in range(len(names)))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def ouroboros_gradient(f: Expr, env: Mapping[str, float],
-                       method: str = "dual", *,
-                       kink_margin: float = 0.0) -> tuple[float, ...]:
-    """Partials of f at the diagonal point (f(x), ..., f(x)).
-
-    These are the quantities the unity checks constrain.  Raises
-    KinkPointError when the diagonal point sits on a non-smooth locus; the
-    unity checks translate that into a DEGENERATE marker.
-    """
-    names = free_variables(f)
-    if not names:
-        raise ValueError("candidate has no free variables")
-    t = evaluate(f, env)
-    diag = {name: t for name in names}
-    return gradient(f, diag, method, kink_margin=kink_margin)
+    if method == "dual" and not names:
+        return ()  # no coordinates to seed, so nothing is walked
+    return _value_and_gradient(f, names, env, method, kink_margin)[1]
 
 
 @dataclass(frozen=True)
@@ -332,15 +322,14 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
     n = len(names)
     if n == 0:
         raise ValueError("candidate has no free variables")
-    point = tuple(env[name] for name in names)
-    value = evaluate(f, env)
-    outer = gradient(f, env, method, kink_margin=plan.kink_margin)
+    margin = plan.kink_margin
+    value, outer = _value_and_gradient(f, names, env, method, margin)
     zero_grad = max(abs(g) for g in outer) <= gradient_floor
 
     shares: tuple[float, ...] | None
     try:
-        diag = {name: value for name in names}
-        shares = gradient(f, diag, method, kink_margin=plan.kink_margin)
+        diag = dict.fromkeys(names, value)
+        shares = _value_and_gradient(f, names, diag, method, margin)[1]
         share_sum = sum(shares)
     except KinkPointError:
         shares = None
@@ -361,20 +350,9 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
         worst = max(abs(s - target) for s in shares)
         equal_status = Status.PASS if worst <= tol else Status.FAIL
 
+    point = tuple(env[name] for name in names)
     return UnityReport(n, point, value, outer, shares, share_sum,
                        sum_status, equal_status, method, tol, reason)
-
-
-def check_univariate_unity(f: Expr, x: float, plan: SamplePlan,
-                           method: str = "dual", *, tol: float | None = None,
-                           gradient_floor: float = GRADIENT_FLOOR) -> UnityReport:
-    """Univariate form: checks f'(f(x)) = 1 wherever |f'(x)| clears the
-    gradient floor."""
-    names = free_variables(f)
-    if len(names) != 1:
-        raise ValueError("univariate unity check needs exactly one variable")
-    return check_unity(f, {names[0]: x}, plan, method,
-                       tol=tol, gradient_floor=gradient_floor)
 
 
 def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,

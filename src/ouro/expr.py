@@ -21,9 +21,10 @@ and environment always produce the same bits.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
@@ -312,71 +313,97 @@ def free_variables(expr: Expr) -> list[str]:
     return seen
 
 
-def iter_nodes(expr: Expr) -> Iterator[Expr]:
-    yield expr
-    for child in expr.children():
-        yield from iter_nodes(child)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The branch structure below is shared by the forward-mode walker in
-# ouro.deriv; both must keep producing bit-identical values, so primitive
-# formulas live here.
+# The two tables below are the only statement of what an operator or builtin
+# computes.  Every walker (evaluate here, the tangent walk in ouro.deriv)
+# reaches them through binary_value and call_value, so walkers that agree
+# on the tree agree on every value bit for bit.  A rule takes finite floats
+# and raises Undefined outside its domain; the caller names the node.
 
-def pow_value(a: float, b: float, node: Expr, inputs: tuple) -> float:
+class Undefined(Exception):
+    """A rule's inputs lie outside its domain; the message says how."""
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise Undefined("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
     try:
         r = math.pow(a, b)
     except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(node, inputs, f"invalid power ({exc})") from None
+        raise Undefined(f"invalid power ({exc})") from None
     if not math.isfinite(r):
-        raise EvalDomainError(node, inputs, "power overflows")
+        raise Undefined("power overflows")
     return r
 
 
-def min_value(a: float, b: float) -> float:
-    return a if a <= b else b
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise Undefined("exp overflows") from None
 
 
-def max_value(a: float, b: float) -> float:
-    return a if a >= b else b
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise Undefined("ln of a non-positive number")
+    return math.log(v)
 
 
-def apply_builtin(func: str, vals: tuple[float, ...], node: Expr) -> float:
-    if func == "abs":
-        return abs(vals[0])
-    if func == "floor":
-        return float(math.floor(vals[0]))
-    if func == "ceil":
-        return float(math.ceil(vals[0]))
-    if func == "sign":
-        v = vals[0]
-        return 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0)
-    if func == "relu":
-        v = vals[0]
-        return v if v > 0.0 else 0.0
-    if func == "exp":
-        try:
-            return math.exp(vals[0])
-        except OverflowError:
-            raise EvalDomainError(node, vals, "exp overflows") from None
-    if func == "ln":
-        if vals[0] <= 0.0:
-            raise EvalDomainError(node, vals, "ln of a non-positive number")
-        return math.log(vals[0])
-    if func == "sqrt":
-        if vals[0] < 0.0:
-            raise EvalDomainError(node, vals, "sqrt of a negative number")
-        return math.sqrt(vals[0])
-    if func == "min":
-        return min_value(vals[0], vals[1])
-    if func == "max":
-        return max_value(vals[0], vals[1])
-    if func == "clamp":
-        v, lo, hi = vals
-        return min_value(max_value(v, lo), hi)
-    raise AssertionError(func)
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise Undefined("sqrt of a negative number")
+    return math.sqrt(v)
+
+
+BINARY_RULES = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "^": _pow,
+}
+
+BUILTIN_RULES = {
+    "abs": abs,
+    "floor": lambda v: float(math.floor(v)),
+    "ceil": lambda v: float(math.ceil(v)),
+    "sign": lambda v: 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0),
+    "relu": lambda v: v if v > 0.0 else 0.0,
+    "exp": _exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "min": min,
+    "max": max,
+    "clamp": lambda v, lo, hi: min(max(v, lo), hi),
+}
+
+
+def binary_value(node: BinOp, a: float, b: float) -> float:
+    """Value of `node` given its operand values; raises EvalDomainError."""
+    try:
+        r = BINARY_RULES[node.op](a, b)
+    except Undefined as exc:
+        raise EvalDomainError(node, (a, b), str(exc)) from None
+    if not math.isfinite(r):
+        raise EvalDomainError(node, (a, b), "result is not finite")
+    return r
+
+
+def call_value(node: Call, vals: tuple[float, ...]) -> float:
+    """Value of `node` given its argument values; raises EvalDomainError."""
+    try:
+        r = BUILTIN_RULES[node.func](*vals)
+    except Undefined as exc:
+        raise EvalDomainError(node, vals, str(exc)) from None
+    if not math.isfinite(r):
+        raise EvalDomainError(node, vals, "result is not finite")
+    return r
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
@@ -403,29 +430,9 @@ def _eval(node: Expr, env: Mapping[str, float]) -> float:
     if isinstance(node, Neg):
         return -_eval(node.operand, env)
     if isinstance(node, BinOp):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            r = a + b
-        elif node.op == "-":
-            r = a - b
-        elif node.op == "*":
-            r = a * b
-        elif node.op == "/":
-            if b == 0.0:
-                raise EvalDomainError(node, (a, b), "division by zero")
-            r = a / b
-        else:
-            r = pow_value(a, b, node, (a, b))
-        if not math.isfinite(r):
-            raise EvalDomainError(node, (a, b), "result is not finite")
-        return r
+        return binary_value(node, _eval(node.left, env), _eval(node.right, env))
     if isinstance(node, Call):
-        vals = tuple(_eval(arg, env) for arg in node.args)
-        r = apply_builtin(node.func, vals, node)
-        if not math.isfinite(r):
-            raise EvalDomainError(node, vals, "result is not finite")
-        return r
+        return call_value(node, tuple([_eval(arg, env) for arg in node.args]))
     raise TypeError(f"not an Expr: {node!r}")
 
 

@@ -20,8 +20,9 @@ __all__ = [
 ]
 
 # Exhaustive enumeration walks m^m tables; 7^7 = 823543 is the last size
-# that stays cheap.  The closed-form count is capped where it still fits
-# comfortably in 64-bit consumers of the JSON export.
+# that stays cheap.  The closed-form count is capped where it still fits a
+# signed 64-bit integer of a JSON reader: count_idempotent(20) is about
+# 2.7e16, past 2^53, so a reader that parses numbers as doubles rounds it.
 ENUMERATION_LIMIT = 7
 COUNT_LIMIT = 20
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .expr import EvaluationError, Expr, evaluate, free_variables
 
 __all__ = [
     "Status", "DomainBox", "SamplePlan", "Witness", "Verdict",
-    "unit_uniform", "check_univariate_membership",
-    "check_multivariate_membership", "check_operator_idempotence",
+    "unit_uniform", "check_operator_idempotence",
     "check_membership", "check_iterated",
     "DEFAULT_INTERVAL",
 ]
@@ -180,81 +179,38 @@ def _fault(point, exc, index, plan, max_drift=None) -> Verdict:
                    plan.sample_count - index - 1, max_drift)
 
 
-def check_univariate_membership(f: Expr, domain: DomainBox,
-                                plan: SamplePlan) -> Verdict:
-    """Sampled check that f maps [lo, hi] into itself and f(f(x)) = f(x)
-    within atol + rtol*|f(x)| at every sampled x."""
-    names = free_variables(f)
-    if domain.n != 1 or len(names) != 1:
-        raise ValueError("univariate check needs one variable and one interval")
-    var = names[0]
-    lo, hi = domain.intervals[0]
-    slack = _containment_slack(plan, lo, hi)
-    for i in range(plan.sample_count):
-        (x,) = domain.sample_point(plan.seed, i)
-        try:
-            t = evaluate(f, {var: x})
-        except EvaluationError as exc:
-            return _fault((x,), exc, i, plan)
-        escape = domain.signed_escape(0, t, slack)
-        if escape != 0.0:
-            witness = Witness((x,), t, None, escape, "RANGE_ESCAPE",
-                              f"f(x) left [{lo}, {hi}]")
-            return _fail(witness, i, plan)
-        try:
-            r = evaluate(f, {var: t})
-        except EvaluationError as exc:
-            return _fault((x,), exc, i, plan)
-        residual = r - t
-        if abs(residual) > plan.tol(t):
-            witness = Witness((x,), t, r, residual, "RESIDUAL")
-            return _fail(witness, i, plan)
-    return Verdict(Status.PASS, None, plan.sample_count, 0)
+def _expr_names(f: Expr, domain: DomainBox) -> list[str]:
+    """Free variables of a DSL target, checked against its box.
 
-
-def check_multivariate_membership(f: Expr, domain: DomainBox,
-                                  plan: SamplePlan) -> Verdict:
-    """Sampled check of f(f(x),...,f(x)) = f(x) with range containment.
-
-    All coordinates must share one interval: the self-application feeds the
-    scalar output back into every argument, which only types when the
-    domain is A^n for a single A.
+    Self-application feeds the scalar output back into every argument,
+    which only types when the domain is A^n for a single interval A.
     """
     names = free_variables(f)
     n = len(names)
-    if n < 2:
-        raise ValueError("multivariate check needs at least two variables")
+    if n == 0:
+        raise ValueError("candidate has no free variables")
     if domain.n != n:
-        raise ValueError(f"domain has {domain.n} interval(s) for {n} variables")
+        raise ValueError(f"domain has {domain.n} interval(s) for {n} variable(s)")
     if not domain.is_uniform:
-        raise ValueError("multivariate membership needs a uniform box A^n")
-    lo, hi = domain.interval
-    slack = _containment_slack(plan, lo, hi)
-    for i in range(plan.sample_count):
-        point = domain.sample_point(plan.seed, i)
-        env = dict(zip(names, point))
-        try:
-            t = evaluate(f, env)
-        except EvaluationError as exc:
-            return _fault(point, exc, i, plan)
-        escape = domain.signed_escape(0, t, slack)
-        if escape != 0.0:
-            witness = Witness(point, t, None, escape, "RANGE_ESCAPE",
-                              f"f(x) left [{lo}, {hi}]")
-            return _fail(witness, i, plan)
-        diag = {name: t for name in names}
-        try:
-            r = evaluate(f, diag)
-        except EvaluationError as exc:
-            return _fault(point, exc, i, plan)
-        residual = r - t
-        if abs(residual) > plan.tol(t):
-            witness = Witness(point, t, r, residual, "RESIDUAL")
-            return _fail(witness, i, plan)
-    return Verdict(Status.PASS, None, plan.sample_count, 0)
+        raise ValueError("self-application needs a uniform box A^n")
+    return names
 
 
 VectorFn = Callable[[np.ndarray], np.ndarray]
+
+
+def _apply_operator(op: VectorFn, x: np.ndarray, point, index: int,
+                    plan: SamplePlan, max_drift=None):
+    """op(x) as a float array of x's shape, or the DOMAIN_ERROR verdict
+    when the call raises or yields a wrong shape or a non-finite value."""
+    try:
+        y = np.asarray(op(x), dtype=float)
+    except (ValueError, ArithmeticError) as exc:
+        return _fault(point, f"{type(exc).__name__}: {exc}", index, plan,
+                      max_drift)
+    if y.shape != x.shape or not np.all(np.isfinite(y)):
+        return _fault(point, f"operator produced {y!r}", index, plan, max_drift)
+    return y
 
 
 def check_operator_idempotence(op: VectorFn, domain: DomainBox,
@@ -265,12 +221,12 @@ def check_operator_idempotence(op: VectorFn, domain: DomainBox,
     for i in range(plan.sample_count):
         point = domain.sample_point(plan.seed, i)
         x = np.asarray(point, dtype=float)
-        y = np.asarray(op(x), dtype=float)
-        if y.shape != x.shape or not np.all(np.isfinite(y)):
-            return _fault(point, f"operator produced {y!r}", i, plan)
-        z = np.asarray(op(y), dtype=float)
-        if z.shape != x.shape or not np.all(np.isfinite(z)):
-            return _fault(point, f"operator produced {z!r}", i, plan)
+        y = _apply_operator(op, x, point, i, plan)
+        if isinstance(y, Verdict):
+            return y
+        z = _apply_operator(op, y, point, i, plan)
+        if isinstance(z, Verdict):
+            return z
         residual = float(np.max(np.abs(z - y)))
         if residual > plan.tol(float(np.max(np.abs(y)))):
             witness = Witness(point, tuple(y.tolist()), tuple(z.tolist()),
@@ -283,12 +239,37 @@ Target = Union[Expr, VectorFn]
 
 
 def check_membership(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
-    """Dispatch to the univariate, multivariate or operator check."""
-    if isinstance(f, Expr):
-        if len(free_variables(f)) == 1:
-            return check_univariate_membership(f, domain, plan)
-        return check_multivariate_membership(f, domain, plan)
-    return check_operator_idempotence(f, domain, plan)
+    """Sampled check of f(f(x),...,f(x)) = f(x) with range containment.
+
+    A DSL target must map A^n into A and satisfy the law within
+    atol + rtol*|f(x)| at every sampled x; n = 1 reads f(f(x)) = f(x).
+    Vector operators go to check_operator_idempotence.
+    """
+    if not isinstance(f, Expr):
+        return check_operator_idempotence(f, domain, plan)
+    names = _expr_names(f, domain)
+    lo, hi = domain.interval
+    slack = _containment_slack(plan, lo, hi)
+    for i in range(plan.sample_count):
+        point = domain.sample_point(plan.seed, i)
+        try:
+            t = evaluate(f, dict(zip(names, point)))
+        except EvaluationError as exc:
+            return _fault(point, exc, i, plan)
+        escape = domain.signed_escape(0, t, slack)
+        if escape != 0.0:
+            witness = Witness(point, t, None, escape, "RANGE_ESCAPE",
+                              f"f(x) left [{lo}, {hi}]")
+            return _fail(witness, i, plan)
+        try:
+            r = evaluate(f, dict.fromkeys(names, t))
+        except EvaluationError as exc:
+            return _fault(point, exc, i, plan)
+        residual = r - t
+        if abs(residual) > plan.tol(t):
+            witness = Witness(point, t, r, residual, "RESIDUAL")
+            return _fail(witness, i, plan)
+    return Verdict(Status.PASS, None, plan.sample_count, 0)
 
 
 def check_iterated(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
@@ -305,14 +286,7 @@ def check_iterated(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
 
 
 def _check_iterated_expr(f: Expr, domain: DomainBox, plan: SamplePlan) -> Verdict:
-    names = free_variables(f)
-    n = len(names)
-    if n == 0:
-        raise ValueError("candidate has no free variables")
-    if domain.n != n:
-        raise ValueError(f"domain has {domain.n} interval(s) for {n} variables")
-    if n > 1 and not domain.is_uniform:
-        raise ValueError("iterated self-application needs a uniform box A^n")
+    names = _expr_names(f, domain)
     max_drift = 0.0
     for i in range(plan.sample_count):
         point = domain.sample_point(plan.seed, i)
@@ -324,9 +298,8 @@ def _check_iterated_expr(f: Expr, domain: DomainBox, plan: SamplePlan) -> Verdic
         tol = plan.tol(t1)
         t = t1
         for k in range(2, plan.k_max + 1):
-            diag = {name: t for name in names}
             try:
-                t = evaluate(f, diag)
+                t = evaluate(f, dict.fromkeys(names, t))
             except EvaluationError as exc:
                 return _fault(point, exc, i, plan, max_drift)
             drift = t - t1
@@ -344,15 +317,15 @@ def _check_iterated_operator(op: VectorFn, domain: DomainBox,
     for i in range(plan.sample_count):
         point = domain.sample_point(plan.seed, i)
         x = np.asarray(point, dtype=float)
-        y1 = np.asarray(op(x), dtype=float)
-        if y1.shape != x.shape or not np.all(np.isfinite(y1)):
-            return _fault(point, f"operator produced {y1!r}", i, plan, max_drift)
+        y1 = _apply_operator(op, x, point, i, plan, max_drift)
+        if isinstance(y1, Verdict):
+            return y1
         tol = plan.tol(float(np.max(np.abs(y1))))
         y = y1
         for k in range(2, plan.k_max + 1):
-            y = np.asarray(op(y), dtype=float)
-            if y.shape != x.shape or not np.all(np.isfinite(y)):
-                return _fault(point, f"operator produced {y!r}", i, plan, max_drift)
+            y = _apply_operator(op, y, point, i, plan, max_drift)
+            if isinstance(y, Verdict):
+                return y
             drift = float(np.max(np.abs(y - y1)))
             if drift > max_drift:
                 max_drift = drift

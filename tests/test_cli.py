@@ -195,6 +195,19 @@ def test_derive_fd_method():
     assert all(rep["tol"] == 1e-4 for rep in doc["reports"])
 
 
+def test_derive_sweep_domain_fault_exits_3():
+    # an evaluation fault inside the sweep is a domain error, not a usage
+    # error, just as it is at a single --point
+    r = run_cli("derive", "--expr", "ln(x)", "--box=-10:10",
+                "--skip-membership", "--samples", "64")
+    assert r.returncode == 3
+    assert "ln of a non-positive number" in r.stderr
+    r = run_cli("derive", "--expr", "ln(x)", "--box=-10:10",
+                "--skip-membership", "--point=-3")
+    assert r.returncode == 3
+    assert "ln of a non-positive number" in r.stderr
+
+
 def test_derive_rejects_vector_targets():
     r = run_cli("derive", "--catalog", "box_clamp")
     assert r.returncode == 2

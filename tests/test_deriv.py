@@ -1,18 +1,19 @@
 """Tests for forward-mode duals, finite differences and the unity checks."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _random_ast
 
 from ouro.deriv import (
-    GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, KinkPointError, check_unity,
-    check_univariate_unity, dual_eval, fd_partial, gradient,
-    ouroboros_gradient, unity_sweep,
+    GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, KinkPointError, _unit_seeds,
+    _walk, check_unity, dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
-    BinOp, Const, EvalDomainError, Neg, Var, evaluate, parse,
+    BinOp, Const, EvalDomainError, Neg, Var, evaluate, free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status
 
@@ -203,18 +204,78 @@ def test_fd_gradient_is_kink_guarded():
 
 
 def test_ouroboros_gradient_evaluates_at_the_diagonal():
+    # check_unity's shares are the partials at (f(x), ..., f(x))
     f = parse("0.3 * x1 + 0.7 * x2")
     env = {"x1": 2.0, "x2": 9.0}
     # linear weights: same gradient everywhere, exactly the weights
-    assert ouroboros_gradient(f, env) == (0.3, 0.7)
+    assert check_unity(f, env, PLAN).shares == (0.3, 0.7)
     g = parse("(x1 + x2) / 2")
-    assert ouroboros_gradient(g, {"x1": 1.0, "x2": 3.0}) == (0.5, 0.5)
+    assert check_unity(g, {"x1": 1.0, "x2": 3.0}, PLAN).shares == (0.5, 0.5)
+    # the diagonal is really f(x): x^2 at x = 3 has share f'(9) = 18
+    assert check_unity(parse("x^2"), {"x": 3.0}, PLAN).shares == (18.0,)
+
+
+def test_gradient_power_rule_per_component():
+    # the exponent varies only along x2: constant-exponent rule for x1,
+    # varying-exponent rule for x2, each equal to its dual_eval
+    f = parse("x1^x2")
+    env = {"x1": 2.0, "x2": 3.0}
+    grad = gradient(f, env)
+    assert grad == (12.0, 8.0 * math.log(2.0))
+    assert grad == (dual_eval(f, env, 0)[1], dual_eval(f, env, 1)[1])
+    # a negative base is fine while only the base varies
+    neg = {"x1": -2.0, "x2": 3.0}
+    assert dual_eval(f, neg, 0) == (-8.0, 12.0)
+    with pytest.raises(EvalDomainError, match="varying exponent needs a positive base"):
+        gradient(f, neg)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValueError, ArithmeticError) as exc:  # KinkPointError included
+        return exc
+
+
+def test_vector_tangent_matches_per_coordinate_duals():
+    # Differential test of the width-n walk against n width-1 walks and the
+    # value against evaluate, on random trees, points and kink margins.
+    rng = random.Random(20261017)
+    pool = (0.0, 1.0, -1.0, 2.0, 0.5, -0.5)
+    checked = completed = 0
+    while checked < 2000:
+        f = _random_ast(rng, 5)
+        names = free_variables(f)
+        env = {name: (rng.choice(pool) if rng.random() < 0.2
+                      else rng.uniform(-4.0, 4.0)) for name in names}
+        margin = rng.choice((0.0, 1e-7, 0.05))
+        walked = _outcome(
+            lambda: _walk(f, names, env, _unit_seeds(len(names)), margin))
+        grad = _outcome(lambda: gradient(f, env, kink_margin=margin))
+        oracle = _outcome(lambda: tuple(
+            dual_eval(f, env, i, kink_margin=margin)[1]
+            for i in range(len(names))))
+        if not names:
+            assert grad == oracle == ()
+            continue
+        checked += 1
+        assert isinstance(grad, Exception) == isinstance(oracle, Exception), \
+            (f, env, margin, grad, oracle)
+        assert isinstance(walked, Exception) == isinstance(grad, Exception)
+        if isinstance(grad, Exception):
+            continue
+        completed += 1
+        assert grad == oracle, (f, env, margin)
+        value, tangent = walked
+        assert tangent == grad
+        assert value == evaluate(f, env)
+    assert completed >= 500
 
 
 # --- unity checks ------------------------------------------------------------------
 
 def test_univariate_unity_passes_for_abs():
-    r = check_univariate_unity(parse("abs(x)"), -3.0, PLAN)
+    r = check_unity(parse("abs(x)"), {"x": -3.0}, PLAN)
     assert r.n == 1
     assert r.value == 3.0
     assert r.shares == (1.0,)
@@ -241,7 +302,7 @@ def test_unity_weighted_mean_separates_the_claims():
 
 
 def test_unity_saturated_clamp_is_degenerate():
-    r = check_univariate_unity(parse("clamp(x, 0, 1)"), 2.0, PLAN)
+    r = check_unity(parse("clamp(x, 0, 1)"), {"x": 2.0}, PLAN)
     assert r.degenerate_reason == "zero_gradient"
     assert r.sum_to_one is Status.DEGENERATE
     assert r.equal_shares is Status.DEGENERATE
@@ -250,7 +311,7 @@ def test_unity_saturated_clamp_is_degenerate():
 
 
 def test_unity_constant_is_degenerate_with_shares():
-    r = check_univariate_unity(parse("0 * x + 5.0"), 2.0, PLAN)
+    r = check_unity(parse("0 * x + 5.0"), {"x": 2.0}, PLAN)
     assert r.degenerate_reason == "zero_gradient"
     assert r.shares == (0.0,)
     assert r.share_sum == 0.0
@@ -270,7 +331,7 @@ def test_unity_median_diagonal_is_a_kink():
 
 def test_unity_raises_on_an_outer_kink():
     with pytest.raises(KinkPointError):
-        check_univariate_unity(parse("abs(x)"), 0.0, PLAN)
+        check_unity(parse("abs(x)"), {"x": 0.0}, PLAN)
 
 
 def test_unity_fd_method():
@@ -289,7 +350,7 @@ def test_unity_validation():
     with pytest.raises(ValueError):
         check_unity(parse("x"), {"x": 1.0}, PLAN, method="symbolic")
     with pytest.raises(ValueError):
-        check_univariate_unity(parse("x1 + x2"), 1.0, PLAN)
+        check_unity(parse("x1 + x2"), {"x1": 1.0}, PLAN)
 
 
 def test_unity_tol_override():

@@ -1,6 +1,7 @@
 """Tests for idempotent endofunctions on {0, ..., m-1}."""
 
 import itertools
+import math
 
 import pytest
 
@@ -119,3 +120,17 @@ def test_composition_is_not_closed_on_idempotents():
     composite = FiniteEndofunction(tuple(f(g(x)) for x in range(3)))
     assert composite.table == (2, 0, 2)
     assert not is_idempotent(composite)
+
+
+def test_closed_form_matches_the_egf_recurrence_up_to_the_cap():
+    # Independent oracle: the e.g.f. of idempotent maps is exp(x * e^x), so
+    # a(n+1) = sum_k C(n, k) * (k + 1) * a(n - k) with a(0) = 1.
+    a = [1]
+    for n in range(COUNT_LIMIT):
+        a.append(sum(math.comb(n, k) * (k + 1) * a[n - k]
+                     for k in range(n + 1)))
+    for m in range(1, COUNT_LIMIT + 1):
+        assert count_idempotent(m) == a[m], m
+    # the capped count fits int64 but not a double's 53-bit mantissa
+    assert count_idempotent(COUNT_LIMIT) == 27272621155678841
+    assert 2**53 < count_idempotent(COUNT_LIMIT) < 2**63

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from ouro.expr import parse
 from ouro.verify import (
     DomainBox, SamplePlan, Status, check_iterated, check_membership,
-    check_multivariate_membership, check_operator_idempotence,
-    check_univariate_membership, unit_uniform,
+    check_operator_idempotence, unit_uniform,
 )
 
 BOX1 = DomainBox.uniform(-10.0, 10.0, 1)
@@ -103,7 +102,7 @@ def test_sample_plan_validation():
 # --- univariate membership ----------------------------------------------------
 
 def test_abs_is_a_member():
-    v = check_univariate_membership(parse("abs(x)"), BOX1, PLAN)
+    v = check_membership(parse("abs(x)"), BOX1, PLAN)
     assert v.status is Status.PASS
     assert v.witness is None
     assert v.samples_evaluated == PLAN.sample_count
@@ -111,7 +110,7 @@ def test_abs_is_a_member():
 
 
 def test_halving_fails_with_residual_witness():
-    v = check_univariate_membership(parse("x / 2"), BOX1, PLAN)
+    v = check_membership(parse("x / 2"), BOX1, PLAN)
     assert v.status is Status.FAIL
     w = v.witness
     assert w.reason == "RESIDUAL"
@@ -125,7 +124,7 @@ def test_halving_fails_with_residual_witness():
 
 
 def test_range_escape_witness():
-    v = check_univariate_membership(parse("x + 100"), BOX1, PLAN)
+    v = check_membership(parse("x + 100"), BOX1, PLAN)
     assert v.status is Status.FAIL
     w = v.witness
     assert w.reason == "RANGE_ESCAPE"
@@ -138,14 +137,14 @@ def test_range_escape_witness():
 def test_escape_is_checked_before_reapplication():
     # x+1 leaves the box only for x > 9; the first sample sits inside, so
     # the recorded violation is the residual one.
-    v = check_univariate_membership(parse("x + 1"), BOX1, PLAN)
+    v = check_membership(parse("x + 1"), BOX1, PLAN)
     assert v.witness.reason == "RESIDUAL"
     assert v.witness.residual == 1.0
 
 
 def test_evaluation_fault_gives_domain_error():
     neg = DomainBox.uniform(-10.0, -1.0, 1)
-    v = check_univariate_membership(parse("ln(x)"), neg, PLAN)
+    v = check_membership(parse("ln(x)"), neg, PLAN)
     assert v.status is Status.DOMAIN_ERROR
     assert v.witness.reason == "EVAL_ERROR"
     assert "ln" in v.witness.detail
@@ -154,35 +153,35 @@ def test_evaluation_fault_gives_domain_error():
 
 def test_univariate_shape_validation():
     with pytest.raises(ValueError):
-        check_univariate_membership(parse("x1 + x2"), BOX1, PLAN)
+        check_membership(parse("x1 + x2"), BOX1, PLAN)
     with pytest.raises(ValueError):
-        check_univariate_membership(parse("x"), BOX2, PLAN)
+        check_membership(parse("x"), BOX2, PLAN)
 
 
 def test_verdicts_do_not_depend_on_sample_count():
     # The i-th sample is a pure function of (seed, i), so shrinking the
     # plan cannot change which violation is found first.
     small = dataclasses.replace(PLAN, sample_count=4)
-    v_small = check_univariate_membership(parse("x / 2"), BOX1, small)
-    v_big = check_univariate_membership(parse("x / 2"), BOX1, PLAN)
+    v_small = check_membership(parse("x / 2"), BOX1, small)
+    v_big = check_membership(parse("x / 2"), BOX1, PLAN)
     assert v_small.witness == v_big.witness
 
 
 def test_repeated_runs_are_identical():
-    first = check_univariate_membership(parse("relu(x)"), BOX1, PLAN)
-    second = check_univariate_membership(parse("relu(x)"), BOX1, PLAN)
+    first = check_membership(parse("relu(x)"), BOX1, PLAN)
+    second = check_membership(parse("relu(x)"), BOX1, PLAN)
     assert first == second
 
 
 # --- multivariate membership ---------------------------------------------------
 
 def test_mean_is_a_member():
-    v = check_multivariate_membership(parse("(x1 + x2) / 2"), BOX2, PLAN)
+    v = check_membership(parse("(x1 + x2) / 2"), BOX2, PLAN)
     assert v.status is Status.PASS
 
 
 def test_product_fails():
-    v = check_multivariate_membership(parse("x1 * x2"), BOX2, PLAN)
+    v = check_membership(parse("x1 * x2"), BOX2, PLAN)
     assert v.status is Status.FAIL
     w = v.witness
     assert w.reason == "RANGE_ESCAPE"
@@ -194,14 +193,14 @@ def test_product_fails():
 def test_multivariate_needs_uniform_box():
     ragged = DomainBox(((-10.0, 10.0), (-5.0, 5.0)))
     with pytest.raises(ValueError):
-        check_multivariate_membership(parse("(x1 + x2) / 2"), ragged, PLAN)
+        check_membership(parse("(x1 + x2) / 2"), ragged, PLAN)
 
 
 def test_multivariate_shape_validation():
     with pytest.raises(ValueError):
-        check_multivariate_membership(parse("x"), BOX1, PLAN)
-    with pytest.raises(ValueError):
-        check_multivariate_membership(parse("x1 + x2 - x3"), BOX2, PLAN)
+        check_membership(parse("x1 + x2 - x3"), BOX2, PLAN)
+    with pytest.raises(ValueError, match="candidate has no free variables"):
+        check_membership(parse("1 + 2"), BOX1, PLAN)
 
 
 # --- operator idempotence ------------------------------------------------------
@@ -231,6 +230,29 @@ def test_operator_shape_or_nan_is_a_fault():
     nan_op = lambda x: x * float("nan")
     v = check_operator_idempotence(nan_op, DomainBox.uniform(0.0, 1.0, 3), PLAN)
     assert v.status is Status.DOMAIN_ERROR
+
+
+def _failing_operator(x):
+    raise ValueError("user operator failed")
+
+
+def _overflowing_operator(x):
+    with np.errstate(over="raise"):
+        return x * 1e308 * 1e308
+
+
+@pytest.mark.parametrize("op, name", [
+    (_failing_operator, "ValueError"),
+    (_overflowing_operator, "FloatingPointError"),
+])
+@pytest.mark.parametrize("check", [check_membership, check_iterated])
+def test_raising_operator_is_a_fault(check, op, name):
+    v = check(op, DomainBox.uniform(1.0, 2.0, 3), PLAN)
+    assert v.status is Status.DOMAIN_ERROR
+    assert v.samples_evaluated == 1
+    assert v.samples_skipped == PLAN.sample_count - 1
+    assert v.witness.reason == "EVAL_ERROR"
+    assert v.witness.detail.startswith(name + ": ")
 
 
 # --- dispatch -------------------------------------------------------------------
@@ -271,7 +293,7 @@ def test_creeping_drift_fails_with_iteration_depth():
 
 
 def test_membership_alone_accepts_the_creeping_candidate():
-    v = check_univariate_membership(parse("x + 0.9e-9"), BOX1, PLAN)
+    v = check_membership(parse("x + 0.9e-9"), BOX1, PLAN)
     assert v.status is Status.PASS
 
 
