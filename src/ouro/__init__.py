@@ -21,7 +21,6 @@ from .finite import (COUNT_LIMIT, ENUMERATION_LIMIT, FiniteEndofunction,
                      count_idempotent, enumerate_idempotent,
                      image_fixing_holds, is_idempotent, iterate)
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
-                     Witness, check_iterated, check_membership,
-                     check_operator_idempotence, unit_uniform)
+                     Witness, check_iterated, check_membership, unit_uniform)
 
 __version__ = "0.1.0"

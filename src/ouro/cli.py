@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -414,8 +415,7 @@ def _plan_text(plan: SamplePlan) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _overall_status(verdicts: list[Verdict]) -> Status:
-    statuses = {v.status for v in verdicts}
+def _overall_status(statuses: list[Status]) -> Status:
     if Status.FAIL in statuses:
         return Status.FAIL
     if Status.DOMAIN_ERROR in statuses:
@@ -441,7 +441,7 @@ def cmd_check(o: dict) -> int:
     with _engine_usage_errors():
         membership = check_membership(target, box, plan)
         iterated = check_iterated(target, box, plan)
-    overall = _overall_status([membership, iterated])
+    overall = _overall_status([membership.status, iterated.status])
 
     if o["format"] == "json":
         doc = _base_doc("check", o)
@@ -495,6 +495,8 @@ def cmd_derive(o: dict) -> int:
                 raise UsageError(
                     f"--point has {len(values)} value(s) for {arity} coordinate(s)")
             for j, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise UsageError(f"--point coordinate {j + 1} is not finite")
                 if box.signed_escape(j, v, 0.0) != 0.0:
                     raise UsageError(f"--point coordinate {j + 1} outside the box")
             reports.append(check_unity(target, dict(zip(names, values)),
@@ -505,15 +507,9 @@ def cmd_derive(o: dict) -> int:
             reports = list(sweep.reports)
             skipped = sweep.points_skipped
 
-    verdict_pool = [s for r in reports for s in (r.sum_to_one, r.equal_shares)]
-    if membership is not None and membership.status is not Status.PASS:
-        overall = membership.status
-    elif Status.FAIL in verdict_pool:
-        overall = Status.FAIL
-    elif Status.DEGENERATE in verdict_pool:
-        overall = Status.DEGENERATE
-    else:
-        overall = Status.PASS
+    statuses = [] if membership is None else [membership.status]
+    statuses += [s for r in reports for s in (r.sum_to_one, r.equal_shares)]
+    overall = _overall_status(statuses)
 
     if o["format"] == "json":
         doc = _base_doc("derive", o)

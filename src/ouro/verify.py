@@ -11,6 +11,7 @@ sample index.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
@@ -21,8 +22,7 @@ from .expr import EvaluationError, Expr, evaluate, free_variables
 
 __all__ = [
     "Status", "DomainBox", "SamplePlan", "Witness", "Verdict",
-    "unit_uniform", "check_operator_idempotence",
-    "check_membership", "check_iterated",
+    "unit_uniform", "check_membership", "check_iterated",
     "DEFAULT_INTERVAL",
 ]
 
@@ -127,10 +127,11 @@ class SamplePlan:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
-        if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be non-negative")
-        if self.kink_margin < 0:
-            raise ValueError("kink_margin must be non-negative")
+        # NaN fails every comparison and inf passes all of them, so either
+        # would make every check vacuous.
+        for name in ("atol", "rtol", "kink_margin"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.k_max < 2:
             raise ValueError("k_max must be at least 2")
         object.__setattr__(self, "seed", int(self.seed) & _M64)
@@ -164,10 +165,6 @@ class Verdict:
             raise ValueError("FAIL verdicts must carry a witness")
 
 
-def _containment_slack(plan: SamplePlan, lo: float, hi: float) -> float:
-    return plan.atol + plan.rtol * max(abs(lo), abs(hi))
-
-
 def _fail(witness: Witness, index: int, plan: SamplePlan, max_drift=None) -> Verdict:
     return Verdict(Status.FAIL, witness, index + 1,
                    plan.sample_count - index - 1, max_drift)
@@ -197,45 +194,85 @@ def _expr_names(f: Expr, domain: DomainBox) -> list[str]:
 
 
 VectorFn = Callable[[np.ndarray], np.ndarray]
+Target = Union[Expr, VectorFn]
 
 
-def _apply_operator(op: VectorFn, x: np.ndarray, point, index: int,
-                    plan: SamplePlan, max_drift=None):
-    """op(x) as a float array of x's shape, or the DOMAIN_ERROR verdict
-    when the call raises or yields a wrong shape or a non-finite value."""
+def _call_operator(op: VectorFn, x: np.ndarray) -> np.ndarray:
+    """op(x) as a float array of x's shape.  A raising call, a wrong shape
+    or a non-finite value becomes an EvaluationError, so an operator fault
+    is reported like a DSL one."""
     try:
         y = np.asarray(op(x), dtype=float)
     except (ValueError, ArithmeticError) as exc:
-        return _fault(point, f"{type(exc).__name__}: {exc}", index, plan,
-                      max_drift)
+        raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
     if y.shape != x.shape or not np.all(np.isfinite(y)):
-        return _fault(point, f"operator produced {y!r}", index, plan, max_drift)
+        raise EvaluationError(f"operator produced {y!r}")
     return y
 
 
-def check_operator_idempotence(op: VectorFn, domain: DomainBox,
-                               plan: SamplePlan) -> Verdict:
-    """Sampled check that P(P(x)) = P(x) in the max norm for a vector
-    operator P: R^d -> R^d.  This extends the scalar membership check to a
-    vector-valued domain."""
+def _target_kind(f: Target, domain: DomainBox):
+    """How a target is applied and measured, as the tuple (first, again,
+    distance, scale, form, residual_detail): f at a sample point, f fed its
+    own output, the drift of t_k from t_1 (signed, or the max norm for
+    operators), the magnitude the tolerance scales with, the witness form
+    of an output, and the detail of a RESIDUAL witness."""
+    if isinstance(f, Expr):
+        names = _expr_names(f, domain)
+        return (lambda point: evaluate(f, dict(zip(names, point))),
+                lambda t: evaluate(f, dict.fromkeys(names, t)),
+                operator.sub, abs, lambda t: t, "")
+    return (lambda point: _call_operator(f, np.asarray(point, dtype=float)),
+            lambda y: _call_operator(f, y),
+            lambda y, y1: float(np.max(np.abs(y - y1))),
+            lambda y: float(np.max(np.abs(y))),
+            lambda y: tuple(y.tolist()), "max-norm residual")
+
+
+def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
+          membership: bool) -> Verdict:
+    """The one sample loop behind both checks.
+
+    At each sample x it computes t_1 = f(x) and feeds it back until t_depth,
+    failing at the first k with |t_k - t_1| > atol + rtol*|t_1|.
+    Membership is depth 2 plus range containment of t_1 (DSL targets only);
+    the iterated check runs to k_max and keeps the largest drift seen.
+    """
+    first, again, distance, scale, form, residual_detail = _target_kind(f, domain)
+    # The witness detail is detail.format(k); a RESIDUAL detail has no
+    # field, so format leaves it as it is.
+    if membership:
+        depth, reason, detail, max_drift = 2, "RESIDUAL", residual_detail, None
+    else:
+        depth, reason, detail, max_drift = plan.k_max, "DRIFT", "k={}", 0.0
+    contain = membership and isinstance(f, Expr)
+    if contain:
+        lo, hi = domain.interval
+        slack = plan.tol(max(abs(lo), abs(hi)))
     for i in range(plan.sample_count):
         point = domain.sample_point(plan.seed, i)
-        x = np.asarray(point, dtype=float)
-        y = _apply_operator(op, x, point, i, plan)
-        if isinstance(y, Verdict):
-            return y
-        z = _apply_operator(op, y, point, i, plan)
-        if isinstance(z, Verdict):
-            return z
-        residual = float(np.max(np.abs(z - y)))
-        if residual > plan.tol(float(np.max(np.abs(y)))):
-            witness = Witness(point, tuple(y.tolist()), tuple(z.tolist()),
-                              residual, "RESIDUAL", "max-norm residual")
-            return _fail(witness, i, plan)
-    return Verdict(Status.PASS, None, plan.sample_count, 0)
-
-
-Target = Union[Expr, VectorFn]
+        try:
+            t1 = first(point)
+            if contain:
+                escape = domain.signed_escape(0, t1, slack)
+                if escape != 0.0:
+                    witness = Witness(point, t1, None, escape, "RANGE_ESCAPE",
+                                      f"f(x) left [{lo}, {hi}]")
+                    return _fail(witness, i, plan)
+            tol = plan.tol(scale(t1))
+            t = t1
+            for k in range(2, depth + 1):
+                t = again(t)
+                drift = distance(t, t1)
+                size = abs(drift)
+                if max_drift is not None and size > max_drift:
+                    max_drift = size
+                if size > tol:
+                    witness = Witness(point, form(t1), form(t), drift, reason,
+                                      detail.format(k))
+                    return _fail(witness, i, plan, max_drift)
+        except EvaluationError as exc:
+            return _fault(point, exc, i, plan, max_drift)
+    return Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
 
 
 def check_membership(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
@@ -243,33 +280,11 @@ def check_membership(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
 
     A DSL target must map A^n into A and satisfy the law within
     atol + rtol*|f(x)| at every sampled x; n = 1 reads f(f(x)) = f(x).
-    Vector operators go to check_operator_idempotence.
+    A vector operator P: R^d -> R^d is checked as P(P(x)) = P(x) in the
+    max norm, within atol + rtol*max|P(x)|; its box only places the
+    samples, and P(x) is not required to stay inside it.
     """
-    if not isinstance(f, Expr):
-        return check_operator_idempotence(f, domain, plan)
-    names = _expr_names(f, domain)
-    lo, hi = domain.interval
-    slack = _containment_slack(plan, lo, hi)
-    for i in range(plan.sample_count):
-        point = domain.sample_point(plan.seed, i)
-        try:
-            t = evaluate(f, dict(zip(names, point)))
-        except EvaluationError as exc:
-            return _fault(point, exc, i, plan)
-        escape = domain.signed_escape(0, t, slack)
-        if escape != 0.0:
-            witness = Witness(point, t, None, escape, "RANGE_ESCAPE",
-                              f"f(x) left [{lo}, {hi}]")
-            return _fail(witness, i, plan)
-        try:
-            r = evaluate(f, dict.fromkeys(names, t))
-        except EvaluationError as exc:
-            return _fault(point, exc, i, plan)
-        residual = r - t
-        if abs(residual) > plan.tol(t):
-            witness = Witness(point, t, r, residual, "RESIDUAL")
-            return _fail(witness, i, plan)
-    return Verdict(Status.PASS, None, plan.sample_count, 0)
+    return _scan(f, domain, plan, membership=True)
 
 
 def check_iterated(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
@@ -280,57 +295,4 @@ def check_iterated(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
     every t_k equals t_1; the verdict records the largest |t_k - t_1| seen
     and fails if any drift exceeds atol + rtol*|t_1|.
     """
-    if isinstance(f, Expr):
-        return _check_iterated_expr(f, domain, plan)
-    return _check_iterated_operator(f, domain, plan)
-
-
-def _check_iterated_expr(f: Expr, domain: DomainBox, plan: SamplePlan) -> Verdict:
-    names = _expr_names(f, domain)
-    max_drift = 0.0
-    for i in range(plan.sample_count):
-        point = domain.sample_point(plan.seed, i)
-        env = dict(zip(names, point))
-        try:
-            t1 = evaluate(f, env)
-        except EvaluationError as exc:
-            return _fault(point, exc, i, plan, max_drift)
-        tol = plan.tol(t1)
-        t = t1
-        for k in range(2, plan.k_max + 1):
-            try:
-                t = evaluate(f, dict.fromkeys(names, t))
-            except EvaluationError as exc:
-                return _fault(point, exc, i, plan, max_drift)
-            drift = t - t1
-            if abs(drift) > max_drift:
-                max_drift = abs(drift)
-            if abs(drift) > tol:
-                witness = Witness(point, t1, t, drift, "DRIFT", f"k={k}")
-                return _fail(witness, i, plan, max_drift)
-    return Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
-
-
-def _check_iterated_operator(op: VectorFn, domain: DomainBox,
-                             plan: SamplePlan) -> Verdict:
-    max_drift = 0.0
-    for i in range(plan.sample_count):
-        point = domain.sample_point(plan.seed, i)
-        x = np.asarray(point, dtype=float)
-        y1 = _apply_operator(op, x, point, i, plan, max_drift)
-        if isinstance(y1, Verdict):
-            return y1
-        tol = plan.tol(float(np.max(np.abs(y1))))
-        y = y1
-        for k in range(2, plan.k_max + 1):
-            y = _apply_operator(op, y, point, i, plan, max_drift)
-            if isinstance(y, Verdict):
-                return y
-            drift = float(np.max(np.abs(y - y1)))
-            if drift > max_drift:
-                max_drift = drift
-            if drift > tol:
-                witness = Witness(point, tuple(y1.tolist()), tuple(y.tolist()),
-                                  drift, "DRIFT", f"k={k}")
-                return _fail(witness, i, plan, max_drift)
-    return Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
+    return _scan(f, domain, plan, membership=False)

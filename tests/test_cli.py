@@ -99,6 +99,13 @@ def test_check_rejects_bad_expression():
     assert "bad --expr" in r.stderr
 
 
+def test_check_rejects_nan_tolerance():
+    # NaN would fail every comparison and so pass every check
+    r = run_cli("check", "--expr", "x / 2 + 100", "--samples", "8", "--atol", "nan")
+    assert r.returncode == 2
+    assert "finite and non-negative" in r.stderr
+
+
 def test_check_requires_exactly_one_target():
     assert run_cli("check").returncode == 2
     r = run_cli("check", "--expr", "x", "--catalog", "abs")
@@ -154,6 +161,9 @@ def test_derive_point_validation():
     r = run_cli("derive", "--expr", "(x1 + x2) / 2", "--point", "1.5,99.0")
     assert r.returncode == 2
     assert "outside the box" in r.stderr
+    r = run_cli("derive", "--expr", "x", "--point", "nan")
+    assert r.returncode == 2
+    assert "not finite" in r.stderr
 
 
 def test_derive_median_is_degenerate_not_failing():

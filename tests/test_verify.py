@@ -1,16 +1,18 @@
 """Tests for the sampling-based membership and iteration checks."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _random_ast
 
-from ouro.expr import parse
+from ouro.expr import free_variables, parse
 from ouro.verify import (
     DomainBox, SamplePlan, Status, check_iterated, check_membership,
-    check_operator_idempotence, unit_uniform,
+    unit_uniform,
 )
 
 BOX1 = DomainBox.uniform(-10.0, 10.0, 1)
@@ -95,6 +97,10 @@ def test_sample_plan_validation():
         SamplePlan(atol=-1.0)
     with pytest.raises(ValueError):
         SamplePlan(k_max=1)
+    for name in ("atol", "rtol", "kink_margin"):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                SamplePlan(**{name: bad})
     assert SamplePlan(seed=-1).seed == 2**64 - 1
     assert SamplePlan().tol(10.0) == 1e-9 + 1e-8
 
@@ -206,17 +212,18 @@ def test_multivariate_shape_validation():
 # --- operator idempotence ------------------------------------------------------
 
 def test_clip_operator_passes():
-    v = check_operator_idempotence(lambda x: np.clip(x, 0.0, 1.0),
-                                   DomainBox.uniform(-2.0, 2.0, 3), PLAN)
+    v = check_membership(lambda x: np.clip(x, 0.0, 1.0),
+                         DomainBox.uniform(-2.0, 2.0, 3), PLAN)
     assert v.status is Status.PASS
 
 
 def test_halving_operator_fails_in_max_norm():
-    v = check_operator_idempotence(lambda x: x / 2.0,
-                                   DomainBox.uniform(-2.0, 2.0, 3), PLAN)
+    v = check_membership(lambda x: x / 2.0,
+                         DomainBox.uniform(-2.0, 2.0, 3), PLAN)
     assert v.status is Status.FAIL
     w = v.witness
     assert w.reason == "RESIDUAL"
+    assert w.detail == "max-norm residual"
     assert len(w.point) == 3 and len(w.value) == 3 and len(w.revalue) == 3
     got = np.max(np.abs(np.asarray(w.revalue) - np.asarray(w.value)))
     assert w.residual == got
@@ -224,11 +231,10 @@ def test_halving_operator_fails_in_max_norm():
 
 def test_operator_shape_or_nan_is_a_fault():
     bad_shape = lambda x: x[:2]
-    v = check_operator_idempotence(bad_shape, DomainBox.uniform(0.0, 1.0, 3),
-                                   PLAN)
+    v = check_membership(bad_shape, DomainBox.uniform(0.0, 1.0, 3), PLAN)
     assert v.status is Status.DOMAIN_ERROR
     nan_op = lambda x: x * float("nan")
-    v = check_operator_idempotence(nan_op, DomainBox.uniform(0.0, 1.0, 3), PLAN)
+    v = check_membership(nan_op, DomainBox.uniform(0.0, 1.0, 3), PLAN)
     assert v.status is Status.DOMAIN_ERROR
 
 
@@ -316,6 +322,56 @@ def test_iterated_shape_validation():
     ragged = DomainBox(((-10.0, 10.0), (-5.0, 5.0)))
     with pytest.raises(ValueError):
         check_iterated(parse("(x1 + x2) / 2"), ragged, PLAN)
+
+
+def _assert_membership_is_depth_two(member, iterated) -> bool:
+    """Membership is range containment plus the iterated check at k_max = 2;
+    returns whether membership stopped on a range escape."""
+    if member.witness is not None and member.witness.reason == "RANGE_ESCAPE":
+        # every earlier sample passed both checks alike
+        assert iterated.samples_evaluated >= member.samples_evaluated
+        return True
+    assert member.status is iterated.status
+    assert member.samples_evaluated == iterated.samples_evaluated
+    assert (member.witness is None) == (iterated.witness is None)
+    if member.witness is not None:
+        m, it = member.witness, iterated.witness
+        assert (m.point, m.value, m.revalue, m.residual) == \
+            (it.point, it.value, it.revalue, it.residual)
+        if m.reason == "EVAL_ERROR":
+            assert it.reason == "EVAL_ERROR" and it.detail == m.detail
+        else:
+            assert (m.reason, it.reason, it.detail) == ("RESIDUAL", "DRIFT", "k=2")
+    return False
+
+
+def test_membership_is_containment_plus_depth_two_iteration():
+    rng = random.Random(20261018)
+    base = SamplePlan(sample_count=32, k_max=2)
+    trees = compared = escapes = 0
+    while trees < 2000:
+        f = _random_ast(rng, 4)
+        n = len(free_variables(f))
+        if n == 0:
+            continue
+        trees += 1
+        lo = rng.uniform(-10.0, 5.0)
+        box = DomainBox.uniform(lo, lo + rng.uniform(0.1, 10.0), n)
+        plan = dataclasses.replace(base, seed=rng.getrandbits(64))
+        try:
+            escaped = _assert_membership_is_depth_two(
+                check_membership(f, box, plan), check_iterated(f, box, plan))
+        except AssertionError as exc:
+            raise AssertionError((f, box, plan.seed)) from exc
+        escapes += escaped
+        compared += not escaped
+    assert compared >= 500 and escapes >= 100
+    for op in (lambda x: x / 2.0, lambda x: np.clip(x, 0.0, 1.0)):
+        for _ in range(20):
+            box = DomainBox.uniform(-2.0, rng.uniform(0.5, 3.0), rng.randint(1, 4))
+            plan = dataclasses.replace(base, seed=rng.getrandbits(64))
+            assert not _assert_membership_is_depth_two(
+                check_membership(op, box, plan), check_iterated(op, box, plan))
 
 
 def test_fail_verdict_requires_witness():
