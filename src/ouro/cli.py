@@ -11,8 +11,11 @@ Exit codes: 0 all checks passed (DEGENERATE counts as a pass with a warning
 unless --strict-degenerate), 1 any FAIL, 2 usage or configuration error,
 3 evaluation/domain error.
 
-Reports are byte-deterministic for a fixed command line: no timestamps
-(unless --timestamp), no environment-dependent content.
+Every subcommand builds one report document, the JSON one; --format json
+prints it and the text and csv renderers read only it, so every format
+describes the same result.  Reports are byte-deterministic for a fixed
+command line: no timestamps (unless --timestamp), no environment-dependent
+content.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import json
 import math
 import re
 import sys
+from collections import Counter
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import catalog as _catalog
@@ -31,7 +36,7 @@ from .expr import (EvaluationError, Expr, ParseError, format_expr,
                    free_variables, parse)
 from .finite import COUNT_LIMIT, count_idempotent, enumerate_idempotent
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
-                     Witness, check_iterated, check_membership)
+                     check_iterated, check_membership)
 
 SCHEMA_VERSION = 1
 
@@ -71,6 +76,16 @@ _DEFAULTS = {
     "catalog": {**_OUTPUT_DEFAULTS},
 }
 
+# Options with a fixed set of values, per subcommand; the parser and the
+# config loader both read them here.
+_TEXT_JSON = ("text", "json")
+_CHOICES = {
+    "check": {"format": _TEXT_JSON},
+    "derive": {"format": _TEXT_JSON, "method": ("dual", "fd")},
+    "enumerate": {"format": ("text", "json", "csv")},
+    "catalog": {"format": _TEXT_JSON},
+}
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
@@ -79,7 +94,7 @@ def _config_bool(text: str) -> bool:
     try:
         return _BOOL_WORDS[text.lower()]
     except KeyError:
-        raise UsageError(f"expected a boolean, got {text!r}") from None
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 _CONFIG_CONVERTERS = {
@@ -115,8 +130,9 @@ def _add_plan_options(p: argparse.ArgumentParser):
                    help="distance treated as touching a kink (default 1e-7)")
 
 
-def _add_output_options(p: argparse.ArgumentParser, formats=("text", "json")):
-    p.add_argument("--format", choices=formats, help="report format")
+def _add_output_options(p: argparse.ArgumentParser, command: str):
+    p.add_argument("--format", choices=_CHOICES[command]["format"],
+                   help="report format")
     p.add_argument("--out", metavar="PATH", help="write the report to a file")
     p.add_argument("--timestamp", action="store_true",
                    help="include a generation timestamp (off by default so "
@@ -136,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     _add_target_options(p)
     _add_plan_options(p)
-    _add_output_options(p)
+    _add_output_options(p, "check")
     p.add_argument("--strict-degenerate", dest="strict_degenerate",
                    action="store_true",
                    help="treat DEGENERATE results as failures")
@@ -145,10 +161,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     _add_target_options(p)
     _add_plan_options(p)
-    _add_output_options(p)
+    _add_output_options(p, "derive")
     p.add_argument("--point", metavar="V1,V2,...",
                    help="evaluate at this point instead of sampling")
-    p.add_argument("--method", choices=("dual", "fd"),
+    p.add_argument("--method", choices=_CHOICES["derive"]["method"],
                    help="derivative backend (default dual)")
     p.add_argument("--skip-membership", dest="skip_membership",
                    action="store_true",
@@ -162,16 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="domain size")
     p.add_argument("--count-only", dest="count_only", action="store_true",
                    help=f"print only the closed-form count (m up to {COUNT_LIMIT})")
-    _add_output_options(p, formats=("text", "json", "csv"))
+    _add_output_options(p, "enumerate")
 
     p = sub.add_parser("catalog", help="list built-in families",
                        argument_default=argparse.SUPPRESS)
-    _add_output_options(p)
+    _add_output_options(p, "catalog")
     return parser
 
 
 def _load_config(path: str, command: str) -> dict:
-    allowed = _DEFAULTS[command]
+    allowed, choices = _DEFAULTS[command], _CHOICES[command]
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -189,13 +205,14 @@ def _load_config(path: str, command: str) -> dict:
         value = value.strip()
         if dest in ("config", "params") or dest not in allowed:
             raise UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
+        bad = UsageError(f"{path}:{lineno}: bad value for {key.strip()!r}: "
+                         f"{value!r}")
         try:
             out[dest] = _CONFIG_CONVERTERS[dest](value)
-        except UsageError:
-            raise
         except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value for {key.strip()!r}: "
-                             f"{value!r}") from None
+            raise bad from None
+        if dest in choices and out[dest] not in choices[dest]:
+            raise bad
     return out
 
 
@@ -232,7 +249,7 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _resolve_target(o: dict):
-    """Returns (target, arity, box, target_doc, label).
+    """Returns (target, arity, box, target_doc).
 
     target is an Expr for scalar candidates or a callable VectorInstance.
     """
@@ -247,8 +264,7 @@ def _resolve_target(o: dict):
         if arity == 0:
             raise UsageError("expression must mention at least one variable")
         box = _resolve_box(o, arity, None)
-        doc = {"expr": format_expr(expr)}
-        return expr, arity, box, doc, f"expr {format_expr(expr)!r}"
+        return expr, arity, box, {"expr": format_expr(expr)}
 
     params = {}
     if o["n"] is not None:
@@ -276,13 +292,13 @@ def _resolve_target(o: dict):
         target, arity = inst, inst.dim
     box = _resolve_box(o, arity, inst.box)
     doc = {"catalog": inst.entry.name,
-           "params": {k: _jsonable(v) for k, v in sorted(inst.params.items())},
+           "params": dict(sorted(inst.params.items())),
            "kind": inst.entry.kind}
     if isinstance(inst, _catalog.ScalarInstance):
         doc["expr"] = format_expr(inst.expr)
     else:
         doc["note"] = "vector-valued domain extension of the scalar membership check"
-    return target, arity, box, doc, f"catalog {inst.entry.name}"
+    return target, arity, box, doc
 
 
 def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
@@ -324,92 +340,145 @@ def _resolve_plan(o: dict) -> SamplePlan:
 
 
 # ---------------------------------------------------------------------------
-# report rendering
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Status):
-        return value.value
-    return value
-
-
-def _witness_doc(w: Witness | None):
-    if w is None:
-        return None
-    return {"point": _jsonable(w.point), "value": _jsonable(w.value),
-            "revalue": _jsonable(w.revalue), "residual": w.residual,
-            "reason": w.reason, "detail": w.detail}
-
+# report documents and their renderers
 
 def _verdict_doc(v: Verdict) -> dict:
-    return {"status": v.status.value,
+    return {"status": v.status,
             "samples_evaluated": v.samples_evaluated,
             "samples_skipped": v.samples_skipped,
             "max_drift": v.max_drift,
-            "witness": _witness_doc(v.witness)}
+            "witness": None if v.witness is None else asdict(v.witness)}
 
 
 def _unity_doc(r: UnityReport) -> dict:
-    return {"n": r.n, "point": _jsonable(r.point), "value": r.value,
-            "outer_gradient": _jsonable(r.outer_gradient),
-            "shares": _jsonable(r.shares), "share_sum": r.share_sum,
-            "sum_to_one": r.sum_to_one.value,
-            "equal_shares": r.equal_shares.value,
+    return {"n": r.n, "point": r.point, "value": r.value,
+            "outer_gradient": r.outer_gradient,
+            "shares": r.shares, "share_sum": r.share_sum,
+            "sum_to_one": r.sum_to_one, "equal_shares": r.equal_shares,
             "degenerate_reason": r.degenerate_reason, "tol": r.tol}
 
 
-def _plan_doc(plan: SamplePlan) -> dict:
-    return {"seed": plan.seed, "sample_count": plan.sample_count,
-            "atol": plan.atol, "rtol": plan.rtol,
-            "kink_margin": plan.kink_margin, "k_max": plan.k_max}
-
-
-def _base_doc(command: str, o: dict) -> dict:
+def _emit(command: str, body: dict, o: dict):
+    """Write the report document of `command` in the requested format."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
-    if o.get("timestamp"):
+    if o["timestamp"]:
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return doc
-
-
-def _emit(text: str, o: dict):
+    doc.update(body)
+    fmt = o["format"]
+    if fmt == "json":
+        text = json.dumps(doc, indent=2)
+    else:
+        lines = _RENDERERS[command, fmt](doc)
+        if "timestamp" in doc:  # second line; a comment keeps csv rows intact
+            prefix = "# " if fmt == "csv" else ""
+            lines.insert(1, f"{prefix}timestamp: {doc['timestamp']}")
+        text = "\n".join(lines)
     if o["out"]:
         with open(o["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
-def _witness_lines(w: Witness | None, indent: str = "  ") -> list[str]:
-    if w is None:
-        return []
-    lines = [f"{indent}reason: {w.reason}" + (f" ({w.detail})" if w.detail else ""),
-             f"{indent}point: {w.point!r}"]
-    if w.value is not None:
-        lines.append(f"{indent}f(x) = {w.value!r}")
-    if w.revalue is not None:
-        lines.append(f"{indent}re-applied = {w.revalue!r}")
-    if w.residual is not None:
-        lines.append(f"{indent}residual = {w.residual!r}")
+def _header(doc: dict) -> list[str]:
+    target, plan = doc["target"], doc["plan"]
+    name = (f"catalog {target['catalog']}" if "catalog" in target
+            else f"expr {target['expr']!r}")
+    lines = [f"ouro {doc['command']}: {name}"]
+    if "note" in target:
+        lines.append(f"note: {target['note']}")
+    lines.append("box: " + " x ".join(f"[{lo!r}, {hi!r}]" for lo, hi in doc["box"]))
+    lines.append(
+        f"plan: samples={plan['sample_count']} seed={plan['seed']} "
+        f"atol={plan['atol']!r} rtol={plan['rtol']!r} "
+        f"kink_margin={plan['kink_margin']!r} k_max={plan['k_max']}")
     return lines
 
 
-def _verdict_lines(name: str, v: Verdict) -> list[str]:
-    head = (f"{name}: {v.status}  evaluated={v.samples_evaluated} "
-            f"skipped={v.samples_skipped}")
-    if v.max_drift is not None:
-        head += f" max_drift={v.max_drift!r}"
-    return [head] + _witness_lines(v.witness)
+def _verdict_lines(name: str, v: dict) -> list[str]:
+    head = (f"{name}: {v['status']}  evaluated={v['samples_evaluated']} "
+            f"skipped={v['samples_skipped']}")
+    if v["max_drift"] is not None:
+        head += f" max_drift={v['max_drift']!r}"
+    w = v["witness"]
+    if w is None:
+        return [head]
+    lines = [head, f"  reason: {w['reason']}"
+             + (f" ({w['detail']})" if w["detail"] else ""),
+             f"  point: {w['point']!r}"]
+    for key, label in (("value", "f(x)"), ("revalue", "re-applied"),
+                       ("residual", "residual")):
+        if w[key] is not None:
+            lines.append(f"  {label} = {w[key]!r}")
+    return lines
 
 
-def _box_text(box: DomainBox) -> str:
-    return " x ".join(f"[{lo!r}, {hi!r}]" for lo, hi in box.intervals)
+def _check_text(doc: dict) -> list[str]:
+    return (_header(doc) + _verdict_lines("membership", doc["membership"])
+            + _verdict_lines("iterated", doc["iterated"])
+            + [f"overall: {doc['overall']}"])
 
 
-def _plan_text(plan: SamplePlan) -> str:
-    return (f"samples={plan.sample_count} seed={plan.seed} atol={plan.atol!r} "
-            f"rtol={plan.rtol!r} kink_margin={plan.kink_margin!r} "
-            f"k_max={plan.k_max}")
+def _derive_text(doc: dict) -> list[str]:
+    lines = _header(doc) + [f"method: {doc['method']}"]
+    if doc["membership"] is None:
+        lines.append("membership: skipped (--skip-membership)")
+    else:
+        lines += _verdict_lines("membership", doc["membership"])
+    reports = doc["reports"]
+    for r in reports:
+        shares = ("-" if r["shares"] is None
+                  else "(" + ", ".join(repr(s) for s in r["shares"]) + ")")
+        extra = f" [{r['degenerate_reason']}]" if r["degenerate_reason"] else ""
+        lines.append(
+            f"point {r['point']!r}: f={r['value']!r} shares={shares} "
+            f"sum={r['share_sum']!r} sum_to_one={r['sum_to_one']} "
+            f"equal_shares={r['equal_shares']}{extra}")
+    if reports:
+        s, e = (Counter(r[claim] for r in reports)
+                for claim in ("sum_to_one", "equal_shares"))
+        lines.append(
+            f"summary: points={len(reports)} skipped={doc['points_skipped']} | "
+            f"sum_to_one {s['PASS']}/{s['FAIL']}/{s['DEGENERATE']} "
+            f"(pass/fail/degenerate) | equal_shares "
+            f"{e['PASS']}/{e['FAIL']}/{e['DEGENERATE']}")
+    lines.append(f"overall: {doc['overall']}")
+    return lines
+
+
+def _enumerate_text(doc: dict) -> list[str]:
+    lines = [f"ouro enumerate: m={doc['m']}", f"count: {doc['count']}"]
+    return lines + [" ".join(map(str, table)) for table in doc["maps"] or ()]
+
+
+def _enumerate_csv(doc: dict) -> list[str]:
+    return [f"# m={doc['m']} count={doc['count']}"] + [
+        ",".join(map(str, table)) for table in doc["maps"] or ()]
+
+
+def _catalog_text(doc: dict) -> list[str]:
+    lines = [f"ouro catalog: {len(doc['entries'])} entries"]
+    for e in doc["entries"]:
+        flags = "".join(letter if e["flags"][flag] else "-" for flag, letter in (
+            ("smooth", "s"), ("symmetric", "y"), ("exact_fixed_points", "x")))
+        defaults = ", ".join(f"{k}={v!r}" for k, v in e["defaults"].items())
+        lo, hi = e["interval"]
+        lines.append(
+            f"{e['name']:<24} {e['kind']:<20} arity {e['arity']:<12} "
+            f"box [{lo!r}, {hi!r}] flags {flags} "
+            f"defaults: {defaults or '-'}")
+        lines.append(f"{'':<24} {e['summary']}")
+    lines.append("flags: s=smooth y=symmetric x=exact_fixed_points")
+    return lines
+
+
+_RENDERERS = {
+    ("check", "text"): _check_text,
+    ("derive", "text"): _derive_text,
+    ("enumerate", "text"): _enumerate_text,
+    ("enumerate", "csv"): _enumerate_csv,
+    ("catalog", "text"): _catalog_text,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -436,42 +505,22 @@ def _status_exit(overall: Status, strict_degenerate: bool) -> int:
 
 
 def cmd_check(o: dict) -> int:
-    target, arity, box, target_doc, label = _resolve_target(o)
+    target, arity, box, target_doc = _resolve_target(o)
     plan = _resolve_plan(o)
     with _engine_usage_errors():
         membership = check_membership(target, box, plan)
         iterated = check_iterated(target, box, plan)
     overall = _overall_status([membership.status, iterated.status])
-
-    if o["format"] == "json":
-        doc = _base_doc("check", o)
-        doc.update({"target": target_doc, "box": _jsonable(box.intervals),
-                    "plan": _plan_doc(plan),
+    _emit("check", {"target": target_doc, "box": box.intervals,
+                    "plan": asdict(plan),
                     "membership": _verdict_doc(membership),
                     "iterated": _verdict_doc(iterated),
-                    "overall": overall.value})
-        _emit(json.dumps(doc, indent=2) + "\n", o)
-    else:
-        lines = [f"ouro check: {label}"]
-        if "note" in target_doc:
-            lines.append(f"note: {target_doc['note']}")
-        lines += [f"box: {_box_text(box)}", f"plan: {_plan_text(plan)}"]
-        lines += _verdict_lines("membership", membership)
-        lines += _verdict_lines("iterated", iterated)
-        lines.append(f"overall: {overall}")
-        _emit("\n".join(lines) + "\n", o)
-    return _status_exit(overall, o.get("strict_degenerate", False))
-
-
-def _claim_counts(reports, claim) -> dict:
-    counts = {"PASS": 0, "FAIL": 0, "DEGENERATE": 0}
-    for r in reports:
-        counts[getattr(r, claim).value] += 1
-    return counts
+                    "overall": overall}, o)
+    return _status_exit(overall, o["strict_degenerate"])
 
 
 def cmd_derive(o: dict) -> int:
-    target, arity, box, target_doc, label = _resolve_target(o)
+    target, arity, box, target_doc = _resolve_target(o)
     if not isinstance(target, Expr):
         raise UsageError("derivative checks apply to scalar entries only")
     plan = _resolve_plan(o)
@@ -510,112 +559,42 @@ def cmd_derive(o: dict) -> int:
     statuses = [] if membership is None else [membership.status]
     statuses += [s for r in reports for s in (r.sum_to_one, r.equal_shares)]
     overall = _overall_status(statuses)
-
-    if o["format"] == "json":
-        doc = _base_doc("derive", o)
-        doc.update({"target": target_doc, "box": _jsonable(box.intervals),
-                    "plan": _plan_doc(plan), "method": method,
-                    "membership": (None if membership is None
-                                   else _verdict_doc(membership)),
-                    "reports": [_unity_doc(r) for r in reports],
-                    "points_skipped": skipped,
-                    "overall": overall.value})
-        _emit(json.dumps(doc, indent=2) + "\n", o)
-    else:
-        lines = [f"ouro derive: {label}", f"box: {_box_text(box)}",
-                 f"plan: {_plan_text(plan)}", f"method: {method}"]
-        if membership is None:
-            lines.append("membership: skipped (--skip-membership)")
-        else:
-            lines += _verdict_lines("membership", membership)
-        for r in reports:
-            shares = ("-" if r.shares is None
-                      else "(" + ", ".join(repr(s) for s in r.shares) + ")")
-            extra = f" [{r.degenerate_reason}]" if r.degenerate_reason else ""
-            lines.append(
-                f"point {r.point!r}: f={r.value!r} shares={shares} "
-                f"sum={r.share_sum!r} sum_to_one={r.sum_to_one} "
-                f"equal_shares={r.equal_shares}{extra}")
-        if reports:
-            s = _claim_counts(reports, "sum_to_one")
-            e = _claim_counts(reports, "equal_shares")
-            lines.append(
-                f"summary: points={len(reports)} skipped={skipped} | "
-                f"sum_to_one {s['PASS']}/{s['FAIL']}/{s['DEGENERATE']} "
-                f"(pass/fail/degenerate) | equal_shares "
-                f"{e['PASS']}/{e['FAIL']}/{e['DEGENERATE']}")
-        lines.append(f"overall: {overall}")
-        _emit("\n".join(lines) + "\n", o)
-    return _status_exit(overall, o.get("strict_degenerate", False))
+    _emit("derive", {"target": target_doc, "box": box.intervals,
+                     "plan": asdict(plan), "method": method,
+                     "membership": (None if membership is None
+                                    else _verdict_doc(membership)),
+                     "reports": [_unity_doc(r) for r in reports],
+                     "points_skipped": skipped,
+                     "overall": overall}, o)
+    return _status_exit(overall, o["strict_degenerate"])
 
 
 def cmd_enumerate(o: dict) -> int:
     m = o["m"]
-    if o["count_only"]:
-        try:
-            count = count_idempotent(m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        maps = None
-    else:
-        try:
-            maps = enumerate_idempotent(m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    try:
+        maps = None if o["count_only"] else enumerate_idempotent(m)
         count = count_idempotent(m)
-        if count != len(maps):  # closed form is cross-checked when listing
-            raise AssertionError(
-                f"count mismatch for m={m}: {count} vs {len(maps)}")
-
-    fmt = o["format"]
-    if fmt == "json":
-        doc = _base_doc("enumerate", o)
-        doc.update({"m": m, "count": count,
-                    "maps": (None if maps is None
-                             else [list(f.table) for f in maps])})
-        _emit(json.dumps(doc, indent=2) + "\n", o)
-    elif fmt == "csv":
-        rows = [] if maps is None else [",".join(map(str, f.table)) for f in maps]
-        header = f"# m={m} count={count}"
-        _emit("\n".join([header] + rows) + "\n", o)
-    else:
-        lines = [f"ouro enumerate: m={m}", f"count: {count}"]
-        if maps is not None:
-            lines += [" ".join(map(str, f.table)) for f in maps]
-        _emit("\n".join(lines) + "\n", o)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if maps is not None and count != len(maps):
+        # the closed form is cross-checked whenever the maps are listed
+        raise AssertionError(f"count mismatch for m={m}: {count} vs {len(maps)}")
+    _emit("enumerate", {
+        "m": m, "count": count,
+        "maps": None if maps is None else [f.table for f in maps]}, o)
     return 0
 
 
 def cmd_catalog(o: dict) -> int:
-    entries = _catalog.list_entries()
-    if o["format"] == "json":
-        doc = _base_doc("catalog", o)
-        doc["entries"] = [{
-            "name": e.name, "kind": e.kind, "summary": e.summary,
-            "arity": e.arity,
-            "params": [{"name": n, "meaning": m} for n, m in e.params],
-            "defaults": {k: _jsonable(v) for k, v in sorted(e.defaults.items())},
-            "interval": list(e.interval),
-            "flags": {"smooth": e.smooth, "symmetric": e.symmetric,
-                      "exact_fixed_points": e.exact_fixed_points},
-        } for e in entries]
-        _emit(json.dumps(doc, indent=2) + "\n", o)
-    else:
-        lines = [f"ouro catalog: {len(entries)} entries"]
-        for e in entries:
-            flags = "".join([
-                "s" if e.smooth else "-",
-                "y" if e.symmetric else "-",
-                "x" if e.exact_fixed_points else "-",
-            ])
-            defaults = ", ".join(f"{k}={v!r}" for k, v in sorted(e.defaults.items()))
-            lines.append(
-                f"{e.name:<24} {e.kind:<20} arity {e.arity:<12} "
-                f"box [{e.interval[0]!r}, {e.interval[1]!r}] flags {flags} "
-                f"defaults: {defaults or '-'}")
-            lines.append(f"{'':<24} {e.summary}")
-        lines.append("flags: s=smooth y=symmetric x=exact_fixed_points")
-        _emit("\n".join(lines) + "\n", o)
+    _emit("catalog", {"entries": [{
+        "name": e.name, "kind": e.kind, "summary": e.summary,
+        "arity": e.arity,
+        "params": [{"name": n, "meaning": m} for n, m in e.params],
+        "defaults": dict(sorted(e.defaults.items())),
+        "interval": e.interval,
+        "flags": {"smooth": e.smooth, "symmetric": e.symmetric,
+                  "exact_fixed_points": e.exact_fixed_points},
+    } for e in _catalog.list_entries()]}, o)
     return 0
 
 
@@ -636,18 +615,12 @@ def main(argv=None) -> int:
     try:
         options = _effective_options(ns)
         return _HANDLERS[ns.command](options)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 2
-    except KinkPointError as exc:
+    except (KinkPointError, EvaluationError) as exc:
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 3
-    except EvaluationError as exc:
-        print(f"ouro: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"ouro: error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -283,6 +283,101 @@ def test_catalog_json_listing():
                               "exact_fixed_points": False}
 
 
+# --- text report bytes ------------------------------------------------------------
+
+CHECK_HALF_TEXT = """\
+ouro check: expr 'x / 2'
+box: [-10.0, 10.0]
+plan: samples=8 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
+membership: FAIL  evaluated=1 skipped=7
+  reason: RESIDUAL
+  point: (7.6662161642728535,)
+  f(x) = 3.8331080821364267
+  re-applied = 1.9165540410682134
+  residual = -1.9165540410682134
+iterated: FAIL  evaluated=1 skipped=7 max_drift=1.9165540410682134
+  reason: DRIFT (k=2)
+  point: (7.6662161642728535,)
+  f(x) = 3.8331080821364267
+  re-applied = 1.9165540410682134
+  residual = -1.9165540410682134
+overall: FAIL
+"""
+
+DERIVE_POINT_TEXT = """\
+ouro derive: expr 'x'
+box: [-10.0, 10.0]
+plan: samples=256 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
+method: dual
+membership: PASS  evaluated=256 skipped=0
+point (0.5,): f=0.5 shares=(1.0) sum=1.0 sum_to_one=PASS equal_shares=PASS
+summary: points=1 skipped=0 | sum_to_one 1/0/0 (pass/fail/degenerate) | \
+equal_shares 1/0/0
+overall: PASS
+"""
+
+DERIVE_MEDIAN_TEXT = """\
+ouro derive: catalog median
+box: [-10.0, 10.0] x [-10.0, 10.0] x [-10.0, 10.0]
+plan: samples=4 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
+method: dual
+membership: PASS  evaluated=4 skipped=0
+point (7.6662161642728535, -1.3694400590298006, -9.471324568148045): \
+f=-1.3694400590298006 shares=- sum=None sum_to_one=DEGENERATE \
+equal_shares=DEGENERATE [kink_diagonal]
+point (7.433637225591468, -7.453332600048947, -9.700159639400125): \
+f=-7.453332600048947 shares=- sum=None sum_to_one=DEGENERATE \
+equal_shares=DEGENERATE [kink_diagonal]
+point (-7.932650759621467, 4.86727446049616, 3.1537237424923426): \
+f=3.1537237424923426 shares=- sum=None sum_to_one=DEGENERATE \
+equal_shares=DEGENERATE [kink_diagonal]
+point (1.3916609195275704, 3.4316914264716445, 4.4068678621148045): \
+f=3.4316914264716445 shares=- sum=None sum_to_one=DEGENERATE \
+equal_shares=DEGENERATE [kink_diagonal]
+summary: points=4 skipped=0 | sum_to_one 0/0/4 (pass/fail/degenerate) | \
+equal_shares 0/0/4
+overall: DEGENERATE
+"""
+
+ENUMERATE_CSV = """\
+# m=3 count=10
+0,0,0
+0,0,2
+0,1,0
+0,1,1
+0,1,2
+0,2,2
+1,1,1
+1,1,2
+2,1,2
+2,2,2
+"""
+
+
+@pytest.mark.parametrize("args, code, expected", [
+    (("check", "--expr", "x / 2", "--samples", "8"), 1, CHECK_HALF_TEXT),
+    (("derive", "--expr", "x", "--point", "0.5"), 0, DERIVE_POINT_TEXT),
+    (("derive", "--catalog", "median", "--n", "3", "--samples", "4"), 0,
+     DERIVE_MEDIAN_TEXT),
+    (("enumerate", "--m", "3", "--format", "csv"), 0, ENUMERATE_CSV),
+])
+def test_text_report_bytes(args, code, expected):
+    r = run_cli(*args)
+    assert r.returncode == code
+    assert r.stdout == expected
+
+
+def test_catalog_text_line_bytes():
+    lines = run_cli("catalog").stdout.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("weighted_mean "))
+    assert lines[i:i + 2] == [
+        "weighted_mean            scalar-multivariate  arity n = len(w)   "
+        "box [-10.0, 10.0] flags s-- defaults: w=(0.3, 0.7)",
+        "                         convex combination sum w_i x_i; "
+        "idempotent but not symmetric",
+    ]
+
+
 # --- output and configuration -----------------------------------------------------
 
 def test_out_writes_a_file(tmp_path):
@@ -309,6 +404,16 @@ def test_timestamp_flag_adds_a_timestamp():
     r = run_cli("check", "--expr", "abs(x)", "--format", "json", "--timestamp")
     doc = json.loads(r.stdout)
     assert "timestamp" in doc
+    # text and csv carry it as the second line; csv data rows are unchanged
+    plain = run_cli("check", "--expr", "abs(x)", "--samples", "8").stdout
+    r = run_cli("check", "--expr", "abs(x)", "--samples", "8", "--timestamp")
+    lines = r.stdout.splitlines()
+    assert lines[1].startswith("timestamp: 20")
+    assert lines[:1] + lines[2:] == plain.splitlines()
+    r = run_cli("enumerate", "--m", "2", "--format", "csv", "--timestamp")
+    lines = r.stdout.splitlines()
+    assert lines[1].startswith("# timestamp: 20")
+    assert lines[:1] + lines[2:] == ["# m=2 count=3", "0,0", "0,1", "1,1"]
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -342,6 +447,24 @@ def test_config_rejects_bad_values(tmp_path):
     cfg.write_text("samples = many\n")
     r = run_cli("check", "--expr", "abs(x)", "--config", str(cfg))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("line, args", [
+    ("samples = many", ("check", "--expr", "abs(x)")),
+    ("format = xml", ("check", "--expr", "abs(x)")),
+    ("format = csv", ("check", "--expr", "abs(x)")),
+    ("method = foo", ("derive", "--expr", "x", "--point", "0.5")),
+    ("timestamp = maybe", ("check", "--expr", "abs(x)")),
+])
+def test_config_bad_value_message(tmp_path, line, args):
+    cfg = tmp_path / "ouro.cfg"
+    cfg.write_text(line + "\n")
+    r = run_cli(*args, "--config", str(cfg))
+    assert r.returncode == 2
+    key, _, value = line.partition(" = ")
+    assert r.stderr == (f"ouro: error: {cfg}:1: bad value for {key!r}: "
+                        f"{value!r}\n")
+    assert "Traceback" not in r.stderr
 
 
 def test_missing_config_file():
