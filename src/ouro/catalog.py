@@ -96,14 +96,15 @@ def _names(n: int) -> list[str]:
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def _int_n(params: Mapping, *, minimum: int = 2, odd: bool = False) -> int:
-    n = params["n"]
+def _int_n(params: Mapping, key: str = "n", *, minimum: int = 2,
+           odd: bool = False) -> int:
+    n = params[key]
     if not isinstance(n, int) or isinstance(n, bool):
-        raise CatalogError(f"n must be an integer, got {n!r}")
+        raise CatalogError(f"{key} must be an integer, got {n!r}")
     if n < minimum:
-        raise CatalogError(f"n must be at least {minimum}")
+        raise CatalogError(f"{key} must be at least {minimum}")
     if odd and n % 2 == 0:
-        raise CatalogError("n must be odd")
+        raise CatalogError(f"{key} must be odd")
     return n
 
 
@@ -239,7 +240,7 @@ def _b_weighted_mean(p):
 
 def _v_box_clamp(p):
     lo, hi = _finite(p, "lo"), _finite(p, "hi")
-    d = _int_n({"n": p["d"]}, minimum=1)
+    d = _int_n(p, "d", minimum=1)
     if not lo < hi:
         raise CatalogError("box_clamp needs lo < hi")
 
@@ -251,7 +252,7 @@ def _v_box_clamp(p):
 
 def _v_l2_ball(p):
     r = _finite(p, "r")
-    d = _int_n({"n": p["d"]}, minimum=1)
+    d = _int_n(p, "d", minimum=1)
     if r <= 0.0:
         raise CatalogError("l2_ball_projection needs r > 0")
 
@@ -280,7 +281,7 @@ def _v_hyperplane(p):
 
 
 def _v_simplex(p):
-    d = _int_n({"n": p["d"]}, minimum=1)
+    d = _int_n(p, "d", minimum=1)
 
     def fn(x: np.ndarray) -> np.ndarray:
         # Euclidean projection onto {y >= 0, sum y = 1} by sorting and

@@ -31,7 +31,8 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import catalog as _catalog
-from .deriv import KinkPointError, UnityReport, check_unity, unity_sweep
+from .deriv import (TOL_UNITY, KinkPointError, UnityReport, check_unity,
+                    unity_sweep)
 from .expr import (EvaluationError, Expr, ParseError, format_expr,
                    free_variables, parse)
 from .finite import COUNT_LIMIT, count_idempotent, enumerate_idempotent
@@ -47,188 +48,13 @@ class UsageError(Exception):
     pass
 
 
-class _Exit(Exception):
-    def __init__(self, code: int):
-        self.code = code
-
-
 # ---------------------------------------------------------------------------
-# option plumbing
-
-_PLAN_DEFAULTS = {
-    "samples": 256, "seed": 0, "atol": 1e-9, "rtol": 1e-9,
-    "kmax": 16, "kink_margin": 1e-7,
-}
-_TARGET_DEFAULTS = {
-    "expr": None, "catalog": None, "n": None, "w": None, "params": [],
-    "box": [],
-}
-_OUTPUT_DEFAULTS = {"format": "text", "out": None, "timestamp": False,
-                    "config": None}
-
-_DEFAULTS = {
-    "check": {**_TARGET_DEFAULTS, **_PLAN_DEFAULTS, **_OUTPUT_DEFAULTS,
-              "strict_degenerate": False},
-    "derive": {**_TARGET_DEFAULTS, **_PLAN_DEFAULTS, **_OUTPUT_DEFAULTS,
-               "strict_degenerate": False, "point": None, "method": "dual",
-               "skip_membership": False},
-    "enumerate": {**_OUTPUT_DEFAULTS, "m": None, "count_only": False},
-    "catalog": {**_OUTPUT_DEFAULTS},
-}
-
-# Options with a fixed set of values, per subcommand; the parser and the
-# config loader both read them here.
-_TEXT_JSON = ("text", "json")
-_CHOICES = {
-    "check": {"format": _TEXT_JSON},
-    "derive": {"format": _TEXT_JSON, "method": ("dual", "fd")},
-    "enumerate": {"format": ("text", "json", "csv")},
-    "catalog": {"format": _TEXT_JSON},
-}
+# options: one row per flag, read by the parser, the config loader and the
+# defaults alike.  Every flag except --config is also a config key.
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
-
-def _config_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
-_CONFIG_CONVERTERS = {
-    "samples": int, "seed": int, "kmax": int, "m": int, "n": int,
-    "atol": float, "rtol": float, "kink_margin": float,
-    "format": str, "method": str, "out": str, "expr": str, "catalog": str,
-    "w": str, "point": str,
-    "box": str.split,
-    "strict_degenerate": _config_bool, "skip_membership": _config_bool,
-    "timestamp": _config_bool, "count_only": _config_bool,
-}
-
-
-def _add_target_options(p: argparse.ArgumentParser):
-    p.add_argument("--expr", help="candidate as a DSL expression")
-    p.add_argument("--catalog", metavar="NAME", help="catalog entry name")
-    p.add_argument("--n", type=int, help="argument count for multivariate entries")
-    p.add_argument("--w", metavar="W1,W2,...", help="weights for weighted_mean")
-    p.add_argument("--params", action="append", metavar="KEY=VALUE",
-                   help="entry parameter (repeatable)")
-    p.add_argument("--box", action="append", metavar="LO:HI",
-                   help="domain interval, repeatable per dimension "
-                        "(write --box=-10:10 for negative bounds)")
-
-
-def _add_plan_options(p: argparse.ArgumentParser):
-    p.add_argument("--samples", type=int, help="sample count (default 256)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p.add_argument("--atol", type=float, help="absolute tolerance (default 1e-9)")
-    p.add_argument("--rtol", type=float, help="relative tolerance (default 1e-9)")
-    p.add_argument("--kmax", type=int, help="iterated-check depth (default 16)")
-    p.add_argument("--kink-margin", dest="kink_margin", type=float,
-                   help="distance treated as touching a kink (default 1e-7)")
-
-
-def _add_output_options(p: argparse.ArgumentParser, command: str):
-    p.add_argument("--format", choices=_CHOICES[command]["format"],
-                   help="report format")
-    p.add_argument("--out", metavar="PATH", help="write the report to a file")
-    p.add_argument("--timestamp", action="store_true",
-                   help="include a generation timestamp (off by default so "
-                        "reports are byte-stable)")
-    p.add_argument("--config", metavar="PATH",
-                   help="key = value file supplying flag defaults")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ouro",
-        description="Verification workbench for Ouroboros (idempotent) functions.")
-    parser.set_defaults(command=None)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="membership and iterated checks",
-                       argument_default=argparse.SUPPRESS)
-    _add_target_options(p)
-    _add_plan_options(p)
-    _add_output_options(p, "check")
-    p.add_argument("--strict-degenerate", dest="strict_degenerate",
-                   action="store_true",
-                   help="treat DEGENERATE results as failures")
-
-    p = sub.add_parser("derive", help="derivative unity checks",
-                       argument_default=argparse.SUPPRESS)
-    _add_target_options(p)
-    _add_plan_options(p)
-    _add_output_options(p, "derive")
-    p.add_argument("--point", metavar="V1,V2,...",
-                   help="evaluate at this point instead of sampling")
-    p.add_argument("--method", choices=_CHOICES["derive"]["method"],
-                   help="derivative backend (default dual)")
-    p.add_argument("--skip-membership", dest="skip_membership",
-                   action="store_true",
-                   help="skip the membership precondition check")
-    p.add_argument("--strict-degenerate", dest="strict_degenerate",
-                   action="store_true",
-                   help="treat DEGENERATE results as failures")
-
-    p = sub.add_parser("enumerate", help="idempotent maps on {0..m-1}",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--m", type=int, required=True, help="domain size")
-    p.add_argument("--count-only", dest="count_only", action="store_true",
-                   help=f"print only the closed-form count (m up to {COUNT_LIMIT})")
-    _add_output_options(p, "enumerate")
-
-    p = sub.add_parser("catalog", help="list built-in families",
-                       argument_default=argparse.SUPPRESS)
-    _add_output_options(p, "catalog")
-    return parser
-
-
-def _load_config(path: str, command: str) -> dict:
-    allowed, choices = _DEFAULTS[command], _CHOICES[command]
-    out = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if dest in ("config", "params") or dest not in allowed:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        bad = UsageError(f"{path}:{lineno}: bad value for {key.strip()!r}: "
-                         f"{value!r}")
-        try:
-            out[dest] = _CONFIG_CONVERTERS[dest](value)
-        except ValueError:
-            raise bad from None
-        if dest in choices and out[dest] not in choices[dest]:
-            raise bad
-    return out
-
-
-def _effective_options(ns: argparse.Namespace) -> dict:
-    command = ns.command
-    provided = {k: v for k, v in vars(ns).items() if k != "command"}
-    options = dict(_DEFAULTS[command])
-    config_path = provided.get("config", options.get("config"))
-    if config_path:
-        options.update(_load_config(config_path, command))
-    options.update(provided)
-    return options
-
-
-# ---------------------------------------------------------------------------
-# shared resolution helpers
 
 def _coerce_param(text: str):
     if "," in text:
@@ -236,6 +62,16 @@ def _coerce_param(text: str):
     if _INT_RE.fullmatch(text):
         return int(text)
     return float(text)
+
+
+def _parse_param(text: str) -> tuple[str, object]:
+    if "=" not in text:
+        raise UsageError(f"bad --params {text!r}, expected KEY=VALUE")
+    key, _, value = text.partition("=")
+    try:
+        return key.strip(), _coerce_param(value.strip())
+    except ValueError:
+        raise UsageError(f"bad --params value {value!r}") from None
 
 
 def _parse_interval(text: str) -> tuple[float, float]:
@@ -248,6 +84,140 @@ def _parse_interval(text: str) -> tuple[float, float]:
         raise UsageError(f"bad interval {text!r}") from None
 
 
+def _formats(command: str) -> tuple[str, ...]:
+    """text (the default), json, then any other format with a renderer."""
+    return ("text", "json", *(f for c, f in _RENDERERS
+                              if c == command and f != "text"))
+
+
+_TARGET = ("check", "derive")
+_ALL = ("check", "derive", "enumerate", "catalog")
+_PLAN = SamplePlan()
+
+# (dest, subcommands, default, argparse keywords).  The flag is the dest with
+# "_" spelled "-"; the order is the order of --help.  The parse helpers raise
+# UsageError, which argparse passes through to main.
+_OPTIONS = (
+    ("expr", _TARGET, None, {"help": "candidate as a DSL expression"}),
+    ("catalog", _TARGET, None, {"metavar": "NAME", "help": "catalog entry name"}),
+    ("n", _TARGET, None,
+     {"type": int, "help": "argument count for multivariate entries"}),
+    ("w", _TARGET, None,
+     {"metavar": "W1,W2,...", "help": "weights for weighted_mean"}),
+    ("params", _TARGET, (),
+     {"action": "append", "type": _parse_param, "metavar": "KEY=VALUE",
+      "help": "entry parameter (repeatable)"}),
+    ("box", _TARGET, (),
+     {"action": "append", "type": _parse_interval, "metavar": "LO:HI",
+      "help": "domain interval, repeatable per dimension "
+              "(write --box=-10:10 for negative bounds)"}),
+    ("samples", _TARGET, _PLAN.sample_count, {"type": int, "help": "sample count"}),
+    ("seed", _TARGET, _PLAN.seed, {"type": int, "help": "sampling seed"}),
+    ("atol", _TARGET, _PLAN.atol, {"type": float, "help": "absolute tolerance"}),
+    ("rtol", _TARGET, _PLAN.rtol, {"type": float, "help": "relative tolerance"}),
+    ("kmax", _TARGET, _PLAN.k_max, {"type": int, "help": "iterated-check depth"}),
+    ("kink_margin", _TARGET, _PLAN.kink_margin,
+     {"type": float, "help": "distance treated as touching a kink"}),
+    ("m", ("enumerate",), None, {"type": int, "help": "domain size"}),
+    ("count_only", ("enumerate",), False,
+     {"action": "store_true",
+      "help": f"print only the closed-form count (m up to {COUNT_LIMIT})"}),
+    ("format", _ALL, "text", {"choices": _formats, "help": "report format"}),
+    ("out", _ALL, None, {"metavar": "PATH", "help": "write the report to a file"}),
+    ("timestamp", _ALL, False,
+     {"action": "store_true", "help": "include a generation timestamp (off by "
+                                      "default so reports are byte-stable)"}),
+    ("config", _ALL, None,
+     {"metavar": "PATH", "help": "key = value file supplying flag defaults"}),
+    ("point", ("derive",), None,
+     {"metavar": "V1,V2,...", "help": "evaluate at this point instead of sampling"}),
+    ("method", ("derive",), "dual",
+     {"choices": tuple(TOL_UNITY), "help": "derivative backend"}),
+    ("skip_membership", ("derive",), False,
+     {"action": "store_true", "help": "skip the membership precondition check"}),
+    ("strict_degenerate", _TARGET, False,
+     {"action": "store_true", "help": "treat DEGENERATE results as failures"}),
+)
+
+
+def _rows(command: str) -> dict[str, tuple[object, dict]]:
+    """dest -> (default, argparse keywords) for the options of `command`."""
+    rows = {}
+    for dest, commands, default, kw in _OPTIONS:
+        if command in commands:
+            kw = dict(kw)
+            if callable(kw.get("choices")):
+                kw["choices"] = kw["choices"](command)
+            if default is not None and "action" not in kw:
+                kw["help"] += f" (default {default})"
+            rows[dest] = default, kw
+    return rows
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ouro",
+        description="Verification workbench for Ouroboros (idempotent) functions.")
+    parser.set_defaults(command=None)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__,
+                           argument_default=argparse.SUPPRESS)
+        for dest, (_, kw) in _rows(command).items():
+            p.add_argument("--" + dest.replace("_", "-"), **kw)
+    return parser
+
+
+def _config_value(kw: dict, text: str):
+    action, convert = kw.get("action"), kw.get("type", str)
+    if action == "store_true":
+        return _BOOL_WORDS[text.lower()]
+    if action == "append":
+        return [convert(word) for word in text.split()]
+    value = convert(text)
+    if value not in kw.get("choices", (value,)):
+        raise ValueError(text)
+    return value
+
+
+def _load_config(path: str, command: str) -> dict:
+    rows = _rows(command)
+    out = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        dest = key.replace("-", "_")
+        if dest == "config" or dest not in rows:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[dest] = _config_value(rows[dest][1], value)
+        except (ValueError, KeyError, UsageError):
+            raise UsageError(
+                f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+    return out
+
+
+def _effective_options(ns: argparse.Namespace) -> dict:
+    options = {dest: default for dest, (default, _) in _rows(ns.command).items()}
+    provided = {k: v for k, v in vars(ns).items() if k != "command"}
+    if provided.get("config"):
+        options.update(_load_config(provided["config"], ns.command))
+    options.update(provided)
+    return options
+
+
+# ---------------------------------------------------------------------------
+# shared resolution helpers
+
 def _resolve_target(o: dict):
     """Returns (target, arity, box, target_doc).
 
@@ -256,6 +226,9 @@ def _resolve_target(o: dict):
     if bool(o["expr"]) == bool(o["catalog"]):
         raise UsageError("exactly one of --expr or --catalog is required")
     if o["expr"]:
+        for dest in ("n", "w", "params"):
+            if o[dest] not in (None, (), []):
+                raise UsageError(f"--{dest} cannot be used with --expr")
         try:
             expr = parse(o["expr"])
         except ParseError as exc:
@@ -274,14 +247,7 @@ def _resolve_target(o: dict):
             params["w"] = tuple(float(p) for p in o["w"].split(","))
         except ValueError:
             raise UsageError(f"bad --w: {o['w']!r}") from None
-    for item in o["params"] or []:
-        if "=" not in item:
-            raise UsageError(f"bad --params {item!r}, expected KEY=VALUE")
-        key, _, value = item.partition("=")
-        try:
-            params[key.strip()] = _coerce_param(value.strip())
-        except ValueError:
-            raise UsageError(f"bad --params value {value!r}") from None
+    params.update(o["params"])
     try:
         inst = _catalog.instantiate(o["catalog"], **params)
     except _catalog.CatalogError as exc:
@@ -303,7 +269,7 @@ def _resolve_target(o: dict):
 
 def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
     if o["box"]:
-        intervals = [_parse_interval(text) for text in o["box"]]
+        intervals = list(o["box"])
         if len(intervals) == 1 and arity > 1:
             intervals = intervals * arity
         if len(intervals) != arity:
@@ -427,8 +393,7 @@ def _derive_text(doc: dict) -> list[str]:
         lines += _verdict_lines("membership", doc["membership"])
     reports = doc["reports"]
     for r in reports:
-        shares = ("-" if r["shares"] is None
-                  else "(" + ", ".join(repr(s) for s in r["shares"]) + ")")
+        shares = "-" if r["shares"] is None else repr(r["shares"])
         extra = f" [{r['degenerate_reason']}]" if r["degenerate_reason"] else ""
         lines.append(
             f"point {r['point']!r}: f={r['value']!r} shares={shares} "
@@ -505,6 +470,7 @@ def _status_exit(overall: Status, strict_degenerate: bool) -> int:
 
 
 def cmd_check(o: dict) -> int:
+    """membership and iterated checks"""
     target, arity, box, target_doc = _resolve_target(o)
     plan = _resolve_plan(o)
     with _engine_usage_errors():
@@ -520,6 +486,7 @@ def cmd_check(o: dict) -> int:
 
 
 def cmd_derive(o: dict) -> int:
+    """derivative unity checks"""
     target, arity, box, target_doc = _resolve_target(o)
     if not isinstance(target, Expr):
         raise UsageError("derivative checks apply to scalar entries only")
@@ -570,7 +537,10 @@ def cmd_derive(o: dict) -> int:
 
 
 def cmd_enumerate(o: dict) -> int:
+    """idempotent maps on {0..m-1}"""
     m = o["m"]
+    if m is None:
+        raise UsageError("--m is required")
     try:
         maps = None if o["count_only"] else enumerate_idempotent(m)
         count = count_idempotent(m)
@@ -586,6 +556,7 @@ def cmd_enumerate(o: dict) -> int:
 
 
 def cmd_catalog(o: dict) -> int:
+    """list built-in families"""
     _emit("catalog", {"entries": [{
         "name": e.name, "kind": e.kind, "summary": e.summary,
         "arity": e.arity,
@@ -598,23 +569,16 @@ def cmd_catalog(o: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "check": cmd_check,
-    "derive": cmd_derive,
-    "enumerate": cmd_enumerate,
-    "catalog": cmd_catalog,
-}
+_HANDLERS = {"check": cmd_check, "derive": cmd_derive,
+             "enumerate": cmd_enumerate, "catalog": cmd_catalog}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors
+        ns = _build_parser().parse_args(argv)
+        return _HANDLERS[ns.command](_effective_options(ns))
+    except SystemExit as exc:  # argparse: 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        options = _effective_options(ns)
-        return _HANDLERS[ns.command](options)
     except (UsageError, OSError) as exc:
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 2

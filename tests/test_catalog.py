@@ -312,3 +312,12 @@ def test_vector_dimension_overrides():
     assert instantiate("box_clamp", d=5).dim == 5
     assert instantiate("simplex_projection", d=2).dim == 2
     assert instantiate("hyperplane_projection", a=(1.0, 2.0), b=0.0).dim == 2
+
+
+@pytest.mark.parametrize("name", ["box_clamp", "l2_ball_projection",
+                                  "simplex_projection"])
+def test_vector_dimension_errors_name_d(name):
+    with pytest.raises(CatalogError, match=r"^d must be an integer, got 3\.5$"):
+        instantiate(name, d=3.5)
+    with pytest.raises(CatalogError, match=r"^d must be at least 1$"):
+        instantiate(name, d=0)

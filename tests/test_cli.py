@@ -1,10 +1,16 @@
-"""End-to-end tests of the ouro command line, run as subprocesses."""
+"""End-to-end tests of the ouro command line, run as subprocesses.
+
+The option-table tests also call the parser and the config loader of
+`ouro.cli` in-process, to compare the options they produce."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
+
+from ouro import cli
 
 
 def run_cli(*args, **kwargs):
@@ -110,6 +116,17 @@ def test_check_requires_exactly_one_target():
     assert run_cli("check").returncode == 2
     r = run_cli("check", "--expr", "x", "--catalog", "abs")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("check", "--expr", "x", "--n", "3"), "--n"),
+    (("derive", "--expr", "x", "--point", "0.5", "--params", "d=3"), "--params"),
+])
+def test_catalog_flags_are_rejected_with_expr(args, flag):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"ouro: error: {flag} cannot be used with --expr\n"
 
 
 def test_check_sample_options():
@@ -263,6 +280,22 @@ def test_enumerate_limit_errors():
     assert run_cli("enumerate").returncode == 2
 
 
+def test_enumerate_without_m_names_the_flag():
+    r = run_cli("enumerate")
+    assert r.returncode == 2
+    assert r.stderr == "ouro: error: --m is required\n"
+
+
+def test_enumerate_takes_m_from_a_config_file(tmp_path):
+    cfg = tmp_path / "ouro.cfg"
+    cfg.write_text("m = 3\n")
+    r = run_cli("enumerate", "--config", str(cfg))
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert lines[:2] == ["ouro enumerate: m=3", "count: 10"]
+    assert len(lines[2:]) == 10
+
+
 # --- catalog -------------------------------------------------------------------
 
 def test_catalog_text_listing():
@@ -310,7 +343,7 @@ box: [-10.0, 10.0]
 plan: samples=256 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
 method: dual
 membership: PASS  evaluated=256 skipped=0
-point (0.5,): f=0.5 shares=(1.0) sum=1.0 sum_to_one=PASS equal_shares=PASS
+point (0.5,): f=0.5 shares=(1.0,) sum=1.0 sum_to_one=PASS equal_shares=PASS
 summary: points=1 skipped=0 | sum_to_one 1/0/0 (pass/fail/degenerate) | \
 equal_shares 1/0/0
 overall: PASS
@@ -455,6 +488,10 @@ def test_config_rejects_bad_values(tmp_path):
     ("format = csv", ("check", "--expr", "abs(x)")),
     ("method = foo", ("derive", "--expr", "x", "--point", "0.5")),
     ("timestamp = maybe", ("check", "--expr", "abs(x)")),
+    ("params = d", ("check", "--catalog", "simplex_projection")),
+    ("params = d=x", ("check", "--catalog", "simplex_projection")),
+    ("box = 1:2:3", ("check", "--expr", "abs(x)")),
+    ("box = 0:1 a:b", ("check", "--expr", "abs(x)")),
 ])
 def test_config_bad_value_message(tmp_path, line, args):
     cfg = tmp_path / "ouro.cfg"
@@ -465,6 +502,47 @@ def test_config_bad_value_message(tmp_path, line, args):
     assert r.stderr == (f"ouro: error: {cfg}:1: bad value for {key!r}: "
                         f"{value!r}\n")
     assert "Traceback" not in r.stderr
+
+
+# A valid, non-default value for every option in cli._OPTIONS except
+# --config; store_true options are spelled "true" in a config file.
+VALID = {
+    "expr": "abs(x)", "catalog": "median", "n": "3", "w": "0.3,0.7",
+    "params": "d=3", "box": "0:1", "samples": "16", "seed": "7",
+    "atol": "1e-6", "rtol": "1e-5", "kmax": "4", "kink_margin": "0.01",
+    "m": "3", "count_only": None, "format": "json", "out": "report.txt",
+    "timestamp": None, "point": "0.5", "method": "fd",
+    "skip_membership": None, "strict_degenerate": None,
+}
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for dest, commands, _, _ in cli._OPTIONS
+    for command in commands if dest != "config"])
+def test_config_line_and_flag_give_the_same_options(tmp_path, command, dest):
+    value = VALID[dest]
+    cfg = tmp_path / "ouro.cfg"
+    cfg.write_text(f"{dest} = {'true' if value is None else value}\n")
+    flag = ["--" + dest.replace("_", "-")] + ([] if value is None else [value])
+    parser = cli._build_parser()
+    from_config = cli._effective_options(
+        parser.parse_args([command, "--config", str(cfg)]))
+    from_flag = cli._effective_options(parser.parse_args([command, *flag]))
+    defaults = cli._effective_options(parser.parse_args([command]))
+    assert from_config.pop("config") == str(cfg)
+    assert from_flag.pop("config") is None
+    assert from_config == from_flag
+    assert from_flag[dest] != defaults[dest]
+
+
+@pytest.mark.parametrize("command", ["check", "derive", "enumerate", "catalog"])
+def test_help_lists_each_option_once(command):
+    r = run_cli(command, "--help")
+    assert r.returncode == 0
+    listed = re.findall(r"^  (--[a-z-]+)", r.stdout, re.M)
+    expected = ["--" + dest.replace("_", "-")
+                for dest, commands, _, _ in cli._OPTIONS if command in commands]
+    assert sorted(listed) == sorted(expected)
 
 
 def test_missing_config_file():
