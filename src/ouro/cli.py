@@ -21,7 +21,6 @@ content.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import re
@@ -37,7 +36,7 @@ from .expr import (EvaluationError, Expr, ParseError, format_expr,
                    free_variables, parse)
 from .finite import COUNT_LIMIT, count_idempotent, enumerate_idempotent
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
-                     check_iterated, check_membership)
+                     _expr_names, check_iterated, check_membership)
 
 SCHEMA_VERSION = 1
 
@@ -219,9 +218,13 @@ def _effective_options(ns: argparse.Namespace) -> dict:
 # shared resolution helpers
 
 def _resolve_target(o: dict):
-    """Returns (target, arity, box, target_doc).
+    """Returns (target, names, box, target_doc), the one place a target is
+    checked against its box.
 
     target is an Expr for scalar candidates or a callable VectorInstance.
+    names are an Expr's variables, checked by verify's shape rule (one per
+    coordinate, on a uniform box A^n), so the engines only meet targets
+    that fit their box; they are None for a vector operator.
     """
     if bool(o["expr"]) == bool(o["catalog"]):
         raise UsageError("exactly one of --expr or --catalog is required")
@@ -230,41 +233,42 @@ def _resolve_target(o: dict):
             if o[dest] not in (None, (), []):
                 raise UsageError(f"--{dest} cannot be used with --expr")
         try:
-            expr = parse(o["expr"])
+            target = parse(o["expr"])
         except ParseError as exc:
             raise UsageError(f"bad --expr: {exc}")
-        arity = len(free_variables(expr))
+        arity = len(free_variables(target))
         if arity == 0:
             raise UsageError("expression must mention at least one variable")
-        box = _resolve_box(o, arity, None)
-        return expr, arity, box, {"expr": format_expr(expr)}
-
-    params = {}
-    if o["n"] is not None:
-        params["n"] = o["n"]
-    if o["w"]:
+        box, doc = _resolve_box(o, arity, None), {}
+    else:
+        params = {}
+        if o["n"] is not None:
+            params["n"] = o["n"]
+        if o["w"]:
+            try:
+                params["w"] = tuple(float(p) for p in o["w"].split(","))
+            except ValueError:
+                raise UsageError(f"bad --w: {o['w']!r}") from None
+        params.update(o["params"])
         try:
-            params["w"] = tuple(float(p) for p in o["w"].split(","))
-        except ValueError:
-            raise UsageError(f"bad --w: {o['w']!r}") from None
-    params.update(o["params"])
+            inst = _catalog.instantiate(o["catalog"], **params)
+        except _catalog.CatalogError as exc:
+            raise UsageError(str(exc)) from None
+        target, box = inst.target, _resolve_box(o, inst.box.n, inst.box)
+        doc = {"catalog": inst.entry.name,
+               "params": dict(sorted(inst.params.items())),
+               "kind": inst.entry.kind}
+    if not isinstance(target, Expr):
+        doc["note"] = ("vector-valued domain extension of the scalar membership "
+                       "check; the box only places the samples, so range "
+                       "containment is not checked")
+        return target, None, box, doc
+    doc["expr"] = format_expr(target)
     try:
-        inst = _catalog.instantiate(o["catalog"], **params)
-    except _catalog.CatalogError as exc:
+        names = _expr_names(target, box)
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if isinstance(inst, _catalog.ScalarInstance):
-        target, arity = inst.expr, inst.arity
-    else:
-        target, arity = inst, inst.dim
-    box = _resolve_box(o, arity, inst.box)
-    doc = {"catalog": inst.entry.name,
-           "params": dict(sorted(inst.params.items())),
-           "kind": inst.entry.kind}
-    if isinstance(inst, _catalog.ScalarInstance):
-        doc["expr"] = format_expr(inst.expr)
-    else:
-        doc["note"] = "vector-valued domain extension of the scalar membership check"
-    return target, arity, box, doc
+    return target, names, box, doc
 
 
 def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
@@ -284,25 +288,36 @@ def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
     return DomainBox.uniform(*DEFAULT_INTERVAL, arity)
 
 
-@contextlib.contextmanager
-def _engine_usage_errors():
-    """Turn an engine's ValueError about the target's shape into a usage
-    error; evaluation and kink faults pass through to main (exit 3)."""
-    try:
-        yield
-    except (EvaluationError, KinkPointError):
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _resolve_plan(o: dict) -> SamplePlan:
+    # SamplePlan field -> the option that sets it; an error names the flag
+    fields = {"seed": "seed", "sample_count": "samples", "atol": "atol",
+              "rtol": "rtol", "kink_margin": "kink_margin", "k_max": "kmax"}
     try:
-        return SamplePlan(seed=o["seed"], sample_count=o["samples"],
-                          atol=o["atol"], rtol=o["rtol"],
-                          kink_margin=o["kink_margin"], k_max=o["kmax"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        return SamplePlan(**{field: o[dest] for field, dest in fields.items()})
+    except ValueError as exc:  # every message starts with the field
+        field, _, rest = str(exc).partition(" ")
+        flag = "--" + fields[field].replace("_", "-")
+        raise UsageError(f"{flag} {rest}") from None
+
+
+def _resolve_point(o: dict, names: list[str], box: DomainBox) -> dict | None:
+    """The --point as a binding of `names`, checked against the box; None
+    when there is no --point and the derive command sweeps instead."""
+    if o["point"] is None:
+        return None
+    try:
+        values = tuple(float(p) for p in o["point"].split(","))
+    except ValueError:
+        raise UsageError(f"bad --point: {o['point']!r}") from None
+    if len(values) != len(names):
+        raise UsageError(
+            f"--point has {len(values)} value(s) for {len(names)} coordinate(s)")
+    for j, v in enumerate(values):
+        if not math.isfinite(v):
+            raise UsageError(f"--point coordinate {j + 1} is not finite")
+        if box.signed_escape(j, v, 0.0) != 0.0:
+            raise UsageError(f"--point coordinate {j + 1} outside the box")
+    return dict(zip(names, values))
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +486,10 @@ def _status_exit(overall: Status, strict_degenerate: bool) -> int:
 
 def cmd_check(o: dict) -> int:
     """membership and iterated checks"""
-    target, arity, box, target_doc = _resolve_target(o)
+    target, _, box, target_doc = _resolve_target(o)
     plan = _resolve_plan(o)
-    with _engine_usage_errors():
-        membership = check_membership(target, box, plan)
-        iterated = check_iterated(target, box, plan)
+    membership = check_membership(target, box, plan)
+    iterated = check_iterated(target, box, plan)
     overall = _overall_status([membership.status, iterated.status])
     _emit("check", {"target": target_doc, "box": box.intervals,
                     "plan": asdict(plan),
@@ -487,39 +501,24 @@ def cmd_check(o: dict) -> int:
 
 def cmd_derive(o: dict) -> int:
     """derivative unity checks"""
-    target, arity, box, target_doc = _resolve_target(o)
-    if not isinstance(target, Expr):
+    target, names, box, target_doc = _resolve_target(o)
+    if names is None:
         raise UsageError("derivative checks apply to scalar entries only")
     plan = _resolve_plan(o)
+    point = _resolve_point(o, names, box)
     method = o["method"]
 
     membership = None
     if not o["skip_membership"]:
-        with _engine_usage_errors():
-            membership = check_membership(target, box, plan)
+        membership = check_membership(target, box, plan)
 
     reports: list[UnityReport] = []
     skipped = 0
     if membership is None or membership.status is Status.PASS:
-        names = free_variables(target)
-        if o["point"] is not None:
-            try:
-                values = tuple(float(p) for p in o["point"].split(","))
-            except ValueError:
-                raise UsageError(f"bad --point: {o['point']!r}") from None
-            if len(values) != arity:
-                raise UsageError(
-                    f"--point has {len(values)} value(s) for {arity} coordinate(s)")
-            for j, v in enumerate(values):
-                if not math.isfinite(v):
-                    raise UsageError(f"--point coordinate {j + 1} is not finite")
-                if box.signed_escape(j, v, 0.0) != 0.0:
-                    raise UsageError(f"--point coordinate {j + 1} outside the box")
-            reports.append(check_unity(target, dict(zip(names, values)),
-                                       plan, method))
+        if point is not None:
+            reports.append(check_unity(target, point, plan, method))
         else:
-            with _engine_usage_errors():
-                sweep = unity_sweep(target, box, plan, method)
+            sweep = unity_sweep(target, box, plan, method)
             reports = list(sweep.reports)
             skipped = sweep.points_skipped
 

@@ -26,7 +26,7 @@ from .expr import (
     Neg, UnboundVariableError, Undefined, Var, binary_value, call_value,
     evaluate, free_variables,
 )
-from .verify import DomainBox, SamplePlan, Status
+from .verify import DomainBox, SamplePlan, Status, _expr_names
 
 __all__ = [
     "KinkPointError", "UnityReport", "UnitySweep",
@@ -152,11 +152,8 @@ def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
 def _tangent(node: Expr, env, margin: float, zero: Tangent):
     if isinstance(node, Const):
         return node.value, zero
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariableError(node.name) from None
+    if isinstance(node, Var):  # _walk binds every free variable first
+        return env[node.name]
     if isinstance(node, Neg):
         v, t = _tangent(node.operand, env, margin, zero)
         return -v, _neg(t)
@@ -305,8 +302,7 @@ class UnitySweep:
 
 
 def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
-                method: str = "dual", *, tol: float | None = None,
-                gradient_floor: float = GRADIENT_FLOOR) -> UnityReport:
+                method: str = "dual", *, tol: float | None = None) -> UnityReport:
     """Evaluate both unity claims for f at one point.
 
     DEGENERATE (for both claims) when |grad f(x)| is below the floor --
@@ -324,7 +320,7 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
         raise ValueError("candidate has no free variables")
     margin = plan.kink_margin
     value, outer = _value_and_gradient(f, names, env, method, margin)
-    zero_grad = max(abs(g) for g in outer) <= gradient_floor
+    zero_grad = max(abs(g) for g in outer) <= GRADIENT_FLOOR
 
     shares: tuple[float, ...] | None
     try:
@@ -356,19 +352,17 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
 
 
 def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,
-                method: str = "dual", *, tol: float | None = None,
-                gradient_floor: float = GRADIENT_FLOOR) -> UnitySweep:
+                method: str = "dual") -> UnitySweep:
     """Run check_unity at plan.sample_count sampled points.
 
     A point whose outer gradient touches a kink is replaced by up to
     KINK_RETRY_LIMIT fresh draws; if all retries land on kinks too, the
     sample is counted in points_skipped.  Results are independent of
     evaluation order: candidate j for sample i depends only on (seed, i, j).
+    The box must fit f as verify's membership check requires: one interval
+    per variable, all of them the same.
     """
-    names = free_variables(f)
-    if domain.n != len(names):
-        raise ValueError(
-            f"domain has {domain.n} interval(s) for {len(names)} variable(s)")
+    names = _expr_names(f, domain)
     reports = []
     skipped = 0
     stride = KINK_RETRY_LIMIT + 1
@@ -378,8 +372,7 @@ def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,
             point = domain.sample_point(plan.seed, i * stride + r)
             env = dict(zip(names, point))
             try:
-                reports.append(check_unity(f, env, plan, method, tol=tol,
-                                           gradient_floor=gradient_floor))
+                reports.append(check_unity(f, env, plan, method))
                 placed = True
                 break
             except KinkPointError:

@@ -75,7 +75,7 @@ def test_check_vector_catalog_target():
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["target"]["kind"] == "vector-operator"
-    assert "note" in doc["target"]
+    assert "range containment is not checked" in doc["target"]["note"]
     assert doc["overall"] == "PASS"
 
 
@@ -110,6 +110,16 @@ def test_check_rejects_nan_tolerance():
     r = run_cli("check", "--expr", "x / 2 + 100", "--samples", "8", "--atol", "nan")
     assert r.returncode == 2
     assert "finite and non-negative" in r.stderr
+    # a plan error names the flag, not the SamplePlan field
+    for flag, value, message in [
+            ("--samples", "0", "--samples must be positive"),
+            ("--kmax", "1", "--kmax must be at least 2"),
+            ("--atol", "nan", "--atol must be finite and non-negative"),
+            ("--kink-margin", "-1", "--kink-margin must be finite and non-negative")]:
+        r = run_cli("check", "--expr", "x", flag, value)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"ouro: error: {message}\n"
 
 
 def test_check_requires_exactly_one_target():
@@ -181,6 +191,31 @@ def test_derive_point_validation():
     r = run_cli("derive", "--expr", "x", "--point", "nan")
     assert r.returncode == 2
     assert "not finite" in r.stderr
+    # the point is checked before membership, so a non-member's FAIL
+    # report does not hide a malformed or misplaced point
+    r = run_cli("derive", "--expr", "x / 2", "--point", "abc")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "bad --point" in r.stderr
+    r = run_cli("derive", "--expr", "x / 2", "--point", "99")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "outside the box" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("derive", "--expr", "(x+y)/2", "--box", "0:1", "--box", "5:6",
+     "--skip-membership"),
+    ("check", "--expr", "(x+y)/2", "--box", "0:1", "--box", "5:6"),
+    ("check", "--catalog", "arith_mean", "--n", "2", "--box", "0:1",
+     "--box", "5:6"),
+])
+def test_ragged_box_is_a_usage_error(args):
+    # f(f(x), f(x)) only types on A^n: the target is refused before sampling
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "ouro: error: self-application needs a uniform box A^n\n"
 
 
 def test_derive_median_is_degenerate_not_failing():

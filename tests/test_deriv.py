@@ -398,3 +398,6 @@ def test_sweep_is_deterministic():
 def test_sweep_shape_validation():
     with pytest.raises(ValueError):
         unity_sweep(parse("x1 + x2"), DomainBox.uniform(0.0, 1.0, 1), PLAN)
+    ragged = DomainBox(((0.0, 1.0), (5.0, 6.0)))
+    with pytest.raises(ValueError, match="uniform box"):
+        unity_sweep(parse("(x1 + x2) / 2"), ragged, PLAN)
