@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .expr import Expr, parse
 from .verify import DEFAULT_INTERVAL, DomainBox
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CatalogEntry", "ScalarInstance", "VectorInstance", "CatalogError",
@@ -237,8 +238,10 @@ def _b_weighted_mean(p):
 
 
 # --- vector builders -------------------------------------------------------
+# Each imports numpy itself, so scalar entries never load it.
 
 def _v_box_clamp(p):
+    import numpy as np
     lo, hi = _finite(p, "lo"), _finite(p, "hi")
     d = _int_n(p, "d", minimum=1)
     if not lo < hi:
@@ -251,6 +254,7 @@ def _v_box_clamp(p):
 
 
 def _v_l2_ball(p):
+    import numpy as np
     r = _finite(p, "r")
     d = _int_n(p, "d", minimum=1)
     if r <= 0.0:
@@ -266,6 +270,7 @@ def _v_l2_ball(p):
 
 
 def _v_hyperplane(p):
+    import numpy as np
     a = np.asarray([float(v) for v in p["a"]], dtype=float)
     b = _finite(p, "b")
     if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
@@ -281,6 +286,7 @@ def _v_hyperplane(p):
 
 
 def _v_simplex(p):
+    import numpy as np
     d = _int_n(p, "d", minimum=1)
 
     def fn(x: np.ndarray) -> np.ndarray:

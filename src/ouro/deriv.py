@@ -24,7 +24,7 @@ from typing import Mapping
 from .expr import (
     BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
     Neg, UnboundVariableError, Undefined, Var, binary_value, call_value,
-    evaluate, free_variables,
+    evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -106,6 +106,16 @@ def _pow_tangent(a: float, at: Tangent, b: float, bt: Tangent,
     return tuple(out)
 
 
+# Keyed like expr.BINARY_RULES: (a, a', b, b', value) -> tangent.
+BINARY_TANGENTS = {
+    "+": lambda a, at, b, bt, v: tuple(map(operator.add, at, bt)),
+    "-": lambda a, at, b, bt, v: tuple(map(operator.sub, at, bt)),
+    "*": lambda a, at, b, bt, v: tuple([da * b + a * db for da, db in zip(at, bt)]),
+    "/": lambda a, at, b, bt, v: tuple([(da - v * db) / b for da, db in zip(at, bt)]),
+    "^": _pow_tangent,
+}
+
+
 def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
     """Kink checks and tangent of builtin `func` with value v; args holds
     the (value, tangent) pair of every argument."""
@@ -149,46 +159,67 @@ def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
     return mt if m <= hi else hit
 
 
-def _tangent(node: Expr, env, margin: float, zero: Tangent):
-    if isinstance(node, Const):
-        return node.value, zero
-    if isinstance(node, Var):  # _walk binds every free variable first
-        return env[node.name]
-    if isinstance(node, Neg):
-        v, t = _tangent(node.operand, env, margin, zero)
-        return -v, _neg(t)
-    if isinstance(node, BinOp):
-        a, at = _tangent(node.left, env, margin, zero)
-        b, bt = _tangent(node.right, env, margin, zero)
-        inputs = (a, b)
-        v = binary_value(node, a, b)
-        op = node.op
-        if op == "+":
-            t = tuple(map(operator.add, at, bt))
-        elif op == "-":
-            t = tuple(map(operator.sub, at, bt))
-        elif op == "*":
-            t = tuple([da * b + a * db for da, db in zip(at, bt)])
-        elif op == "/":
-            t = tuple([(da - v * db) / b for da, db in zip(at, bt)])
-        else:
-            try:
-                t = _pow_tangent(a, at, b, bt, v)
-            except Undefined as exc:
-                raise EvalDomainError(node, inputs, str(exc)) from None
-    elif isinstance(node, Call):
-        args = [_tangent(arg, env, margin, zero) for arg in node.args]
-        inputs = tuple([a for a, _ in args])
-        v = call_value(node, inputs)
-        try:
-            t = _call_tangent(node.func, args, v, margin)
-        except Undefined as exc:
-            raise EvalDomainError(node, inputs, str(exc)) from None
-    else:
-        raise TypeError(f"not an Expr: {node!r}")
+# The tangent interpreter of expr.Program: every closure takes (bound,
+# margin, zero), where bound maps each variable to its (value, seed) pair
+# and zero is the tangent of a constant, and returns (value, tangent).
+
+def _checked(node: Expr, inputs: tuple, t: Tangent) -> Tangent:
     if not all(map(math.isfinite, t)):
         raise EvalDomainError(node, inputs, "derivative is not finite")
-    return v, t
+    return t
+
+
+def _tangent_const(node: Const):
+    c = node.value
+    return lambda bound, margin, zero: (c, zero)
+
+
+def _tangent_var(node: Var):
+    name = node.name
+    return lambda bound, margin, zero: bound[name]
+
+
+def _tangent_neg(node: Neg, operand):
+    def run(bound, margin, zero):
+        v, t = operand(bound, margin, zero)
+        return -v, _neg(t)
+    return run
+
+
+def _tangent_binop(node: BinOp, left, right):
+    rule = BINARY_TANGENTS[node.op]
+
+    def run(bound, margin, zero):
+        a, at = left(bound, margin, zero)
+        b, bt = right(bound, margin, zero)
+        v = binary_value(node, a, b)
+        try:
+            t = rule(a, at, b, bt, v)
+        except Undefined as exc:
+            raise EvalDomainError(node, (a, b), str(exc)) from None
+        return v, _checked(node, (a, b), t)
+
+    return run
+
+
+def _tangent_call(node: Call, *args):
+    func = node.func
+
+    def run(bound, margin, zero):
+        pairs = [arg(bound, margin, zero) for arg in args]
+        inputs = tuple([a for a, _ in pairs])
+        v = call_value(node, inputs)
+        try:
+            t = _call_tangent(func, pairs, v, margin)
+        except Undefined as exc:
+            raise EvalDomainError(node, inputs, str(exc)) from None
+        return v, _checked(node, inputs, t)
+
+    return run
+
+
+_TANGENT_RULES = {Const: _tangent_const, Var: _tangent_var, Neg: _tangent_neg,
+                  BinOp: _tangent_binop, Call: _tangent_call}
 
 
 def _walk(f: Expr, names: list[str], env: Mapping[str, float],
@@ -204,7 +235,7 @@ def _walk(f: Expr, names: list[str], env: Mapping[str, float],
             raise EvaluationError(f"non-finite binding {name}={x!r}")
         bound[name] = (x, seed)
     zero = _zeros(seeds[0]) if seeds else ()
-    return _tangent(f, bound, margin, zero)
+    return f.program.closure(_TANGENT_RULES)(bound, margin, zero)
 
 
 def _unit_seeds(n: int) -> list[Tangent]:
@@ -221,7 +252,7 @@ def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
     raised when any non-smooth builtin is evaluated within kink_margin of
     its jump or corner (and always when exactly on it).
     """
-    names = free_variables(f)
+    names = f.program.names
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     seeds = [(1.0,) if j == i else (0.0,) for j in range(len(names))]
@@ -237,18 +268,18 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int,
     inside the candidate's domain and away from kinks; this is the caller's
     responsibility (the step is not validated against the box).
     """
-    names = free_variables(f)
+    names = f.program.names
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     name = names[i]
     x = env[name]
     if h is None:
         h = 1e-6 * max(1.0, abs(x))
-    hi_env = dict(env)
-    lo_env = dict(env)
-    hi_env[name] = x + h
-    lo_env[name] = x - h
-    return (evaluate(f, hi_env) - evaluate(f, lo_env)) / (2.0 * h)
+    probe = dict(env)
+    probe[name] = x + h
+    hi = evaluate(f, probe)
+    probe[name] = x - h
+    return (hi - evaluate(f, probe)) / (2.0 * h)
 
 
 def _value_and_gradient(f: Expr, names: list[str], env: Mapping[str, float],
@@ -267,7 +298,7 @@ def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
     """All partials of f at `env` by the chosen method."""
     if method not in TOL_UNITY:
         raise ValueError(f"unknown method {method!r}")
-    names = free_variables(f)
+    names = f.program.names
     if method == "dual" and not names:
         return ()  # no coordinates to seed, so nothing is walked
     return _value_and_gradient(f, names, env, method, kink_margin)[1]
@@ -314,7 +345,7 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
         raise ValueError(f"unknown method {method!r}")
     if tol is None:
         tol = TOL_UNITY[method]
-    names = free_variables(f)
+    names = f.program.names
     n = len(names)
     if n == 0:
         raise ValueError("candidate has no free variables")

@@ -24,13 +24,14 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
     "BUILTIN_ARITY", "ParseError", "EvaluationError",
     "UnboundVariableError", "EvalDomainError",
-    "parse", "evaluate", "format_expr", "free_variables",
+    "Program", "parse", "evaluate", "format_expr", "free_variables",
 ]
 
 # Builtin name -> required argument count.  "^" covers exponentiation; there
@@ -85,6 +86,11 @@ class Expr:
 
     def children(self) -> tuple["Expr", ...]:
         return ()
+
+    @cached_property
+    def program(self) -> "Program":
+        """This expression compiled, built on first use and kept."""
+        return Program(self)
 
 
 @dataclass(frozen=True)
@@ -317,10 +323,11 @@ def free_variables(expr: Expr) -> list[str]:
 # evaluation
 #
 # The two tables below are the only statement of what an operator or builtin
-# computes.  Every walker (evaluate here, the tangent walk in ouro.deriv)
-# reaches them through binary_value and call_value, so walkers that agree
-# on the tree agree on every value bit for bit.  A rule takes finite floats
-# and raises Undefined outside its domain; the caller names the node.
+# computes.  Every interpreter (evaluate here, the tangent walk in
+# ouro.deriv) reaches them through binary_value and call_value, so
+# interpreters that agree on the tree agree on every value bit for bit.  A
+# rule takes finite floats and raises Undefined outside its domain; the
+# caller names the node.
 
 class Undefined(Exception):
     """A rule's inputs lie outside its domain; the message says how."""
@@ -406,6 +413,85 @@ def call_value(node: Call, vals: tuple[float, ...]) -> float:
     return r
 
 
+# ---------------------------------------------------------------------------
+# compiled programs
+#
+# An expression is compiled once, on first use, into a Program and kept on
+# its root node.  An interpreter is a table mapping each node type to a
+# builder(node, *child_closures) -> closure, so the node type is dispatched
+# once, when the closure is built, and never while it runs.  _VALUE_RULES is
+# the interpreter evaluate runs; ouro.deriv's tangent walk is the other.
+
+def _value_const(node: Const):
+    c = node.value
+    return lambda env: c
+
+
+def _value_var(node: Var):
+    name = node.name
+
+    def run(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise UnboundVariableError(name) from None
+
+    return run
+
+
+def _value_neg(node: Neg, operand):
+    return lambda env: -operand(env)
+
+
+def _value_binop(node: BinOp, left, right):
+    return lambda env: binary_value(node, left(env), right(env))
+
+
+def _value_call(node: Call, *args):
+    # the common arities skip building a list: min/max selection networks
+    # spend most of their time here
+    if len(args) == 1:
+        (a,) = args
+        return lambda env: call_value(node, (a(env),))
+    if len(args) == 2:
+        a, b = args
+        return lambda env: call_value(node, (a(env), b(env)))
+    return lambda env: call_value(node, tuple([arg(env) for arg in args]))
+
+
+_VALUE_RULES = {Const: _value_const, Var: _value_var, Neg: _value_neg,
+                BinOp: _value_binop, Call: _value_call}
+
+
+class Program:
+    """An expression compiled once.
+
+    names are its free variables in order of first appearance.  value(env)
+    is the value interpreter's closure: evaluate without the binding check.
+    """
+
+    __slots__ = ("expr", "names", "value", "_closures")
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
+        self.names = tuple(free_variables(expr))
+        self._closures: dict[int, tuple] = {}
+        self.value = self.closure(_VALUE_RULES)
+
+    def closure(self, rules: Mapping[type, Callable]) -> Callable:
+        """The closure the interpreter `rules` makes of this program, built
+        on first use and kept with it."""
+        kept = self._closures.get(id(rules))
+        if kept is None:
+            def fold(node: Expr):
+                kids = [fold(child) for child in node.children()]
+                return rules[type(node)](node, *kids)
+
+            # the entry holds the table, so no other table can take its id
+            kept = self._closures[id(rules)] = (rules, fold(self.expr))
+        return kept[1]
+
+
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate `expr` with variables bound by `env`.
 
@@ -416,24 +502,7 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     for name, value in env.items():
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite binding {name}={value!r}")
-    return _eval(expr, env)
-
-
-def _eval(node: Expr, env: Mapping[str, float]) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariableError(node.name) from None
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, BinOp):
-        return binary_value(node, _eval(node.left, env), _eval(node.right, env))
-    if isinstance(node, Call):
-        return call_value(node, tuple([_eval(arg, env) for arg in node.args]))
-    raise TypeError(f"not an Expr: {node!r}")
+    return expr.program.value(env)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Union
 
 from .expr import EvaluationError, Expr, evaluate, free_variables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Status", "DomainBox", "SamplePlan", "Witness", "Verdict",
@@ -73,6 +74,10 @@ class DomainBox:
                 raise ValueError("box bounds must be finite")
             if not lo < hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                # sample_point scales by hi - lo, which would sample infinity
+                raise ValueError(f"interval [{lo}, {hi}] is wider than the "
+                                 "largest double")
         object.__setattr__(self, "intervals", ivs)
 
     @classmethod
@@ -193,7 +198,9 @@ def _expr_names(f: Expr, domain: DomainBox) -> list[str]:
     return names
 
 
-VectorFn = Callable[[np.ndarray], np.ndarray]
+# numpy is imported only where a vector operator is applied, so scalar
+# targets never load it.
+VectorFn = Callable[["np.ndarray"], "np.ndarray"]
 Target = Union[Expr, VectorFn]
 
 
@@ -201,6 +208,7 @@ def _call_operator(op: VectorFn, x: np.ndarray) -> np.ndarray:
     """op(x) as a float array of x's shape.  A raising call, a wrong shape
     or a non-finite value becomes an EvaluationError, so an operator fault
     is reported like a DSL one."""
+    import numpy as np
     try:
         y = np.asarray(op(x), dtype=float)
     except (ValueError, ArithmeticError) as exc:
@@ -221,6 +229,7 @@ def _target_kind(f: Target, domain: DomainBox):
         return (lambda point: evaluate(f, dict(zip(names, point))),
                 lambda t: evaluate(f, dict.fromkeys(names, t)),
                 operator.sub, abs, lambda t: t, "")
+    import numpy as np
     return (lambda point: _call_operator(f, np.asarray(point, dtype=float)),
             lambda y: _call_operator(f, y),
             lambda y, y1: float(np.max(np.abs(y - y1))),

@@ -92,6 +92,17 @@ def test_check_single_box_replicates():
     assert doc["box"] == [[1.0, 2.0]] * 3
 
 
+@pytest.mark.parametrize("command", [("check",),
+                                     ("derive", "--skip-membership")])
+def test_box_wider_than_a_double_is_a_usage_error(command):
+    # both bounds are finite, but hi - lo is not: sampling would draw inf
+    r = run_cli(*command, "--expr", "abs(x)", "--box=-1e308:1e308",
+                "--samples", "4")
+    assert r.returncode == 2
+    assert "wider than the largest double" in r.stderr
+    assert r.stdout == ""
+
+
 def test_check_box_count_mismatch():
     r = run_cli("check", "--expr", "(x1 + x2) / 2", "--box", "0:1", "--box",
                 "0:1", "--box", "0:1")
@@ -268,6 +279,12 @@ def test_derive_sweep_domain_fault_exits_3():
                 "--skip-membership", "--point=-3")
     assert r.returncode == 3
     assert "ln of a non-positive number" in r.stderr
+    # one non-finite derivative ends the whole sweep, with no report
+    r = run_cli("derive", "--expr", "exp(x^2)", "--box=26.62:26.64",
+                "--skip-membership", "--samples", "4")
+    assert r.returncode == 3
+    assert "derivative is not finite in 'exp(x^2)'" in r.stderr
+    assert r.stdout == ""
 
 
 def test_derive_rejects_vector_targets():
@@ -589,3 +606,29 @@ def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("frobnicate").returncode == 2
     assert run_cli("check", "--format", "yaml", "--expr", "x").returncode == 2
+
+
+# --- start-up -------------------------------------------------------------------
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from ouro.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("lines, loads_numpy", [
+    ([["check", "--expr", "abs(x)"],
+      ["derive", "--expr", "(x1 + x2) / 2", "--point", "1,2"],
+      ["enumerate", "--m", "3"],
+      ["catalog"]], False),
+    ([["check", "--catalog", "simplex_projection"]], True),
+])
+def test_only_vector_operators_load_numpy(lines, loads_numpy):
+    r = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(lines)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == str(loads_numpy)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
 from ouro.deriv import (
-    GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, KinkPointError, _unit_seeds,
-    _walk, check_unity, dual_eval, fd_partial, gradient, unity_sweep,
+    BINARY_TANGENTS, GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY,
+    KinkPointError, _unit_seeds, _walk, check_unity, dual_eval, fd_partial,
+    gradient, unity_sweep,
 )
 from ouro.expr import (
-    BinOp, Const, EvalDomainError, Neg, Var, evaluate, free_variables, parse,
+    BINARY_RULES, BinOp, Const, EvalDomainError, Neg, Var, evaluate,
+    free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status
 
@@ -179,6 +181,16 @@ def test_fd_step_override():
     assert abs(fine - exact) < abs(coarse - exact)
 
 
+def test_fd_leaves_env_alone():
+    f = parse("x1^3 - x2")
+    env = {"x1": 2.0, "x2": 5.0}
+    h = 1e-6 * 2.0
+    expected = (evaluate(f, {"x1": 2.0 + h, "x2": 5.0})
+                - evaluate(f, {"x1": 2.0 - h, "x2": 5.0})) / (2.0 * h)
+    assert fd_partial(f, env, 0) == expected
+    assert env == {"x1": 2.0, "x2": 5.0}
+
+
 def test_fd_coordinate_validation():
     with pytest.raises(ValueError):
         fd_partial(parse("x"), {"x": 1.0}, 1)
@@ -270,6 +282,10 @@ def test_vector_tangent_matches_per_coordinate_duals():
         assert tangent == grad
         assert value == evaluate(f, env)
     assert completed >= 500
+
+
+def test_every_operator_has_a_tangent_rule():
+    assert BINARY_TANGENTS.keys() == BINARY_RULES.keys()
 
 
 # --- unity checks ------------------------------------------------------------------

@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _random_ast
 
 from ouro.expr import (
-    BinOp, Call, Const, EvalDomainError, Neg, ParseError, UnboundVariableError,
-    Var, evaluate, format_expr, free_variables, parse,
+    BINARY_RULES, BUILTIN_RULES, BinOp, Call, Const, EvalDomainError, Neg,
+    ParseError, UnboundVariableError, Undefined, Var, evaluate, format_expr,
+    free_variables, parse,
 )
 
 
@@ -136,6 +138,71 @@ def test_evaluation_is_deterministic():
     env = {"x1": 1.7, "x2": 9.3}
     first = evaluate(e, env)
     assert all(evaluate(e, env) == first for _ in range(5))
+
+
+def test_program_is_compiled_once():
+    e = parse("x1 * min(x2, x1)")
+    program = e.program
+    assert evaluate(e, {"x1": 2.0, "x2": 3.0}) == 4.0
+    assert e.program is program
+    assert program.names == ("x1", "x2")
+    assert e == parse("x1 * min(x2, x1)")  # the program is not compared
+
+
+def _oracle(node, env):
+    """The recursive tree walk evaluate replaced, kept as the slow
+    reference: it reads BINARY_RULES / BUILTIN_RULES directly."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise UnboundVariableError(node.name) from None
+    if isinstance(node, Neg):
+        return -_oracle(node.operand, env)
+    if isinstance(node, BinOp):
+        inputs = (_oracle(node.left, env), _oracle(node.right, env))
+        rule = BINARY_RULES[node.op]
+    else:
+        inputs = tuple([_oracle(arg, env) for arg in node.args])
+        rule = BUILTIN_RULES[node.func]
+    try:
+        r = rule(*inputs)
+    except Undefined as exc:
+        raise EvalDomainError(node, inputs, str(exc)) from None
+    if not math.isfinite(r):
+        raise EvalDomainError(node, inputs, "result is not finite")
+    return r
+
+
+def _outcome(fn):
+    try:
+        return fn().hex()  # bit for bit, -0.0 included
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "node", None)
+
+
+def test_evaluate_matches_the_tree_walk_oracle():
+    rng = random.Random(20261018)
+    pool = (0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 700.0, -700.0)
+    kinds = {}
+    for _ in range(2500):
+        f = _random_ast(rng, 5)
+        env = {name: (rng.choice(pool) if rng.random() < 0.3
+                      else rng.uniform(-4.0, 4.0))
+               for name in free_variables(f)}
+        if env and rng.random() < 0.1:
+            del env[rng.choice(sorted(env))]
+        got, want = _outcome(lambda: evaluate(f, env)), _outcome(lambda: _oracle(f, env))
+        assert got == want, (format_expr(f), env)
+        if isinstance(want, tuple):  # the very node, not an equal one
+            assert got[2] is want[2]
+        kind = want[0].__name__ if isinstance(want, tuple) else "value"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["value"] >= 1000
+    assert kinds["EvalDomainError"] >= 300
+    assert kinds["UnboundVariableError"] >= 50
 
 
 @pytest.mark.parametrize("source, canonical", [

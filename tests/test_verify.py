@@ -1,6 +1,7 @@
 """Tests for the sampling-based membership and iteration checks."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -68,6 +69,11 @@ def test_domain_box_validation():
         DomainBox(((2.0, 1.0),))
     with pytest.raises(ValueError):
         DomainBox(((0.0, float("inf")),))
+    # finite bounds whose width overflows would sample at infinity
+    with pytest.raises(ValueError, match="wider than the largest double"):
+        DomainBox(((-1e308, 1e308),))
+    widest = DomainBox(((-1.7e308, 0.0),))
+    assert all(math.isfinite(widest.sample_point(0, i)[0]) for i in range(64))
 
 
 def test_domain_box_uniform_interval():
