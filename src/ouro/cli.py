@@ -32,8 +32,7 @@ from datetime import datetime, timezone
 from . import catalog as _catalog
 from .deriv import (TOL_UNITY, KinkPointError, UnityReport, check_unity,
                     unity_sweep)
-from .expr import (EvaluationError, Expr, ParseError, format_expr,
-                   free_variables, parse)
+from .expr import EvaluationError, Expr, ParseError, format_expr, parse
 from .finite import COUNT_LIMIT, count_idempotent, enumerate_idempotent
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
                      _expr_names, check_iterated, check_membership)
@@ -236,7 +235,7 @@ def _resolve_target(o: dict):
             target = parse(o["expr"])
         except ParseError as exc:
             raise UsageError(f"bad --expr: {exc}")
-        arity = len(free_variables(target))
+        arity = len(target.program.names)
         if arity == 0:
             raise UsageError("expression must mention at least one variable")
         box, doc = _resolve_box(o, arity, None), {}

@@ -31,7 +31,7 @@ __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
     "BUILTIN_ARITY", "ParseError", "EvaluationError",
     "UnboundVariableError", "EvalDomainError",
-    "Program", "parse", "evaluate", "format_expr", "free_variables",
+    "parse", "evaluate", "format_expr", "free_variables",
 ]
 
 # Builtin name -> required argument count.  "^" covers exponentiation; there
@@ -91,6 +91,13 @@ class Expr:
     def program(self) -> "Program":
         """This expression compiled, built on first use and kept."""
         return Program(self)
+
+    def __getstate__(self):
+        # the program is derived, and its closures neither pickle nor copy:
+        # a copy compiles its own
+        state = dict(self.__dict__)
+        state.pop("program", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -448,19 +455,16 @@ def _value_binop(node: BinOp, left, right):
 
 
 def _value_call(node: Call, *args):
-    # the common arities skip building a list: min/max selection networks
-    # spend most of their time here
-    if len(args) == 1:
-        (a,) = args
-        return lambda env: call_value(node, (a(env),))
-    if len(args) == 2:
-        a, b = args
-        return lambda env: call_value(node, (a(env), b(env)))
     return lambda env: call_value(node, tuple([arg(env) for arg in args]))
 
 
 _VALUE_RULES = {Const: _value_const, Var: _value_var, Neg: _value_neg,
                 BinOp: _value_binop, Call: _value_call}
+
+
+def _fold(node: Expr, rules: Mapping[type, Callable]) -> Callable:
+    kids = [_fold(child, rules) for child in node.children()]
+    return rules[type(node)](node, *kids)
 
 
 class Program:
@@ -475,21 +479,17 @@ class Program:
     def __init__(self, expr: Expr):
         self.expr = expr
         self.names = tuple(free_variables(expr))
-        self._closures: dict[int, tuple] = {}
-        self.value = self.closure(_VALUE_RULES)
+        self.value = _fold(expr, _VALUE_RULES)
+        self._closures: dict[int, Callable] = {}
 
     def closure(self, rules: Mapping[type, Callable]) -> Callable:
-        """The closure the interpreter `rules` makes of this program, built
-        on first use and kept with it."""
-        kept = self._closures.get(id(rules))
-        if kept is None:
-            def fold(node: Expr):
-                kids = [fold(child) for child in node.children()]
-                return rules[type(node)](node, *kids)
-
-            # the entry holds the table, so no other table can take its id
-            kept = self._closures[id(rules)] = (rules, fold(self.expr))
-        return kept[1]
+        """The closure another interpreter makes of this program, built on
+        first use and kept.  Interpreter tables are module constants, so
+        the table's id names it for the program's lifetime."""
+        run = self._closures.get(id(rules))
+        if run is None:
+            run = self._closures[id(rules)] = _fold(self.expr, rules)
+        return run
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:

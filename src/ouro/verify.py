@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Union
 
-from .expr import EvaluationError, Expr, evaluate, free_variables
+from .expr import EvaluationError, Expr, evaluate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -181,13 +181,13 @@ def _fault(point, exc, index, plan, max_drift=None) -> Verdict:
                    plan.sample_count - index - 1, max_drift)
 
 
-def _expr_names(f: Expr, domain: DomainBox) -> list[str]:
+def _expr_names(f: Expr, domain: DomainBox) -> tuple[str, ...]:
     """Free variables of a DSL target, checked against its box.
 
     Self-application feeds the scalar output back into every argument,
     which only types when the domain is A^n for a single interval A.
     """
-    names = free_variables(f)
+    names = f.program.names
     n = len(names)
     if n == 0:
         raise ValueError("candidate has no free variables")

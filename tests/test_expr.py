@@ -1,6 +1,8 @@
 """Parser, evaluator and formatter tests for the expression DSL."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -147,6 +149,19 @@ def test_program_is_compiled_once():
     assert e.program is program
     assert program.names == ("x1", "x2")
     assert e == parse("x1 * min(x2, x1)")  # the program is not compared
+
+
+def test_compiled_expression_pickles_and_copies():
+    e = parse("ln(x) + x")
+    assert evaluate(e, {"x": 1.0}) == 1.0  # compiles e.program
+    for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert twin == e
+        assert evaluate(twin, {"x": 1.0}) == 1.0
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(twin, {"x": -1.0})
+        # the copy's own program raises, naming the copy's node
+        assert info.value.node is twin.left
+        assert twin.program is not e.program
 
 
 def _oracle(node, env):
