@@ -72,6 +72,9 @@ class ScalarInstance:
 
 @dataclass(frozen=True)
 class VectorInstance:
+    """A vector operator.  fn maps an array of shape (..., d) row by row,
+    so verify applies it to a whole chunk of samples in one call."""
+
     entry: CatalogEntry
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     dim: int
@@ -238,7 +241,10 @@ def _b_weighted_mean(p):
 
 
 # --- vector builders -------------------------------------------------------
-# Each imports numpy itself, so scalar entries never load it.
+# Each imports numpy itself, so scalar entries never load it.  Each operator
+# takes a point or a stack of points, an array of shape (..., d), and maps
+# every row as it maps that row alone, bit for bit: verify applies it to
+# whole chunks of samples at once.
 
 def _v_box_clamp(p):
     import numpy as np
@@ -261,10 +267,18 @@ def _v_l2_ball(p):
         raise CatalogError("l2_ball_projection needs r > 0")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        norm = float(np.linalg.norm(x))
-        if norm <= r:
-            return np.array(x, dtype=float)
-        return np.asarray(x, dtype=float) * r / norm
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            huge = np.isinf(np.vecdot(x, x))
+        # A row whose x.x overflows is scaled by its largest entry before
+        # its norm is taken; every other row is divided by 1.0, which keeps
+        # its bits.  Rows inside the ball are returned as they are, and
+        # divide by 1.0 too, so a zero row never computes 0/0.
+        s = np.where(huge, np.max(np.abs(x), axis=-1), 1.0)[..., None]
+        u = x / s
+        norm = np.sqrt(np.vecdot(u, u))[..., None]
+        inside = norm <= r / s
+        return np.where(inside, x, u * r / np.where(inside, 1.0, norm))
 
     return fn, d
 
@@ -280,7 +294,7 @@ def _v_hyperplane(p):
         raise CatalogError("a must be non-zero")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return x - ((float(a @ x) - b) / denom) * a
+        return x - ((np.vecdot(a, x) - b) / denom)[..., None] * a
 
     return fn, int(a.size)
 
@@ -289,15 +303,20 @@ def _v_simplex(p):
     import numpy as np
     d = _int_n(p, "d", minimum=1)
 
+    ks = np.arange(1, d + 1)
+
     def fn(x: np.ndarray) -> np.ndarray:
         # Euclidean projection onto {y >= 0, sum y = 1} by sorting and
         # thresholding: find the largest k keeping all shifted entries
         # positive, then subtract the matching threshold and clip.
-        u = np.sort(np.asarray(x, dtype=float))[::-1]
-        css = np.cumsum(u)
-        ks = np.arange(1, d + 1)
-        rho = int(np.nonzero(u * ks > css - 1.0)[0][-1])
-        theta = (css[rho] - 1.0) / (rho + 1.0)
+        u = np.sort(np.asarray(x, dtype=float), axis=-1)[..., ::-1]
+        css = np.cumsum(u, axis=-1)
+        positive = u * ks > css - 1.0
+        if not positive.any(axis=-1).all():
+            # k = 1 always qualifies unless u_1 - 1 rounds to u_1
+            raise ValueError("entries too large to threshold onto the simplex")
+        rho = (d - 1 - np.argmax(positive[..., ::-1], axis=-1))[..., None]
+        theta = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1.0)
         return np.maximum(x - theta, 0.0)
 
     return fn, d

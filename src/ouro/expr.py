@@ -330,8 +330,9 @@ def free_variables(expr: Expr) -> list[str]:
 # evaluation
 #
 # The two tables below are the only statement of what an operator or builtin
-# computes.  Every interpreter (evaluate here, the tangent walk in
-# ouro.deriv) reaches them through binary_value and call_value, so
+# computes.  evaluate's generated function calls them directly (writing the
+# rules of + - * inline as the operators they are), and the tangent walk in
+# ouro.deriv reaches them through binary_value and call_value, so
 # interpreters that agree on the tree agree on every value bit for bit.  A
 # rule takes finite floats and raises Undefined outside its domain; the
 # caller names the node.
@@ -425,44 +426,100 @@ def call_value(node: Call, vals: tuple[float, ...]) -> float:
 #
 # An expression is compiled once, on first use, into a Program and kept on
 # its root node.  An interpreter is a table mapping each node type to a
-# builder(node, *child_closures) -> closure, so the node type is dispatched
-# once, when the closure is built, and never while it runs.  _VALUE_RULES is
-# the interpreter evaluate runs; ouro.deriv's tangent walk is the other.
+# builder(node, *child_results); _fold applies it in post-order, left to
+# right.  The value interpreter's builders emit Python source, so evaluate
+# runs one generated function per expression; ouro.deriv's tangent walk
+# builds closures.
 
-def _value_const(node: Const):
-    c = node.value
-    return lambda env: c
-
-
-def _value_var(node: Var):
-    name = node.name
-
-    def run(env):
-        try:
-            return env[name]
-        except KeyError:
-            raise UnboundVariableError(name) from None
-
-    return run
+# Operators the value source writes inline instead of calling their rule;
+# a test pins that each one's rule is the matching function of `operator`.
+_INLINE_OPS = ("+", "-", "*")
 
 
-def _value_neg(node: Neg, operand):
-    return lambda env: -operand(env)
+class _ValueSource:
+    """The source of one expression's value function, emitted node by node.
+
+    Each builder appends the statements that compute its node into a new
+    local and returns that local's name.  Every node's value is checked
+    where it is made, in the tree walk's order, so the function raises what
+    the walk would.  No user text reaches the source except variable names,
+    which Var has validated, and only as repr string keys; constants, nodes
+    and rules are reached through the function's globals.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace = {"isfinite": math.isfinite, "Undefined": Undefined,
+                          "EvalDomainError": EvalDomainError,
+                          "UnboundVariableError": UnboundVariableError}
+        self.reads: dict[str, str] = {}
+        self.locals = 0
+        self.table = {Const: self.const, Var: self.var, Neg: self.neg,
+                      BinOp: self.binop, Call: self.call}
+
+    def bind(self, obj) -> str:
+        name = f"g{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def fresh(self) -> str:
+        self.locals += 1
+        return f"v{self.locals}"
+
+    def const(self, node: Const) -> str:
+        return self.bind(node.value)
+
+    def var(self, node: Var) -> str:
+        # read at its first use only, which is where a missing name raises
+        out = self.reads.get(node.name)
+        if out is None:
+            out = self.reads[node.name] = self.fresh()
+            self.lines += ["try:", f"    {out} = env[{node.name!r}]",
+                           "except KeyError:",
+                           f"    raise UnboundVariableError({node.name!r}) from None"]
+        return out
+
+    def neg(self, node: Neg, operand: str) -> str:
+        out = self.fresh()
+        self.lines.append(f"{out} = -{operand}")
+        return out
+
+    def binop(self, node: BinOp, left: str, right: str) -> str:
+        if node.op in _INLINE_OPS:
+            return self.checked(node, (left, right), f"{left} {node.op} {right}")
+        return self.checked(node, (left, right), rule=BINARY_RULES[node.op])
+
+    def call(self, node: Call, *args: str) -> str:
+        return self.checked(node, args, rule=BUILTIN_RULES[node.func])
+
+    def checked(self, node: Expr, args: tuple[str, ...], infix: str = "",
+                rule: Callable | None = None) -> str:
+        out, here = self.fresh(), self.bind(node)
+        inputs = f"({', '.join(args)},)"
+        if rule is None:
+            self.lines.append(f"{out} = {infix}")
+        else:
+            self.lines += [
+                "try:", f"    {out} = {self.bind(rule)}({', '.join(args)})",
+                "except Undefined as exc:",
+                f"    raise EvalDomainError({here}, {inputs}, str(exc)) from None"]
+        self.lines += [
+            f"if not isfinite({out}):",
+            f"    raise EvalDomainError({here}, {inputs}, 'result is not finite')"]
+        return out
 
 
-def _value_binop(node: BinOp, left, right):
-    return lambda env: binary_value(node, left(env), right(env))
+def _value_function(expr: Expr) -> Callable:
+    """The generated value function of `expr`: env -> float."""
+    source = _ValueSource()
+    result = _fold(expr, source.table)
+    body = "".join(f"    {line}\n" for line in [*source.lines, f"return {result}"])
+    exec(compile(f"def value(env):\n{body}", "<ouro.expr program>", "exec"),
+         source.namespace)
+    return source.namespace["value"]
 
 
-def _value_call(node: Call, *args):
-    return lambda env: call_value(node, tuple([arg(env) for arg in args]))
-
-
-_VALUE_RULES = {Const: _value_const, Var: _value_var, Neg: _value_neg,
-                BinOp: _value_binop, Call: _value_call}
-
-
-def _fold(node: Expr, rules: Mapping[type, Callable]) -> Callable:
+def _fold(node: Expr, rules: Mapping[type, Callable]):
     kids = [_fold(child, rules) for child in node.children()]
     return rules[type(node)](node, *kids)
 
@@ -471,7 +528,7 @@ class Program:
     """An expression compiled once.
 
     names are its free variables in order of first appearance.  value(env)
-    is the value interpreter's closure: evaluate without the binding check.
+    is the generated value function: evaluate without the binding check.
     """
 
     __slots__ = ("expr", "names", "value", "_closures")
@@ -479,7 +536,7 @@ class Program:
     def __init__(self, expr: Expr):
         self.expr = expr
         self.names = tuple(free_variables(expr))
-        self.value = _fold(expr, _VALUE_RULES)
+        self.value = _value_function(expr)
         self._closures: dict[int, Callable] = {}
 
     def closure(self, rules: Mapping[type, Callable]) -> Callable:
@@ -499,9 +556,10 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     missing variable and EvalDomainError when arithmetic leaves the reals;
     the error names the offending subexpression and its inputs.
     """
-    for name, value in env.items():
-        if not math.isfinite(value):
-            raise EvaluationError(f"non-finite binding {name}={value!r}")
+    if not all(map(math.isfinite, env.values())):
+        for name, value in env.items():
+            if not math.isfinite(value):
+                raise EvaluationError(f"non-finite binding {name}={value!r}")
     return expr.program.value(env)
 
 

@@ -106,6 +106,21 @@ class DomainBox:
             out.append(lo + u * (hi - lo))
         return tuple(out)
 
+    def sample_rows(self, seed: int, start: int, stop: int) -> np.ndarray:
+        """sample_point(seed, i) for i in range(start, stop), bit for bit,
+        as the rows of one array: splitmix64 over uint64 counters, whose
+        arithmetic wraps modulo 2**64 as unit_uniform's masks do."""
+        import numpy as np
+        u64, n = np.uint64, self.n
+        z = (np.arange(start * n + 1, stop * n + 1, dtype=u64) * u64(_GOLDEN)
+             + u64(seed & _M64))
+        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+        z ^= z >> u64(31)
+        u = (z >> u64(11)).astype(float).reshape(-1, n) * 2.0 ** -53
+        lo, hi = np.array(self.intervals).T
+        return lo + u * (hi - lo)
+
     def signed_escape(self, j: int, value: float, slack: float) -> float:
         """Signed distance by which `value` leaves interval j, 0.0 inside.
         `slack` widens the interval to absorb harmless rounding at the
@@ -239,25 +254,44 @@ def _target_kind(f: Target, domain: DomainBox):
 
 def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
           membership: bool) -> Verdict:
-    """The one sample loop behind both checks.
+    """The one sample scan behind both checks.
 
     At each sample x it computes t_1 = f(x) and feeds it back until t_depth,
     failing at the first k with |t_k - t_1| > atol + rtol*|t_1|.
     Membership is depth 2 plus range containment of t_1 (DSL targets only);
-    the iterated check runs to k_max and keeps the largest drift seen.
+    the iterated check runs to k_max and keeps the largest drift seen.  A
+    DSL target is checked sample by sample; a vector operator in chunks.
     """
-    first, again, distance, scale, form, residual_detail = _target_kind(f, domain)
+    kind = _target_kind(f, domain)
+    max_drift = None if membership else 0.0
+    if isinstance(f, Expr):
+        verdict, max_drift = _sweep(f, kind, domain, plan, membership,
+                                    range(plan.sample_count), max_drift)
+    else:
+        verdict, max_drift = _scan_operator(f, kind, domain, plan, membership,
+                                            max_drift)
+    if verdict is None:
+        verdict = Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
+    return verdict
+
+
+def _sweep(f: Target, kind, domain: DomainBox, plan: SamplePlan,
+           membership: bool, indices: range, max_drift: float | None):
+    """The per-sample check of the samples at `indices`, in order: the
+    verdict at the first one that fails or faults (None if none does) and
+    the running max_drift."""
+    first, again, distance, scale, form, residual_detail = kind
     # The witness detail is detail.format(k); a RESIDUAL detail has no
     # field, so format leaves it as it is.
     if membership:
-        depth, reason, detail, max_drift = 2, "RESIDUAL", residual_detail, None
+        depth, reason, detail = 2, "RESIDUAL", residual_detail
     else:
-        depth, reason, detail, max_drift = plan.k_max, "DRIFT", "k={}", 0.0
+        depth, reason, detail = plan.k_max, "DRIFT", "k={}"
     contain = membership and isinstance(f, Expr)
     if contain:
         lo, hi = domain.interval
         slack = plan.tol(max(abs(lo), abs(hi)))
-    for i in range(plan.sample_count):
+    for i in indices:
         point = domain.sample_point(plan.seed, i)
         try:
             t1 = first(point)
@@ -266,7 +300,7 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
                 if escape != 0.0:
                     witness = Witness(point, t1, None, escape, "RANGE_ESCAPE",
                                       f"f(x) left [{lo}, {hi}]")
-                    return _fail(witness, i, plan)
+                    return _fail(witness, i, plan), max_drift
             tol = plan.tol(scale(t1))
             t = t1
             for k in range(2, depth + 1):
@@ -278,10 +312,94 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
                 if size > tol:
                     witness = Witness(point, form(t1), form(t), drift, reason,
                                       detail.format(k))
-                    return _fail(witness, i, plan, max_drift)
+                    return _fail(witness, i, plan, max_drift), max_drift
         except EvaluationError as exc:
-            return _fault(point, exc, i, plan, max_drift)
-    return Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
+            return _fault(point, exc, i, plan, max_drift), max_drift
+    return None, max_drift
+
+
+_CHUNK = 256  # rows of a vector operator's scan that share one call per step
+
+
+def _scan_operator(f: VectorFn, kind, domain: DomainBox, plan: SamplePlan,
+                   membership: bool, max_drift: float | None):
+    """_sweep's result for a vector operator, computed a chunk at a time.
+
+    Each chunk of samples is screened by _first_event, with no numpy
+    warning, and _sweep replays the chunk from the row it names, so the
+    verdict, witness and fault text are the per-sample check's own.  A
+    catalog operator takes the whole chunk in one call per step; any other
+    callable is applied row by row.
+    """
+    import numpy as np
+    from .catalog import VectorInstance  # catalog imports this module
+
+    def batched(x):
+        try:
+            y = np.asarray(f(x), dtype=float)
+        except Exception:  # the replay from row 0 finds the row that raised
+            return None
+        return y if y.shape == x.shape else None
+
+    def by_row(x):
+        y = np.full(x.shape, np.nan)
+        for r, row in enumerate(x):
+            try:
+                y[r] = _call_operator(f, row)
+            except Exception:  # a NaN row is an event; its replay raises
+                pass
+        return y
+
+    apply = batched if isinstance(f, VectorInstance) else by_row
+    depth = 2 if membership else plan.k_max
+    for start in range(0, plan.sample_count, _CHUNK):
+        stop = min(start + _CHUNK, plan.sample_count)
+        with np.errstate(all="ignore"):
+            event, peak = _first_event(
+                apply, domain.sample_rows(plan.seed, start, stop), plan, depth)
+        if max_drift is not None and peak is not None:
+            max_drift = max(max_drift, peak)
+        if event is not None:
+            verdict, max_drift = _sweep(f, kind, domain, plan, membership,
+                                        range(start + event, stop), max_drift)
+            if verdict is not None:
+                return verdict, max_drift
+    return None, max_drift
+
+
+def _first_event(apply, x: np.ndarray, plan: SamplePlan, depth: int):
+    """Screen the sample rows x: the index of the first row whose check
+    fails or faults (None if none does), and the largest drift of the rows
+    before it (None if there are none).
+
+    apply maps all rows at once, leaving a row that faults non-finite, or
+    returns None when it cannot tell rows apart; the answer is then row 0.
+    A row is no longer applied after its first event, and neither is any
+    later row, so the index found is the smallest, at its earliest k.
+    """
+    import numpy as np
+    t1 = apply(x)
+    if t1 is None:
+        return 0, None
+    finite = np.isfinite(t1).all(axis=1)
+    end = len(x) if finite.all() else int(np.argmin(finite))
+    t1 = t1[:end]
+    tol = plan.tol(np.max(np.abs(t1), axis=1))
+    peak = np.zeros(end)
+    t = t1
+    for _ in range(2, depth + 1):
+        if end == 0:
+            break
+        t = apply(t)
+        if t is None:
+            return 0, None
+        drift = np.max(np.abs(t - t1), axis=1)
+        peak = np.maximum(peak, drift)
+        within = drift <= tol  # False where t is not finite
+        if not within.all():
+            end = int(np.argmin(within))
+            t1, t, tol, peak = t1[:end], t[:end], tol[:end], peak[:end]
+    return (None if end == len(x) else end), (float(peak.max()) if end else None)
 
 
 def check_membership(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,70 @@ def test_l2_ball_projection_values():
     assert float(np.linalg.norm(y)) <= 1.0 + 1e-12
     with pytest.raises(CatalogError):
         instantiate("l2_ball_projection", r=0.0)
+
+
+def test_l2_ball_projection_survives_overflowing_squares():
+    inst = instantiate("l2_ball_projection", r=1.0, d=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(inst(np.array([3e200, 4e200])), [0.6, 0.8])
+        rows = np.array([[3e200, 4e200], [0.3, -0.4], [-3e200, 0.0], [3.0, 4.0]])
+        assert np.array_equal(inst(rows), [[0.6, 0.8], [0.3, -0.4],
+                                           [-1.0, 0.0], [0.6, 0.8]])
+
+
+def test_simplex_projection_rejects_entries_too_large_to_threshold():
+    inst = instantiate("simplex_projection", d=3)
+    with pytest.raises(ValueError):
+        inst(np.array([1e17, 2e17, 3e17]))
+    with pytest.raises(ValueError):
+        inst(np.array([[0.1, 0.2, 0.3], [1e17, 2e17, 3e17]]))
+
+
+# Today's catalog formulas for one point, kept as the reference the
+# operators' batched forms must match row by row, bit for bit.
+
+def _l2_ball_1d(x, r):
+    norm = float(np.linalg.norm(x))
+    if norm <= r:
+        return np.array(x, dtype=float)
+    return np.asarray(x, dtype=float) * r / norm
+
+
+def _hyperplane_1d(x, a, b):
+    a = np.asarray(a, dtype=float)
+    return x - ((float(a @ x) - b) / float(a @ a)) * a
+
+
+def _simplex_1d(x, d):
+    u = np.sort(np.asarray(x, dtype=float))[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, d + 1)
+    rho = int(np.nonzero(u * ks > css - 1.0)[0][-1])
+    theta = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(x - theta, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 17, 64])
+def test_vector_operators_map_stacked_rows_as_single_points(d):
+    rng = np.random.default_rng(d)
+    a = rng.uniform(-3.0, 3.0, d)
+    cases = [
+        (instantiate("box_clamp", lo=-1.0, hi=2.0, d=d), lambda x: np.clip(x, -1.0, 2.0)),
+        (instantiate("l2_ball_projection", r=1.5, d=d), lambda x: _l2_ball_1d(x, 1.5)),
+        (instantiate("hyperplane_projection", a=tuple(a), b=0.5),
+         lambda x: _hyperplane_1d(x, a, 0.5)),
+        (instantiate("simplex_projection", d=d), lambda x: _simplex_1d(x, d)),
+    ]
+    # points inside, on and outside the ball and the box, with ties
+    rows = np.concatenate([rng.uniform(-4.0, 4.0, (300, d)),
+                           rng.uniform(-0.3, 0.3, (100, d)),
+                           rng.integers(-2, 3, (50, d)).astype(float)])
+    for inst, oracle in cases:
+        want = np.array([oracle(x) for x in rows])
+        assert inst(rows).tobytes() == want.tobytes(), inst.entry.name
+        for x, y in zip(rows[:50], want):
+            assert inst(x).tobytes() == y.tobytes(), inst.entry.name
 
 
 def test_hyperplane_projection_analytics():

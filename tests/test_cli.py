@@ -79,6 +79,21 @@ def test_check_vector_catalog_target():
     assert doc["overall"] == "PASS"
 
 
+@pytest.mark.parametrize("name, box, code, overall", [
+    # x.x overflows a double there: each sample projects onto the sphere
+    ("l2_ball_projection", "--box=-1e200:1e200", 0, "overall: PASS"),
+    # u_1 - 1 rounds to u_1, so no simplex threshold exists
+    ("simplex_projection", "--box=1e17:1e18", 3, "overall: DOMAIN_ERROR"),
+])
+def test_vector_operators_on_extreme_boxes_report_without_warnings(
+        name, box, code, overall):
+    r = run_cli("check", "--catalog", name, "--params", "d=2", box,
+                "--samples", "4")
+    assert r.returncode == code
+    assert overall in r.stdout
+    assert r.stderr == ""
+
+
 def test_check_negative_box_spelling():
     r = run_cli("check", "--expr", "clamp(x, -1, 1)", "--box=-5:5")
     assert r.returncode == 0

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import pickle
 import random
 
@@ -12,8 +13,8 @@ from test_acceptance import _random_ast
 
 from ouro.expr import (
     BINARY_RULES, BUILTIN_RULES, BinOp, Call, Const, EvalDomainError, Neg,
-    ParseError, UnboundVariableError, Undefined, Var, evaluate, format_expr,
-    free_variables, parse,
+    ParseError, UnboundVariableError, Undefined, Var, _fold, _ValueSource,
+    evaluate, format_expr, free_variables, parse,
 )
 
 
@@ -108,6 +109,9 @@ def test_evaluate_rejects_non_finite_bindings():
     ("x^0.5", {"x": -2.0}),
     ("10^x", {"x": 400.0}),       # overflow is a domain error, not inf
     ("exp(x)", {"x": 1000.0}),
+    ("x * x", {"x": 1e200}),        # + - * overflow too, unlike -x
+    ("x + x", {"x": 1e308}),
+    ("-x - x", {"x": 1e308}),
 ])
 def test_evaluate_domain_errors(source, env):
     with pytest.raises(EvalDomainError):
@@ -218,6 +222,71 @@ def test_evaluate_matches_the_tree_walk_oracle():
     assert kinds["value"] >= 1000
     assert kinds["EvalDomainError"] >= 300
     assert kinds["UnboundVariableError"] >= 50
+
+
+def _renamed(node, names):
+    """`node` with every variable renamed through the dict `names`."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, Neg):
+        return Neg(_renamed(node.operand, names))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _renamed(node.left, names),
+                     _renamed(node.right, names))
+    if isinstance(node, Call):
+        return Call(node.func, tuple(_renamed(a, names) for a in node.args))
+    return node
+
+
+def _depth(node):
+    return 1 + max(map(_depth, node.children()), default=0)
+
+
+def _var_count(node):
+    return isinstance(node, Var) + sum(map(_var_count, node.children()))
+
+
+def test_generated_programs_match_the_oracle_on_deep_trees_and_awkward_names():
+    # Names that the generated source itself uses, or that Python reserves,
+    # may reach it only as string keys; _random_ast draws from four names,
+    # so most trees read some variable more than once.
+    rng = random.Random(20261019)
+    awkward = ("env", "None", "lambda", "t0", "isfinite")
+    deep = repeated = faults = 0
+    for _ in range(800):
+        names = dict(zip(("x", "x1", "x2", "y"), rng.sample(awkward, 4)))
+        f = _renamed(_random_ast(rng, 9), names)
+        env = {name: rng.uniform(-3.0, 3.0) for name in free_variables(f)}
+        if env and rng.random() < 0.1:
+            del env[rng.choice(sorted(env))]
+        got, want = _outcome(lambda: evaluate(f, env)), _outcome(lambda: _oracle(f, env))
+        assert got == want, (format_expr(f), env)
+        if isinstance(want, tuple):
+            assert got[2] is want[2]
+            faults += 1
+        deep += _depth(f) >= 8
+        repeated += _var_count(f) > len(free_variables(f))
+    assert deep >= 100 and repeated >= 200 and faults >= 50
+
+
+def test_inlined_operators_are_their_rules():
+    # The generated value function writes + - * as Python operators, which
+    # is the table's rule only while that rule is the operator itself.
+    assert BINARY_RULES["+"] is operator.add
+    assert BINARY_RULES["-"] is operator.sub
+    assert BINARY_RULES["*"] is operator.mul
+
+
+def test_generated_source_holds_only_variable_names():
+    # Constants, nodes and rules reach the value function through its
+    # globals; the only user text in its source is a validated name.
+    e = parse("x_1 * 12345.5 + ln(x_1) / 6789e-3")
+    source = _ValueSource()
+    _fold(e, source.table)
+    text = "\n".join(source.lines)
+    assert "12345" not in text and "6789" not in text
+    assert text.count("'x_1'") == 2  # one read and the error it may raise
+    assert 12345.5 in source.namespace.values()
 
 
 @pytest.mark.parametrize("source, canonical", [

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
+from ouro import verify
+from ouro.catalog import VectorInstance, get_entry, instantiate
 from ouro.expr import free_variables, parse
 from ouro.verify import (
-    DomainBox, SamplePlan, Status, check_iterated, check_membership,
+    DomainBox, SamplePlan, Status, Verdict, check_iterated, check_membership,
     unit_uniform,
 )
 
@@ -56,6 +59,24 @@ def test_sample_points_stay_inside_the_box():
         a, b = box.sample_point(0, i)
         assert -2.0 <= a <= -1.0
         assert 3.0 <= b <= 7.0
+
+
+CHUNK = verify._CHUNK
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_sample_rows_match_sample_point(seed):
+    boxes = (DomainBox.uniform(-10.0, 10.0, 1),
+             DomainBox(((-2.0, -1.0), (3.0, 7.0), (0.0, 1e-300))),
+             DomainBox(((-1e300, 1e300), (5.0, 6.0))))
+    for box in boxes:
+        for start, stop in ((0, 1), (0, CHUNK + 1), (CHUNK - 1, 2 * CHUNK + 1)):
+            rows = box.sample_rows(seed, start, stop)
+            assert rows.shape == (stop - start, box.n)
+            got = [tuple(map(float.hex, row)) for row in rows.tolist()]
+            want = [tuple(map(float.hex, box.sample_point(seed, i)))
+                    for i in range(start, stop)]
+            assert got == want
 
 
 # --- DomainBox / SamplePlan validation ---------------------------------------
@@ -378,6 +399,108 @@ def test_membership_is_containment_plus_depth_two_iteration():
             plan = dataclasses.replace(base, seed=rng.getrandbits(64))
             assert not _assert_membership_is_depth_two(
                 check_membership(op, box, plan), check_iterated(op, box, plan))
+
+
+# --- chunked vector scan against the per-sample check ---------------------------
+
+def _per_row(f, box, plan, membership):
+    """The verdict with every sample through the per-sample check, the code
+    the chunked scan replays."""
+    max_drift = None if membership else 0.0
+    verdict, max_drift = verify._sweep(
+        f, verify._target_kind(f, box), box, plan, membership,
+        range(plan.sample_count), max_drift)
+    return verdict or Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
+
+
+def _bits(v):
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, tuple):
+        return tuple(map(_bits, v))
+    return v
+
+
+def _key(v):
+    w = v.witness
+    return (v.status, v.samples_evaluated, v.samples_skipped, _bits(v.max_drift),
+            w and (_bits(w.point), _bits(w.value), _bits(w.revalue),
+                   _bits(w.residual), w.reason, w.detail))
+
+
+def _assert_chunked_scan_matches(f, box, plan):
+    statuses = []
+    for check, membership in ((check_membership, True), (check_iterated, False)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = check(f, box, plan)
+        want = _per_row(f, box, plan, membership)
+        assert _key(got) == _key(want), (check.__name__, box, plan)
+        statuses.append(got.status)
+    return statuses
+
+
+def _as_instance(fn, d, box):
+    # a catalog instance around fn; the scan reads only fn, through __call__
+    return VectorInstance(get_entry("box_clamp"), fn, d, box, {})
+
+
+SAMPLE_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
+
+
+def test_chunked_scan_matches_per_sample_check_on_catalog_operators():
+    rng = random.Random(20261018)
+    seen = set()
+    for count in SAMPLE_COUNTS:
+        for name, params in (("box_clamp", {"lo": -1.0, "hi": 2.0, "d": 4}),
+                             ("l2_ball_projection", {"r": 1.5, "d": 3}),
+                             ("hyperplane_projection", {"a": (2.0, -1.0, 0.5), "b": 3.0}),
+                             ("simplex_projection", {"d": 8})):
+            inst = instantiate(name, **params)
+            lo = rng.uniform(-5.0, 1.0)
+            box = DomainBox.uniform(lo, lo + rng.uniform(0.5, 6.0), inst.dim)
+            plan = SamplePlan(seed=rng.getrandbits(64), sample_count=count)
+            seen.update(_assert_chunked_scan_matches(inst, box, plan))
+            # x / 2 and creeping drift fail, at k = 2 and at a later k
+            for fn in (lambda x: x / 2.0, lambda x: x + 0.9e-9):
+                statuses = _assert_chunked_scan_matches(
+                    _as_instance(fn, inst.dim, box), box, plan)
+                seen.update(statuses)
+    assert {Status.PASS, Status.FAIL} <= seen
+
+
+def _faulting(kind, at):
+    """The l2 ball projection, except at the point `at`, where it returns
+    NaN, the wrong shape or raises."""
+    ball = instantiate("l2_ball_projection", r=2.0, d=3)
+
+    def fn(x):
+        hit = np.all(x == at, axis=-1)
+        if kind == "nan":
+            return np.where(hit[..., None], np.nan, ball(x))
+        if np.any(hit):
+            if kind == "shape":
+                return x[..., :-1]
+            raise ValueError("operator fault")
+        return ball(x)
+
+    return fn
+
+
+@pytest.mark.parametrize("kind", ["nan", "shape", "raise"])
+def test_chunked_scan_matches_per_sample_check_on_faults(kind):
+    box = DomainBox.uniform(-3.0, 3.0, 3)
+    for count in SAMPLE_COUNTS:
+        plan = SamplePlan(seed=7, sample_count=count)
+        fn = _faulting(kind, np.array(box.sample_point(plan.seed, CHUNK)))
+        for f in (_as_instance(fn, 3, box), fn):  # batched, and row by row
+            statuses = _assert_chunked_scan_matches(f, box, plan)
+            faulted = count > CHUNK
+            assert statuses == [Status.DOMAIN_ERROR if faulted else Status.PASS] * 2
+            if faulted:
+                v = check_iterated(f, box, plan)
+                assert v.samples_evaluated == CHUNK + 1
+                assert v.max_drift > 0.0
 
 
 def test_fail_verdict_requires_witness():
