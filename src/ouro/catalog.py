@@ -72,14 +72,20 @@ class ScalarInstance:
 
 @dataclass(frozen=True)
 class VectorInstance:
-    """A vector operator.  fn maps an array of shape (..., d) row by row,
-    so verify applies it to a whole chunk of samples in one call."""
+    """A vector operator fn: R^dim -> R^dim.
+
+    batched says that fn also takes an array of shape (..., dim) and maps
+    each row exactly as it maps that row alone, so verify may apply it to
+    many samples in one call.  instantiate sets it for the catalog's
+    operators; an instance built without it is applied one sample at a time.
+    """
 
     entry: CatalogEntry
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     dim: int
     box: DomainBox
     params: dict
+    batched: bool = field(default=False, compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -246,6 +252,13 @@ def _b_weighted_mean(p):
 # every row as it maps that row alone, bit for bit: verify applies it to
 # whole chunks of samples at once.
 
+
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y along the last axis, each row's value as np.dot gives it for
+    that row alone: a stack of 1 x d by d x 1 matrix products, which numpy
+    computes one dot per row (x @ y with a 2-D x would not)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
 def _v_box_clamp(p):
     import numpy as np
     lo, hi = _finite(p, "lo"), _finite(p, "hi")
@@ -269,14 +282,14 @@ def _v_l2_ball(p):
     def fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
-            huge = np.isinf(np.vecdot(x, x))
+            huge = np.isinf(_rowdot(x, x))
         # A row whose x.x overflows is scaled by its largest entry before
         # its norm is taken; every other row is divided by 1.0, which keeps
         # its bits.  Rows inside the ball are returned as they are, and
         # divide by 1.0 too, so a zero row never computes 0/0.
         s = np.where(huge, np.max(np.abs(x), axis=-1), 1.0)[..., None]
         u = x / s
-        norm = np.sqrt(np.vecdot(u, u))[..., None]
+        norm = np.sqrt(_rowdot(u, u))[..., None]
         inside = norm <= r / s
         return np.where(inside, x, u * r / np.where(inside, 1.0, norm))
 
@@ -294,7 +307,7 @@ def _v_hyperplane(p):
         raise CatalogError("a must be non-zero")
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return x - ((np.vecdot(a, x) - b) / denom)[..., None] * a
+        return x - ((_rowdot(x, a) - b) / denom)[..., None] * a
 
     return fn, int(a.size)
 
@@ -442,5 +455,5 @@ def instantiate(name: str, **overrides):
         raise CatalogError(f"bad parameters for {name}: {exc}") from None
     box = DomainBox.uniform(entry.interval[0], entry.interval[1], size)
     if entry.kind == _V:
-        return VectorInstance(entry, built, size, box, params)
+        return VectorInstance(entry, built, size, box, params, batched=True)
     return ScalarInstance(entry, built, size, box, params)

@@ -21,6 +21,8 @@ from .expr import EvaluationError, Expr, evaluate
 if TYPE_CHECKING:
     import numpy as np
 
+    from .catalog import VectorInstance
+
 __all__ = [
     "Status", "DomainBox", "SamplePlan", "Witness", "Verdict",
     "unit_uniform", "check_membership", "check_iterated",
@@ -260,16 +262,17 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     failing at the first k with |t_k - t_1| > atol + rtol*|t_1|.
     Membership is depth 2 plus range containment of t_1 (DSL targets only);
     the iterated check runs to k_max and keeps the largest drift seen.  A
-    DSL target is checked sample by sample; a vector operator in chunks.
+    batched vector operator is checked in chunks; every other target
+    sample by sample.
     """
     kind = _target_kind(f, domain)
     max_drift = None if membership else 0.0
-    if isinstance(f, Expr):
-        verdict, max_drift = _sweep(f, kind, domain, plan, membership,
-                                    range(plan.sample_count), max_drift)
-    else:
+    if _is_batched(f):
         verdict, max_drift = _scan_operator(f, kind, domain, plan, membership,
                                             max_drift)
+    else:
+        verdict, max_drift = _sweep(f, kind, domain, plan, membership,
+                                    range(plan.sample_count), max_drift)
     if verdict is None:
         verdict = Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
     return verdict
@@ -318,39 +321,36 @@ def _sweep(f: Target, kind, domain: DomainBox, plan: SamplePlan,
     return None, max_drift
 
 
-_CHUNK = 256  # rows of a vector operator's scan that share one call per step
+def _is_batched(f: Target) -> bool:
+    if isinstance(f, Expr):
+        return False
+    from .catalog import VectorInstance  # catalog imports this module
+    return isinstance(f, VectorInstance) and f.batched
 
 
-def _scan_operator(f: VectorFn, kind, domain: DomainBox, plan: SamplePlan,
-                   membership: bool, max_drift: float | None):
-    """_sweep's result for a vector operator, computed a chunk at a time.
+_CHUNK = 256  # rows of a batched operator's scan that share one call per step
 
-    Each chunk of samples is screened by _first_event, with no numpy
-    warning, and _sweep replays the chunk from the row it names, so the
-    verdict, witness and fault text are the per-sample check's own.  A
-    catalog operator takes the whole chunk in one call per step; any other
-    callable is applied row by row.
+
+def _scan_operator(f: VectorInstance, kind, domain: DomainBox,
+                   plan: SamplePlan, membership: bool,
+                   max_drift: float | None):
+    """_sweep's result for a batched vector operator, computed a chunk at a
+    time.
+
+    Each chunk of samples is screened by _first_event, in one operator call
+    per step and with no numpy warning, and _sweep replays the chunk from
+    the row it names, so the verdict, witness and fault text are the
+    per-sample check's own.
     """
     import numpy as np
-    from .catalog import VectorInstance  # catalog imports this module
 
-    def batched(x):
+    def apply(x):
         try:
             y = np.asarray(f(x), dtype=float)
         except Exception:  # the replay from row 0 finds the row that raised
             return None
         return y if y.shape == x.shape else None
 
-    def by_row(x):
-        y = np.full(x.shape, np.nan)
-        for r, row in enumerate(x):
-            try:
-                y[r] = _call_operator(f, row)
-            except Exception:  # a NaN row is an event; its replay raises
-                pass
-        return y
-
-    apply = batched if isinstance(f, VectorInstance) else by_row
     depth = 2 if membership else plan.k_max
     for start in range(0, plan.sample_count, _CHUNK):
         stop = min(start + _CHUNK, plan.sample_count)
@@ -372,8 +372,8 @@ def _first_event(apply, x: np.ndarray, plan: SamplePlan, depth: int):
     fails or faults (None if none does), and the largest drift of the rows
     before it (None if there are none).
 
-    apply maps all rows at once, leaving a row that faults non-finite, or
-    returns None when it cannot tell rows apart; the answer is then row 0.
+    apply maps all rows at once, or returns None when the call raises or
+    gives the wrong shape; the answer is then row 0.
     A row is no longer applied after its first event, and neither is any
     later row, so the index found is the smallest, at its earliest k.
     """

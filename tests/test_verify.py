@@ -441,8 +441,8 @@ def _assert_chunked_scan_matches(f, box, plan):
 
 
 def _as_instance(fn, d, box):
-    # a catalog instance around fn; the scan reads only fn, through __call__
-    return VectorInstance(get_entry("box_clamp"), fn, d, box, {})
+    # a batched instance around fn; the scan reads only fn, through __call__
+    return VectorInstance(get_entry("box_clamp"), fn, d, box, {}, batched=True)
 
 
 SAMPLE_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
@@ -493,7 +493,7 @@ def test_chunked_scan_matches_per_sample_check_on_faults(kind):
     for count in SAMPLE_COUNTS:
         plan = SamplePlan(seed=7, sample_count=count)
         fn = _faulting(kind, np.array(box.sample_point(plan.seed, CHUNK)))
-        for f in (_as_instance(fn, 3, box), fn):  # batched, and row by row
+        for f in (_as_instance(fn, 3, box), fn):  # batched, and per sample
             statuses = _assert_chunked_scan_matches(f, box, plan)
             faulted = count > CHUNK
             assert statuses == [Status.DOMAIN_ERROR if faulted else Status.PASS] * 2
@@ -501,6 +501,40 @@ def test_chunked_scan_matches_per_sample_check_on_faults(kind):
                 v = check_iterated(f, box, plan)
                 assert v.samples_evaluated == CHUNK + 1
                 assert v.max_drift > 0.0
+
+
+def test_only_batched_instances_are_applied_to_many_samples():
+    # fn halves one point but leaves a stack of points as it is, so it
+    # fails only when it is applied one sample at a time
+    shapes = []
+
+    def fn(x):
+        shapes.append(x.shape)
+        return x / 2.0 if x.ndim == 1 else x
+
+    box = DomainBox.uniform(-3.0, 3.0, 3)
+    plan = SamplePlan(seed=5, sample_count=CHUNK + 1)
+    by_hand = VectorInstance(get_entry("box_clamp"), fn, 3, box, {})
+    assert not by_hand.batched and instantiate("box_clamp").batched
+    for check in (check_membership, check_iterated):
+        assert _key(check(by_hand, box, plan)) == _key(check(fn, box, plan))
+        assert check(by_hand, box, plan).status is Status.FAIL
+    assert set(shapes) == {(3,)}
+    # declared batched, fn is taken at its word
+    assert check_iterated(_as_instance(fn, 3, box), box, plan).status is Status.PASS
+
+
+def test_operator_that_raises_at_the_first_sample_is_called_once():
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        raise ValueError("operator fault")
+
+    box = DomainBox.uniform(-1.0, 1.0, 2)
+    plan = SamplePlan(sample_count=CHUNK + 1)
+    assert check_iterated(fn, box, plan).status is Status.DOMAIN_ERROR
+    assert calls == [(2,)]
 
 
 def test_fail_verdict_requires_witness():
