@@ -446,6 +446,8 @@ def instantiate(name: str, **overrides):
     for key, value in overrides.items():
         if key not in params:
             raise CatalogError(f"{name} does not take parameter {key!r}")
+        if isinstance(params[key], tuple) and isinstance(value, (int, float)):
+            value = (float(value),)  # one number is a one-element vector
         params[key] = value
     try:
         built, size = builder(params)

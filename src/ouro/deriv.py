@@ -23,8 +23,7 @@ from typing import Mapping
 
 from .expr import (
     BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
-    Neg, UnboundVariableError, Undefined, Var, binary_value, call_value,
-    evaluate,
+    Neg, UnboundVariableError, Undefined, Var, _ValueSource, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -61,10 +60,10 @@ class KinkPointError(ValueError):
 #
 # Vector forward mode: every node yields (value, tangent), the tangent a
 # tuple of any width holding one directional derivative per seed direction.
-# Values come from expr.binary_value / expr.call_value, the same rules
-# evaluate applies, so the value is bit-identical to evaluate(...) by
-# construction.  This module adds only kink checks and derivative rules,
-# applied to each tangent component on its own.
+# Values come from the very statements evaluate's generated function runs,
+# so the value is bit-identical to evaluate(...) by construction.  This
+# module adds only kink checks and derivative rules, applied to each tangent
+# component on its own.
 
 Tangent = tuple[float, ...]
 
@@ -159,83 +158,87 @@ def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
     return mt if m <= hi else hit
 
 
-# The tangent interpreter of expr.Program: every closure takes (bound,
-# margin, zero), where bound maps each variable to its (value, seed) pair
-# and zero is the tangent of a constant, and returns (value, tangent).
-
-def _checked(node: Expr, inputs: tuple, t: Tangent) -> Tangent:
+def _checked_tangent(node: Expr, inputs: tuple, rule, *args) -> Tangent:
+    """rule(*args), the tangent of `node`, whose arguments' values are
+    `inputs`; raises EvalDomainError where it is undefined or not finite."""
+    try:
+        t = rule(*args)
+    except Undefined as exc:
+        raise EvalDomainError(node, inputs, str(exc)) from None
     if not all(map(math.isfinite, t)):
         raise EvalDomainError(node, inputs, "derivative is not finite")
     return t
 
 
-def _tangent_const(node: Const):
-    c = node.value
-    return lambda bound, margin, zero: (c, zero)
+class _TangentSource(_ValueSource):
+    """The source of one expression's tangent function,
+    tangent(env, seeds, margin, zero) -> (value, tangent).
 
+    seeds[j] is the tangent of the j-th free variable in order of first
+    appearance, and zero that of a constant.  Each builder returns the
+    (value, tangent) pair of local names: it emits the node's value and its
+    check through _ValueSource's own builder, then one statement for the
+    tangent, which may raise only after the value has been checked.
+    """
 
-def _tangent_var(node: Var):
-    name = node.name
-    return lambda bound, margin, zero: bound[name]
+    params = "env, seeds, margin, zero"
 
+    def __init__(self):
+        super().__init__()
+        self.namespace.update(checked_tangent=_checked_tangent, neg=_neg,
+                              call_tangent=_call_tangent)
 
-def _tangent_neg(node: Neg, operand):
-    def run(bound, margin, zero):
-        v, t = operand(bound, margin, zero)
-        return -v, _neg(t)
-    return run
+    def tangent(self, node: Expr, inputs: tuple[str, ...], rule: str,
+                *args: str) -> str:
+        out = self.fresh()
+        self.lines.append(
+            f"{out} = checked_tangent({self.bind(node)}, ({', '.join(inputs)},),"
+            f" {rule}, {', '.join(args)})")
+        return out
 
+    def const(self, node: Const):
+        return super().const(node), "zero"
 
-def _tangent_binop(node: BinOp, left, right):
-    rule = BINARY_TANGENTS[node.op]
+    def var(self, node: Var):
+        value = super().var(node)
+        # reads lists the names in order of first appearance, as seeds does
+        return value, f"seeds[{list(self.reads).index(node.name)}]"
 
-    def run(bound, margin, zero):
-        a, at = left(bound, margin, zero)
-        b, bt = right(bound, margin, zero)
-        v = binary_value(node, a, b)
-        try:
-            t = rule(a, at, b, bt, v)
-        except Undefined as exc:
-            raise EvalDomainError(node, (a, b), str(exc)) from None
-        return v, _checked(node, (a, b), t)
+    def neg(self, node: Neg, operand):
+        a, at = operand
+        v, out = super().neg(node, a), self.fresh()
+        self.lines.append(f"{out} = neg({at})")
+        return v, out
 
-    return run
+    def binop(self, node: BinOp, left, right):
+        (a, at), (b, bt) = left, right
+        v = super().binop(node, a, b)
+        rule = self.bind(BINARY_TANGENTS[node.op])
+        return v, self.tangent(node, (a, b), rule, a, at, b, bt, v)
 
+    def call(self, node: Call, *args):
+        values = tuple(a for a, _ in args)
+        v = super().call(node, *values)
+        pairs = "".join(f"({a}, {t}), " for a, t in args)
+        return v, self.tangent(node, values, "call_tangent",
+                               self.bind(node.func), f"({pairs})", v, "margin")
 
-def _tangent_call(node: Call, *args):
-    func = node.func
-
-    def run(bound, margin, zero):
-        pairs = [arg(bound, margin, zero) for arg in args]
-        inputs = tuple([a for a, _ in pairs])
-        v = call_value(node, inputs)
-        try:
-            t = _call_tangent(func, pairs, v, margin)
-        except Undefined as exc:
-            raise EvalDomainError(node, inputs, str(exc)) from None
-        return v, _checked(node, inputs, t)
-
-    return run
-
-
-_TANGENT_RULES = {Const: _tangent_const, Var: _tangent_var, Neg: _tangent_neg,
-                  BinOp: _tangent_binop, Call: _tangent_call}
+    def returns(self, result) -> str:
+        return ", ".join(result)
 
 
 def _walk(f: Expr, names: list[str], env: Mapping[str, float],
           seeds: list[Tangent], margin: float) -> tuple[float, Tangent]:
     """(value, tangent) of f at env, variable names[j] carrying seeds[j];
     raises KinkPointError within `margin` of a jump or corner."""
-    bound = {}
-    for name, seed in zip(names, seeds):
+    for name in names:
         if name not in env:
             raise UnboundVariableError(name)
         x = env[name]
         if not math.isfinite(x):
             raise EvaluationError(f"non-finite binding {name}={x!r}")
-        bound[name] = (x, seed)
     zero = _zeros(seeds[0]) if seeds else ()
-    return f.program.closure(_TANGENT_RULES)(bound, margin, zero)
+    return f.program.generated(_TangentSource)(env, seeds, margin, zero)
 
 
 def _unit_seeds(n: int) -> list[Tangent]:

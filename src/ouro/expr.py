@@ -93,8 +93,8 @@ class Expr:
         return Program(self)
 
     def __getstate__(self):
-        # the program is derived, and its closures neither pickle nor copy:
-        # a copy compiles its own
+        # the program is derived, and its generated functions neither pickle
+        # nor copy: a copy compiles its own
         state = dict(self.__dict__)
         state.pop("program", None)
         return state
@@ -330,12 +330,9 @@ def free_variables(expr: Expr) -> list[str]:
 # evaluation
 #
 # The two tables below are the only statement of what an operator or builtin
-# computes.  evaluate's generated function calls them directly (writing the
-# rules of + - * inline as the operators they are), and the tangent walk in
-# ouro.deriv reaches them through binary_value and call_value, so
-# interpreters that agree on the tree agree on every value bit for bit.  A
-# rule takes finite floats and raises Undefined outside its domain; the
-# caller names the node.
+# computes.  The generated functions call them directly (writing the rules
+# of + - * inline as the operators they are).  A rule takes finite floats
+# and raises Undefined outside its domain; the caller names the node.
 
 class Undefined(Exception):
     """A rule's inputs lie outside its domain; the message says how."""
@@ -399,37 +396,16 @@ BUILTIN_RULES = {
 }
 
 
-def binary_value(node: BinOp, a: float, b: float) -> float:
-    """Value of `node` given its operand values; raises EvalDomainError."""
-    try:
-        r = BINARY_RULES[node.op](a, b)
-    except Undefined as exc:
-        raise EvalDomainError(node, (a, b), str(exc)) from None
-    if not math.isfinite(r):
-        raise EvalDomainError(node, (a, b), "result is not finite")
-    return r
-
-
-def call_value(node: Call, vals: tuple[float, ...]) -> float:
-    """Value of `node` given its argument values; raises EvalDomainError."""
-    try:
-        r = BUILTIN_RULES[node.func](*vals)
-    except Undefined as exc:
-        raise EvalDomainError(node, vals, str(exc)) from None
-    if not math.isfinite(r):
-        raise EvalDomainError(node, vals, "result is not finite")
-    return r
-
-
 # ---------------------------------------------------------------------------
 # compiled programs
 #
 # An expression is compiled once, on first use, into a Program and kept on
-# its root node.  An interpreter is a table mapping each node type to a
-# builder(node, *child_results); _fold applies it in post-order, left to
-# right.  The value interpreter's builders emit Python source, so evaluate
-# runs one generated function per expression; ouro.deriv's tangent walk
-# builds closures.
+# its root node.  An interpreter is a source emitter: a table mapping each
+# node type to a builder(node, *child_results) that appends Python source;
+# _fold applies it in post-order, left to right, and _generate turns the
+# source into one function.  _ValueSource emits evaluate's function;
+# ouro.deriv's tangent emitter extends it, so both run the same value
+# statements.
 
 # Operators the value source writes inline instead of calling their rule;
 # a test pins that each one's rule is the matching function of `operator`.
@@ -437,7 +413,8 @@ _INLINE_OPS = ("+", "-", "*")
 
 
 class _ValueSource:
-    """The source of one expression's value function, emitted node by node.
+    """The source of one expression's value function, value(env) -> float,
+    emitted node by node.
 
     Each builder appends the statements that compute its node into a new
     local and returns that local's name.  Every node's value is checked
@@ -446,6 +423,8 @@ class _ValueSource:
     which Var has validated, and only as repr string keys; constants, nodes
     and rules are reached through the function's globals.
     """
+
+    params = "env"
 
     def __init__(self):
         self.lines: list[str] = []
@@ -508,15 +487,19 @@ class _ValueSource:
             f"    raise EvalDomainError({here}, {inputs}, 'result is not finite')"]
         return out
 
+    def returns(self, result: str) -> str:
+        """The expression the function returns, given the root's result."""
+        return result
 
-def _value_function(expr: Expr) -> Callable:
-    """The generated value function of `expr`: env -> float."""
-    source = _ValueSource()
-    result = _fold(expr, source.table)
+
+def _generate(expr: Expr, emitter: type[_ValueSource]) -> Callable:
+    """The function `emitter` generates from `expr`, taking its params."""
+    source = emitter()
+    result = source.returns(_fold(expr, source.table))
     body = "".join(f"    {line}\n" for line in [*source.lines, f"return {result}"])
-    exec(compile(f"def value(env):\n{body}", "<ouro.expr program>", "exec"),
-         source.namespace)
-    return source.namespace["value"]
+    exec(compile(f"def run({source.params}):\n{body}", "<ouro.expr program>",
+                 "exec"), source.namespace)
+    return source.namespace["run"]
 
 
 def _fold(node: Expr, rules: Mapping[type, Callable]):
@@ -531,21 +514,20 @@ class Program:
     is the generated value function: evaluate without the binding check.
     """
 
-    __slots__ = ("expr", "names", "value", "_closures")
+    __slots__ = ("expr", "names", "value", "_generated")
 
     def __init__(self, expr: Expr):
         self.expr = expr
         self.names = tuple(free_variables(expr))
-        self.value = _value_function(expr)
-        self._closures: dict[int, Callable] = {}
+        self.value = _generate(expr, _ValueSource)
+        self._generated: dict[type, Callable] = {}
 
-    def closure(self, rules: Mapping[type, Callable]) -> Callable:
-        """The closure another interpreter makes of this program, built on
-        first use and kept.  Interpreter tables are module constants, so
-        the table's id names it for the program's lifetime."""
-        run = self._closures.get(id(rules))
+    def generated(self, emitter: type[_ValueSource]) -> Callable:
+        """The function another emitter generates from this program, built
+        on first use and kept."""
+        run = self._generated.get(emitter)
         if run is None:
-            run = self._closures[id(rules)] = _fold(self.expr, rules)
+            run = self._generated[emitter] = _generate(self.expr, emitter)
         return run
 
 

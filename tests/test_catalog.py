@@ -142,6 +142,15 @@ def test_weighted_mean_values_and_validation():
         instantiate("weighted_mean", w=(-0.2, 1.2))
 
 
+def test_one_number_is_a_one_element_vector_parameter():
+    for a in (2, 2.0):
+        inst = instantiate("hyperplane_projection", a=a)
+        assert inst.params["a"] == (2.0,) and inst.dim == 1
+        assert inst(np.array([5.0])).tolist() == [0.5]  # onto 2x = 1
+    with pytest.raises(CatalogError, match="needs at least two weights"):
+        instantiate("weighted_mean", w=1)
+
+
 def test_positive_families_use_the_positive_box():
     for name in ("geo_mean", "harmonic_mean", "power_mean"):
         assert instantiate(name).box.interval == POSITIVE_INTERVAL

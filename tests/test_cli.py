@@ -79,6 +79,19 @@ def test_check_vector_catalog_target():
     assert doc["overall"] == "PASS"
 
 
+def test_one_number_is_a_one_element_vector_parameter():
+    r = run_cli("check", "--catalog", "hyperplane_projection", "--params", "a=2",
+                "--samples", "8", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["target"]["params"] == {"a": [2.0], "b": 1.0}
+    assert len(doc["box"]) == 1  # the d = 1 hyperplane 2x = 1
+    assert doc["overall"] == "PASS"
+    r = run_cli("check", "--catalog", "weighted_mean", "--params", "w=1")
+    assert r.returncode == 2
+    assert r.stderr == "ouro: error: weighted_mean needs at least two weights\n"
+
+
 @pytest.mark.parametrize("name, box, code, overall", [
     # x.x overflows a double there: each sample projects onto the sphere
     ("l2_ball_projection", "--box=-1e200:1e200", 0, "overall: PASS"),

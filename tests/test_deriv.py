@@ -10,14 +10,14 @@ from test_acceptance import _random_ast
 
 from ouro.deriv import (
     BINARY_TANGENTS, GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY,
-    KinkPointError, _unit_seeds, _walk, check_unity, dual_eval, fd_partial,
-    gradient, unity_sweep,
+    KinkPointError, _call_tangent, _unit_seeds, _walk, check_unity, dual_eval,
+    fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
-    BINARY_RULES, BinOp, Const, EvalDomainError, Neg, Var, evaluate,
-    free_variables, parse,
+    BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError, Neg, Undefined,
+    Var, evaluate, free_variables, parse,
 )
-from ouro.verify import DomainBox, SamplePlan, Status
+from ouro.verify import DomainBox, SamplePlan, Status, check_iterated, check_membership
 
 PLAN = SamplePlan()
 
@@ -282,6 +282,107 @@ def test_vector_tangent_matches_per_coordinate_duals():
         assert tangent == grad
         assert value == evaluate(f, env)
     assert completed >= 500
+
+
+def _tangent_oracle(node, bound, margin, zero):
+    """The recursive closure walk the generated tangent function replaced,
+    kept as the slow reference: it reads BINARY_RULES / BUILTIN_RULES and
+    BINARY_TANGENTS / _call_tangent directly.  bound maps each variable to
+    its (value, seed) pair."""
+    if isinstance(node, Const):
+        return node.value, zero
+    if isinstance(node, Var):
+        return bound[node.name]
+    pairs = [_tangent_oracle(child, bound, margin, zero)
+             for child in node.children()]
+    if isinstance(node, Neg):
+        (v, t), = pairs
+        return -v, tuple([-d for d in t])
+    inputs = tuple([v for v, _ in pairs])
+    if isinstance(node, BinOp):
+        rule = BINARY_RULES[node.op]
+        (a, at), (b, bt) = pairs
+        tangent = lambda v: BINARY_TANGENTS[node.op](a, at, b, bt, v)
+    else:
+        rule = BUILTIN_RULES[node.func]
+        tangent = lambda v: _call_tangent(node.func, pairs, v, margin)
+    try:
+        v = rule(*inputs)
+    except Undefined as exc:
+        raise EvalDomainError(node, inputs, str(exc)) from None
+    if not math.isfinite(v):
+        raise EvalDomainError(node, inputs, "result is not finite")
+    try:
+        t = tangent(v)
+    except Undefined as exc:
+        raise EvalDomainError(node, inputs, str(exc)) from None
+    if not all(map(math.isfinite, t)):
+        raise EvalDomainError(node, inputs, "derivative is not finite")
+    return v, t
+
+
+def _bits(fn):
+    try:
+        v, t = fn()
+    except ValueError as exc:  # KinkPointError and EvalDomainError
+        return type(exc), str(exc), getattr(exc, "node", None)
+    return v.hex(), tuple([d.hex() for d in t])  # -0.0 included
+
+
+def _walk_against_oracle(f, env, seeds, margin):
+    """_walk's outcome, asserted equal to the oracle's: the value and tangent
+    bits, or the exception's class, message and very node."""
+    names = free_variables(f)
+    # with no variable there are no seeds, and _walk's zero is ()
+    zero = (0.0,) * len(seeds[0]) if seeds else ()
+    bound = {name: (env[name], seed) for name, seed in zip(names, seeds)}
+    got = _bits(lambda: _walk(f, names, env, seeds, margin))
+    want = _bits(lambda: _tangent_oracle(f, bound, margin, zero))
+    assert got == want, (f, env, seeds, margin)
+    if isinstance(want[0], type):  # the very node, not an equal one
+        assert got[2] is want[2]
+    return want
+
+
+def test_generated_tangent_matches_the_closure_walk_oracle():
+    rng = random.Random(20261020)
+    pool = (0.0, 1.0, -1.0, 2.0, 0.5, -0.5)
+    kinds = {}
+    for _ in range(2000):
+        f = _random_ast(rng, 6)
+        names = free_variables(f)
+        env = {name: (rng.choice(pool) if rng.random() < 0.2
+                      else rng.uniform(-4.0, 4.0)) for name in names}
+        width = rng.choice((0, 1, len(names)))
+        seeds = [tuple([rng.choice((0.0, 1.0, rng.uniform(-2.0, 2.0)))
+                        for _ in range(width)]) for _ in names]
+        want = _walk_against_oracle(f, env, seeds,
+                                    rng.choice((0.0, 1e-7, 0.05)))
+        kind = want[0].__name__ if isinstance(want[0], type) else "value"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["value"] >= 1000, kinds
+    assert kinds["KinkPointError"] >= 300, kinds
+    assert kinds["EvalDomainError"] >= 200, kinds
+    # faults that random points on random trees almost never reach
+    for source, x, detail in [
+            ("exp(x^2)", 26.63, "derivative is not finite"),
+            ("ln(x)", 1e-310, "derivative is not finite"),
+            ("1 / x", 1e-310, "result is not finite"),
+            ("sqrt(x)", 0.0, "derivative of sqrt at zero"),
+            ("x^x", -1.0, "varying exponent needs a positive base")]:
+        want = _walk_against_oracle(parse(source), {"x": x}, [(1.0,)], 0.0)
+        assert want[0] is EvalDomainError and want[1].startswith(detail)
+
+
+def test_value_checks_build_no_tangent_function():
+    # Only derivative calls generate the tangent function, on first use.
+    f = parse("(x1 + x2) / 2")
+    box, plan = DomainBox.uniform(-1.0, 1.0, 2), SamplePlan(sample_count=16)
+    assert check_membership(f, box, plan).status is Status.PASS
+    assert check_iterated(f, box, plan).status is Status.PASS
+    assert f.program._generated == {}
+    gradient(f, {"x1": 0.25, "x2": 0.5})
+    assert len(f.program._generated) == 1
 
 
 def test_every_operator_has_a_tangent_rule():

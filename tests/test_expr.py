@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
+from ouro.deriv import _TangentSource
 from ouro.expr import (
     BINARY_RULES, BUILTIN_RULES, BinOp, Call, Const, EvalDomainError, Neg,
     ParseError, UnboundVariableError, Undefined, Var, _fold, _ValueSource,
@@ -278,15 +279,19 @@ def test_inlined_operators_are_their_rules():
 
 
 def test_generated_source_holds_only_variable_names():
-    # Constants, nodes and rules reach the value function through its
-    # globals; the only user text in its source is a validated name.
+    # Constants, nodes, builtin names and rules reach the value and tangent
+    # functions through their globals; the only user text in their source
+    # is a validated name.
     e = parse("x_1 * 12345.5 + ln(x_1) / 6789e-3")
-    source = _ValueSource()
-    _fold(e, source.table)
-    text = "\n".join(source.lines)
-    assert "12345" not in text and "6789" not in text
-    assert text.count("'x_1'") == 2  # one read and the error it may raise
-    assert 12345.5 in source.namespace.values()
+    for emitter in (_ValueSource, _TangentSource):
+        source = emitter()
+        _fold(e, source.table)
+        text = "\n".join(source.lines)
+        assert "12345" not in text and "6789" not in text
+        assert "'ln'" not in text
+        assert text.count("'x_1'") == 2  # one read and the error it may raise
+        assert 12345.5 in source.namespace.values()
+    assert "ln" in source.namespace.values()  # the tangent's builtin name
 
 
 @pytest.mark.parametrize("source, canonical", [

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import pytest
+from test_acceptance import _brute_idempotent
 
 from ouro.finite import (
     COUNT_LIMIT, ENUMERATION_LIMIT, FiniteEndofunction, count_idempotent,
@@ -49,7 +50,7 @@ def test_closed_form_counts():
 
 def test_enumeration_counts_match_brute_force():
     for m in range(1, 6):
-        maps = enumerate_idempotent(m, mode="brute")
+        maps = _brute_idempotent(m)
         assert len(maps) == KNOWN_COUNTS[m]
         assert all(is_idempotent(f) for f in maps)
 
@@ -64,8 +65,8 @@ def test_m3_listing_is_exactly_the_ten_maps():
 
 def test_constructive_equals_brute():
     for m in range(1, 6):
-        brute = enumerate_idempotent(m, mode="brute")
-        constructive = enumerate_idempotent(m, mode="constructive")
+        brute = _brute_idempotent(m)
+        constructive = enumerate_idempotent(m)
         assert brute == constructive
 
 
@@ -85,8 +86,6 @@ def test_enumeration_limits():
         enumerate_idempotent(0)
     with pytest.raises(ValueError):
         enumerate_idempotent(ENUMERATION_LIMIT + 1)
-    with pytest.raises(ValueError):
-        enumerate_idempotent(3, mode="magic")
 
 
 def test_image_fixing_is_equivalent_to_idempotence():
