@@ -74,10 +74,10 @@ class ScalarInstance:
 class VectorInstance:
     """A vector operator fn: R^dim -> R^dim.
 
-    batched says that fn also takes an array of shape (..., dim) and maps
-    each row exactly as it maps that row alone, so verify may apply it to
-    many samples in one call.  instantiate sets it for the catalog's
-    operators; an instance built without it is applied one sample at a time.
+    fn also takes an array of shape (..., dim) and maps each row exactly as
+    it maps that row alone, as every catalog operator does, so verify
+    applies an instance to a chunk of samples in one call.  A plain callable
+    is checked one sample at a time instead.
     """
 
     entry: CatalogEntry
@@ -85,7 +85,6 @@ class VectorInstance:
     dim: int
     box: DomainBox
     params: dict
-    batched: bool = field(default=False, compare=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
@@ -457,5 +456,5 @@ def instantiate(name: str, **overrides):
         raise CatalogError(f"bad parameters for {name}: {exc}") from None
     box = DomainBox.uniform(entry.interval[0], entry.interval[1], size)
     if entry.kind == _V:
-        return VectorInstance(entry, built, size, box, params, batched=True)
+        return VectorInstance(entry, built, size, box, params)
     return ScalarInstance(entry, built, size, box, params)

@@ -7,9 +7,9 @@ Subcommands:
     ouro enumerate  idempotent self-maps of a finite domain
     ouro catalog    list the built-in function families
 
-Exit codes: 0 all checks passed (DEGENERATE counts as a pass with a warning
-unless --strict-degenerate), 1 any FAIL, 2 usage or configuration error,
-3 evaluation/domain error.
+Exit codes: 0 all checks passed (DEGENERATE counts as a pass, and overall
+reads DEGENERATE, unless derive --strict-degenerate), 1 any FAIL, 2 usage or
+configuration error, 3 evaluation/domain error.
 
 Every subcommand builds one report document, the JSON one; --format json
 prints it and the text and csv renderers read only it, so every format
@@ -72,6 +72,13 @@ def _parse_param(text: str) -> tuple[str, object]:
         raise UsageError(f"bad --params value {value!r}") from None
 
 
+def _parse_weights(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"bad --w: {text!r}") from None
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -101,7 +108,8 @@ _OPTIONS = (
     ("n", _TARGET, None,
      {"type": int, "help": "argument count for multivariate entries"}),
     ("w", _TARGET, None,
-     {"metavar": "W1,W2,...", "help": "weights for weighted_mean"}),
+     {"type": _parse_weights, "metavar": "W1,W2,...",
+      "help": "weights for weighted_mean"}),
     ("params", _TARGET, (),
      {"action": "append", "type": _parse_param, "metavar": "KEY=VALUE",
       "help": "entry parameter (repeatable)"}),
@@ -113,8 +121,8 @@ _OPTIONS = (
     ("seed", _TARGET, _PLAN.seed, {"type": int, "help": "sampling seed"}),
     ("atol", _TARGET, _PLAN.atol, {"type": float, "help": "absolute tolerance"}),
     ("rtol", _TARGET, _PLAN.rtol, {"type": float, "help": "relative tolerance"}),
-    ("kmax", _TARGET, _PLAN.k_max, {"type": int, "help": "iterated-check depth"}),
-    ("kink_margin", _TARGET, _PLAN.kink_margin,
+    ("kmax", ("check",), _PLAN.k_max, {"type": int, "help": "iterated-check depth"}),
+    ("kink_margin", ("derive",), _PLAN.kink_margin,
      {"type": float, "help": "distance treated as touching a kink"}),
     ("m", ("enumerate",), None, {"type": int, "help": "domain size"}),
     ("count_only", ("enumerate",), False,
@@ -133,7 +141,7 @@ _OPTIONS = (
      {"choices": tuple(TOL_UNITY), "help": "derivative backend"}),
     ("skip_membership", ("derive",), False,
      {"action": "store_true", "help": "skip the membership precondition check"}),
-    ("strict_degenerate", _TARGET, False,
+    ("strict_degenerate", ("derive",), False,
      {"action": "store_true", "help": "treat DEGENERATE results as failures"}),
 )
 
@@ -240,14 +248,7 @@ def _resolve_target(o: dict):
             raise UsageError("expression must mention at least one variable")
         box, doc = _resolve_box(o, arity, None), {}
     else:
-        params = {}
-        if o["n"] is not None:
-            params["n"] = o["n"]
-        if o["w"]:
-            try:
-                params["w"] = tuple(float(p) for p in o["w"].split(","))
-            except ValueError:
-                raise UsageError(f"bad --w: {o['w']!r}") from None
+        params = {dest: o[dest] for dest in ("n", "w") if o[dest] is not None}
         params.update(o["params"])
         try:
             inst = _catalog.instantiate(o["catalog"], **params)
@@ -288,11 +289,13 @@ def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
 
 
 def _resolve_plan(o: dict) -> SamplePlan:
-    # SamplePlan field -> the option that sets it; an error names the flag
+    # SamplePlan field -> the option that sets it, if the command has that
+    # option (else the field keeps its default); an error names the flag
     fields = {"seed": "seed", "sample_count": "samples", "atol": "atol",
               "rtol": "rtol", "kink_margin": "kink_margin", "k_max": "kmax"}
     try:
-        return SamplePlan(**{field: o[dest] for field, dest in fields.items()})
+        return SamplePlan(**{field: o[dest] for field, dest in fields.items()
+                             if dest in o})
     except ValueError as exc:  # every message starts with the field
         field, _, rest = str(exc).partition(" ")
         flag = "--" + fields[field].replace("_", "-")
@@ -473,7 +476,7 @@ def _overall_status(statuses: list[Status]) -> Status:
     return Status.PASS
 
 
-def _status_exit(overall: Status, strict_degenerate: bool) -> int:
+def _status_exit(overall: Status, strict_degenerate: bool = False) -> int:
     if overall is Status.FAIL:
         return 1
     if overall is Status.DOMAIN_ERROR:
@@ -495,7 +498,7 @@ def cmd_check(o: dict) -> int:
                     "membership": _verdict_doc(membership),
                     "iterated": _verdict_doc(iterated),
                     "overall": overall}, o)
-    return _status_exit(overall, o["strict_degenerate"])
+    return _status_exit(overall)
 
 
 def cmd_derive(o: dict) -> int:

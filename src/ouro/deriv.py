@@ -174,11 +174,11 @@ class _TangentSource(_ValueSource):
     """The source of one expression's tangent function,
     tangent(env, seeds, margin, zero) -> (value, tangent).
 
-    seeds[j] is the tangent of the j-th free variable in order of first
-    appearance, and zero that of a constant.  Each builder returns the
-    (value, tangent) pair of local names: it emits the node's value and its
-    check through _ValueSource's own builder, then one statement for the
-    tangent, which may raise only after the value has been checked.
+    seeds[j] is the tangent of the j-th variable read, Program.names[j], and
+    zero that of a constant.  Each builder returns the (value, tangent) pair
+    of local names: it emits the node's value and its check through
+    _ValueSource's own builder, then one statement for the tangent, which
+    may raise only after the value has been checked.
     """
 
     params = "env, seeds, margin, zero"
@@ -187,6 +187,7 @@ class _TangentSource(_ValueSource):
         super().__init__()
         self.namespace.update(checked_tangent=_checked_tangent, neg=_neg,
                               call_tangent=_call_tangent)
+        self.seeds: dict[str, str] = {}
 
     def tangent(self, node: Expr, inputs: tuple[str, ...], rule: str,
                 *args: str) -> str:
@@ -200,9 +201,8 @@ class _TangentSource(_ValueSource):
         return super().const(node), "zero"
 
     def var(self, node: Var):
-        value = super().var(node)
-        # reads lists the names in order of first appearance, as seeds does
-        return value, f"seeds[{list(self.reads).index(node.name)}]"
+        return super().var(node), self.seeds.setdefault(
+            node.name, f"seeds[{len(self.seeds)}]")
 
     def neg(self, node: Neg, operand):
         a, at = operand
@@ -263,26 +263,34 @@ def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
     return value, deriv
 
 
-def fd_partial(f: Expr, env: Mapping[str, float], i: int,
-               h: float | None = None) -> float:
-    """Central-difference estimate of d f / d x_i at `env`.
+def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
+    """Central-difference estimate of d f / d x_i at `env`, with step
+    h = 1e-6 * max(1, |x_i|).
 
-    Default step is 1e-6 * max(1, |x_i|).  Both probe points must stay
-    inside the candidate's domain and away from kinks; this is the caller's
-    responsibility (the step is not validated against the box).
+    Where one probe, x_i + h or x_i - h, raises EvalDomainError, the
+    one-sided difference on the other side is taken; where both do, the
+    upper probe's error propagates.  Keeping the probes away from kinks is
+    the caller's part (the step is not validated against the box).
     """
     names = f.program.names
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     name = names[i]
     x = env[name]
-    if h is None:
-        h = 1e-6 * max(1.0, abs(x))
-    probe = dict(env)
-    probe[name] = x + h
-    hi = evaluate(f, probe)
-    probe[name] = x - h
-    return (hi - evaluate(f, probe)) / (2.0 * h)
+    h = 1e-6 * max(1.0, abs(x))
+    probe, ends, errors = dict(env), [], []
+    for step in (h, -h):
+        probe[name] = x + step
+        try:
+            ends.append((step, evaluate(f, probe)))
+        except EvalDomainError as exc:
+            errors.append(exc)
+    if not ends:
+        raise errors[0]
+    if errors:  # x itself stands in for the probe that left the domain
+        ends.append((0.0, evaluate(f, env)))
+    (s0, y0), (s1, y1) = ends
+    return (y0 - y1) / (s0 - s1)
 
 
 def _value_and_gradient(f: Expr, names: list[str], env: Mapping[str, float],
@@ -336,18 +344,18 @@ class UnitySweep:
 
 
 def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
-                method: str = "dual", *, tol: float | None = None) -> UnityReport:
+                method: str = "dual") -> UnityReport:
     """Evaluate both unity claims for f at one point.
 
     DEGENERATE (for both claims) when |grad f(x)| is below the floor --
     there the differentiated identity is vacuous -- or when the diagonal
     point is a kink, where the partials do not exist.  Raises
-    KinkPointError if x itself sits on a kink of the outer gradient.
+    KinkPointError if x itself sits on a kink of the outer gradient.  Both
+    claims are compared at TOL_UNITY[method].
     """
     if method not in TOL_UNITY:
         raise ValueError(f"unknown method {method!r}")
-    if tol is None:
-        tol = TOL_UNITY[method]
+    tol = TOL_UNITY[method]
     names = f.program.names
     n = len(names)
     if n == 0:

@@ -314,16 +314,7 @@ def parse(source: str) -> Expr:
 
 def free_variables(expr: Expr) -> list[str]:
     """Free variable names in order of first appearance."""
-    seen: list[str] = []
-
-    def walk(node: Expr):
-        if isinstance(node, Var) and node.name not in seen:
-            seen.append(node.name)
-        for child in node.children():
-            walk(child)
-
-    walk(expr)
-    return seen
+    return list(expr.program.names)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +483,16 @@ class _ValueSource:
         return result
 
 
-def _generate(expr: Expr, emitter: type[_ValueSource]) -> Callable:
-    """The function `emitter` generates from `expr`, taking its params."""
+def _generate(expr: Expr, emitter: type[_ValueSource]
+              ) -> tuple[Callable, tuple[str, ...]]:
+    """The function `emitter` generates from `expr`, taking its params, and
+    the variable names it reads, in order of first read."""
     source = emitter()
     result = source.returns(_fold(expr, source.table))
     body = "".join(f"    {line}\n" for line in [*source.lines, f"return {result}"])
     exec(compile(f"def run({source.params}):\n{body}", "<ouro.expr program>",
                  "exec"), source.namespace)
-    return source.namespace["run"]
+    return source.namespace["run"], tuple(source.reads)
 
 
 def _fold(node: Expr, rules: Mapping[type, Callable]):
@@ -510,16 +503,16 @@ def _fold(node: Expr, rules: Mapping[type, Callable]):
 class Program:
     """An expression compiled once.
 
-    names are its free variables in order of first appearance.  value(env)
-    is the generated value function: evaluate without the binding check.
+    names are its free variables in order of first appearance, the order
+    in which the generated value function reads them.  value(env) is that
+    function: evaluate without the binding check.
     """
 
     __slots__ = ("expr", "names", "value", "_generated")
 
     def __init__(self, expr: Expr):
         self.expr = expr
-        self.names = tuple(free_variables(expr))
-        self.value = _generate(expr, _ValueSource)
+        self.value, self.names = _generate(expr, _ValueSource)
         self._generated: dict[type, Callable] = {}
 
     def generated(self, emitter: type[_ValueSource]) -> Callable:
@@ -527,7 +520,7 @@ class Program:
         on first use and kept."""
         run = self._generated.get(emitter)
         if run is None:
-            run = self._generated[emitter] = _generate(self.expr, emitter)
+            run = self._generated[emitter] = _generate(self.expr, emitter)[0]
         return run
 
 

@@ -262,12 +262,13 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     failing at the first k with |t_k - t_1| > atol + rtol*|t_1|.
     Membership is depth 2 plus range containment of t_1 (DSL targets only);
     the iterated check runs to k_max and keeps the largest drift seen.  A
-    batched vector operator is checked in chunks; every other target
-    sample by sample.
+    VectorInstance is checked in chunks; every other target sample by
+    sample.
     """
+    from .catalog import VectorInstance  # catalog imports this module
     kind = _target_kind(f, domain)
     max_drift = None if membership else 0.0
-    if _is_batched(f):
+    if isinstance(f, VectorInstance):
         verdict, max_drift = _scan_operator(f, kind, domain, plan, membership,
                                             max_drift)
     else:
@@ -321,21 +322,13 @@ def _sweep(f: Target, kind, domain: DomainBox, plan: SamplePlan,
     return None, max_drift
 
 
-def _is_batched(f: Target) -> bool:
-    if isinstance(f, Expr):
-        return False
-    from .catalog import VectorInstance  # catalog imports this module
-    return isinstance(f, VectorInstance) and f.batched
-
-
-_CHUNK = 256  # rows of a batched operator's scan that share one call per step
+_CHUNK = 256  # rows of an instance's scan that share one call per step
 
 
 def _scan_operator(f: VectorInstance, kind, domain: DomainBox,
                    plan: SamplePlan, membership: bool,
                    max_drift: float | None):
-    """_sweep's result for a batched vector operator, computed a chunk at a
-    time.
+    """_sweep's result for a VectorInstance, computed a chunk at a time.
 
     Each chunk of samples is screened by _first_event, in one operator call
     per step and with no numpy warning, and _sweep replays the chunk from

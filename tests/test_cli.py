@@ -3,7 +3,10 @@
 The option-table tests also call the parser and the config loader of
 `ouro.cli` in-process, to compare the options they produce."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -150,12 +153,13 @@ def test_check_rejects_nan_tolerance():
     assert r.returncode == 2
     assert "finite and non-negative" in r.stderr
     # a plan error names the flag, not the SamplePlan field
-    for flag, value, message in [
-            ("--samples", "0", "--samples must be positive"),
-            ("--kmax", "1", "--kmax must be at least 2"),
-            ("--atol", "nan", "--atol must be finite and non-negative"),
-            ("--kink-margin", "-1", "--kink-margin must be finite and non-negative")]:
-        r = run_cli("check", "--expr", "x", flag, value)
+    for command, flag, value, message in [
+            ("check", "--samples", "0", "--samples must be positive"),
+            ("check", "--kmax", "1", "--kmax must be at least 2"),
+            ("check", "--atol", "nan", "--atol must be finite and non-negative"),
+            ("derive", "--kink-margin", "-1",
+             "--kink-margin must be finite and non-negative")]:
+        r = run_cli(command, "--expr", "x", flag, value)
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == f"ouro: error: {message}\n"
@@ -176,6 +180,13 @@ def test_catalog_flags_are_rejected_with_expr(args, flag):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == f"ouro: error: {flag} cannot be used with --expr\n"
+
+
+def test_bad_weights_name_the_flag():
+    r = run_cli("check", "--catalog", "weighted_mean", "--w", "abc")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "ouro: error: bad --w: 'abc'\n"
 
 
 def test_check_sample_options():
@@ -294,6 +305,15 @@ def test_derive_fd_method():
     doc = json.loads(r.stdout)
     assert doc["method"] == "fd"
     assert all(rep["tol"] == 1e-4 for rep in doc["reports"])
+
+
+def test_derive_fd_at_a_domain_edge_differences_one_side():
+    # x - h leaves sqrt's domain, so fd looks up only, as dual needs not
+    for method in ("dual", "fd"):
+        r = run_cli("derive", "--expr", "sqrt(x)^2", "--box", "0:1",
+                    "--method", method, "--point", "1e-8", "--format", "json")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["reports"][0]["sum_to_one"] == "PASS"
 
 
 def test_derive_sweep_domain_fault_exits_3():
@@ -572,6 +592,7 @@ def test_config_rejects_bad_values(tmp_path):
     ("params = d=x", ("check", "--catalog", "simplex_projection")),
     ("box = 1:2:3", ("check", "--expr", "abs(x)")),
     ("box = 0:1 a:b", ("check", "--expr", "abs(x)")),
+    ("w = abc", ("check", "--catalog", "weighted_mean")),
 ])
 def test_config_bad_value_message(tmp_path, line, args):
     cfg = tmp_path / "ouro.cfg"
@@ -623,6 +644,119 @@ def test_help_lists_each_option_once(command):
     expected = ["--" + dest.replace("_", "-")
                 for dest, commands, _, _ in cli._OPTIONS if command in commands]
     assert sorted(listed) == sorted(expected)
+
+
+# For every (command, dest) of cli._OPTIONS except config: an argv without
+# the option, and the arguments that add it.
+JSON = ["--format", "json"]
+PROBES = {
+    ("check", "expr"): (["check", "--samples", "8", *JSON], ["--expr", "x"]),
+    ("check", "catalog"): (["check", "--samples", "8", *JSON],
+                           ["--catalog", "abs"]),
+    ("check", "n"): (["check", "--catalog", "arith_mean", "--samples", "8", *JSON],
+                     ["--n", "4"]),
+    ("check", "w"): (["check", "--catalog", "weighted_mean", "--samples", "8",
+                      *JSON], ["--w", "0.1,0.9"]),
+    ("check", "params"): (["check", "--catalog", "power_mean", "--samples", "8",
+                           *JSON], ["--params", "p=3"]),
+    ("check", "box"): (["check", "--expr", "abs(x)", "--samples", "8", *JSON],
+                       ["--box", "0:1"]),
+    ("check", "samples"): (["check", "--expr", "abs(x)", *JSON],
+                           ["--samples", "8"]),
+    ("check", "seed"): (["check", "--expr", "x / 2", "--samples", "8", *JSON],
+                        ["--seed", "7"]),
+    ("check", "atol"): (["check", "--expr", "x+1e-8", *JSON], ["--atol", "1e-6"]),
+    ("check", "rtol"): (["check", "--expr", "x+1e-8", *JSON], ["--rtol", "1e-3"]),
+    ("check", "kmax"): (["check", "--expr", "x+1e-10", *JSON], ["--kmax", "4"]),
+    ("check", "format"): (["check", "--expr", "abs(x)", "--samples", "8"], JSON),
+    ("check", "out"): (["check", "--expr", "abs(x)", "--samples", "8", *JSON],
+                       ["--out", os.devnull]),
+    ("check", "timestamp"): (["check", "--expr", "abs(x)", "--samples", "8",
+                              *JSON], ["--timestamp"]),
+    ("derive", "expr"): (["derive", "--point", "0.5", *JSON], ["--expr", "x"]),
+    ("derive", "catalog"): (["derive", "--point", "0.5", *JSON],
+                            ["--catalog", "abs"]),
+    ("derive", "n"): (["derive", "--catalog", "arith_mean", "--samples", "4",
+                       *JSON], ["--n", "4"]),
+    ("derive", "w"): (["derive", "--catalog", "weighted_mean", "--samples", "4",
+                       *JSON], ["--w", "0.1,0.9"]),
+    ("derive", "params"): (["derive", "--catalog", "power_mean", "--samples", "4",
+                            *JSON], ["--params", "p=3"]),
+    ("derive", "box"): (["derive", "--expr", "x", "--samples", "4", *JSON],
+                        ["--box", "0:1"]),
+    ("derive", "samples"): (["derive", "--expr", "x", *JSON], ["--samples", "4"]),
+    ("derive", "seed"): (["derive", "--expr", "x", "--samples", "4", *JSON],
+                         ["--seed", "7"]),
+    ("derive", "atol"): (["derive", "--expr", "x+1e-8", "--samples", "4", *JSON],
+                         ["--atol", "1e-6"]),
+    ("derive", "rtol"): (["derive", "--expr", "x+1e-8", "--samples", "4", *JSON],
+                         ["--rtol", "1e-3"]),
+    ("derive", "kink_margin"): (["derive", "--catalog", "abs", "--samples", "64",
+                                 *JSON], ["--kink-margin", "0.5"]),
+    ("derive", "format"): (["derive", "--expr", "x", "--point", "0.5"], JSON),
+    ("derive", "out"): (["derive", "--expr", "x", "--point", "0.5", *JSON],
+                        ["--out", os.devnull]),
+    ("derive", "timestamp"): (["derive", "--expr", "x", "--point", "0.5", *JSON],
+                              ["--timestamp"]),
+    ("derive", "point"): (["derive", "--expr", "x", "--samples", "4", *JSON],
+                          ["--point", "0.5"]),
+    ("derive", "method"): (["derive", "--expr", "x", "--point", "0.5", *JSON],
+                           ["--method", "fd"]),
+    ("derive", "skip_membership"): (["derive", "--expr", "x / 2", "--samples", "4",
+                                     *JSON], ["--skip-membership"]),
+    ("derive", "strict_degenerate"): (["derive", "--catalog", "median",
+                                       "--samples", "8", *JSON],
+                                      ["--strict-degenerate"]),
+    ("enumerate", "m"): (["enumerate", *JSON], ["--m", "3"]),
+    ("enumerate", "count_only"): (["enumerate", "--m", "3", *JSON],
+                                  ["--count-only"]),
+    ("enumerate", "format"): (["enumerate", "--m", "3"], JSON),
+    ("enumerate", "out"): (["enumerate", "--m", "3", *JSON], ["--out", os.devnull]),
+    ("enumerate", "timestamp"): (["enumerate", "--m", "3", *JSON],
+                                 ["--timestamp"]),
+    ("catalog", "format"): (["catalog"], JSON),
+    ("catalog", "out"): (["catalog", *JSON], ["--out", os.devnull]),
+    ("catalog", "timestamp"): (["catalog", *JSON], ["--timestamp"]),
+}
+
+
+def _outcome(argv):
+    """The exit code and stdout of one in-process run, stdout as its JSON
+    document without the plan echo when it is one."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    try:
+        doc = json.loads(out.getvalue())
+    except ValueError:
+        return code, out.getvalue()
+    doc.pop("plan", None)
+    return code, doc
+
+
+def test_every_option_changes_its_command():
+    assert set(PROBES) == {(command, dest) for dest, commands, _, _ in cli._OPTIONS
+                           for command in commands if dest != "config"}
+    for (command, dest), (argv, option) in PROBES.items():
+        assert "--" + dest.replace("_", "-") in option
+        assert _outcome(argv) != _outcome(argv + option), (command, dest)
+
+
+@pytest.mark.parametrize("command, dest, value", [
+    ("check", "kink_margin", "0.1"), ("check", "strict_degenerate", None),
+    ("derive", "kmax", "4")])
+def test_options_a_command_never_reads_are_not_accepted(tmp_path, command,
+                                                        dest, value):
+    flag = ["--" + dest.replace("_", "-")] + ([] if value is None else [value])
+    r = run_cli(command, "--expr", "x", *flag)
+    assert r.returncode == 2
+    assert "unrecognized arguments" in r.stderr
+    cfg = tmp_path / "ouro.cfg"
+    cfg.write_text(f"{dest} = {'true' if value is None else value}\n")
+    r = run_cli(command, "--expr", "x", "--config", str(cfg))
+    assert r.returncode == 2
+    assert r.stderr == f"ouro: error: {cfg}:1: unknown config key {dest!r}\n"
 
 
 def test_missing_config_file():

@@ -441,8 +441,8 @@ def _assert_chunked_scan_matches(f, box, plan):
 
 
 def _as_instance(fn, d, box):
-    # a batched instance around fn; the scan reads only fn, through __call__
-    return VectorInstance(get_entry("box_clamp"), fn, d, box, {}, batched=True)
+    # an instance around fn; the scan reads only fn, through __call__
+    return VectorInstance(get_entry("box_clamp"), fn, d, box, {})
 
 
 SAMPLE_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
@@ -493,7 +493,7 @@ def test_chunked_scan_matches_per_sample_check_on_faults(kind):
     for count in SAMPLE_COUNTS:
         plan = SamplePlan(seed=7, sample_count=count)
         fn = _faulting(kind, np.array(box.sample_point(plan.seed, CHUNK)))
-        for f in (_as_instance(fn, 3, box), fn):  # batched, and per sample
+        for f in (_as_instance(fn, 3, box), fn):  # chunked, and per sample
             statuses = _assert_chunked_scan_matches(f, box, plan)
             faulted = count > CHUNK
             assert statuses == [Status.DOMAIN_ERROR if faulted else Status.PASS] * 2
@@ -514,14 +514,14 @@ def test_only_batched_instances_are_applied_to_many_samples():
 
     box = DomainBox.uniform(-3.0, 3.0, 3)
     plan = SamplePlan(seed=5, sample_count=CHUNK + 1)
-    by_hand = VectorInstance(get_entry("box_clamp"), fn, 3, box, {})
-    assert not by_hand.batched and instantiate("box_clamp").batched
+    # a plain callable is applied one sample at a time
     for check in (check_membership, check_iterated):
-        assert _key(check(by_hand, box, plan)) == _key(check(fn, box, plan))
-        assert check(by_hand, box, plan).status is Status.FAIL
+        assert check(fn, box, plan).status is Status.FAIL
     assert set(shapes) == {(3,)}
-    # declared batched, fn is taken at its word
+    # a VectorInstance maps a stack row by row by contract, so fn is taken
+    # at its word
     assert check_iterated(_as_instance(fn, 3, box), box, plan).status is Status.PASS
+    assert (CHUNK, 3) in shapes
 
 
 def test_operator_that_raises_at_the_first_sample_is_called_once():
