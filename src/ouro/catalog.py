@@ -22,9 +22,9 @@ box [0.1, 10] to stay clear of poles and branch points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
+from ._record import Record
 from .expr import Expr, parse
 from .verify import DEFAULT_INTERVAL, DomainBox
 
@@ -43,8 +43,7 @@ class CatalogError(ValueError):
     """Unknown entry or invalid parameters."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
     name: str
     kind: str  # scalar-univariate | scalar-multivariate | vector-operator
     summary: str
@@ -57,8 +56,7 @@ class CatalogEntry:
     exact_fixed_points: bool
 
 
-@dataclass(frozen=True)
-class ScalarInstance:
+class ScalarInstance(Record):
     entry: CatalogEntry
     expr: Expr
     arity: int
@@ -70,8 +68,7 @@ class ScalarInstance:
         return self.expr
 
 
-@dataclass(frozen=True)
-class VectorInstance:
+class VectorInstance(Record):
     """A vector operator fn: R^dim -> R^dim.
 
     fn also takes an array of shape (..., dim) and maps each row exactly as
@@ -81,13 +78,17 @@ class VectorInstance:
     """
 
     entry: CatalogEntry
-    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     box: DomainBox
     params: dict
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.fn(x)
+
+    def _key(self) -> tuple:
+        # fn is built per instantiation, so it takes no part in equality
+        return (self.entry, self.dim, self.box, self.params)
 
     @property
     def target(self) -> "VectorInstance":

@@ -26,8 +26,6 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import asdict
-from datetime import datetime, timezone
 
 from . import catalog as _catalog
 from .deriv import (TOL_UNITY, KinkPointError, UnityReport, check_unity,
@@ -330,7 +328,7 @@ def _verdict_doc(v: Verdict) -> dict:
             "samples_evaluated": v.samples_evaluated,
             "samples_skipped": v.samples_skipped,
             "max_drift": v.max_drift,
-            "witness": None if v.witness is None else asdict(v.witness)}
+            "witness": None if v.witness is None else v.witness._asdict()}
 
 
 def _unity_doc(r: UnityReport) -> dict:
@@ -345,6 +343,7 @@ def _emit(command: str, body: dict, o: dict):
     """Write the report document of `command` in the requested format."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
     if o["timestamp"]:
+        from datetime import datetime, timezone
         doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     doc.update(body)
     fmt = o["format"]
@@ -494,7 +493,7 @@ def cmd_check(o: dict) -> int:
     iterated = check_iterated(target, box, plan)
     overall = _overall_status([membership.status, iterated.status])
     _emit("check", {"target": target_doc, "box": box.intervals,
-                    "plan": asdict(plan),
+                    "plan": plan._asdict(),
                     "membership": _verdict_doc(membership),
                     "iterated": _verdict_doc(iterated),
                     "overall": overall}, o)
@@ -528,7 +527,7 @@ def cmd_derive(o: dict) -> int:
     statuses += [s for r in reports for s in (r.sum_to_one, r.equal_shares)]
     overall = _overall_status(statuses)
     _emit("derive", {"target": target_doc, "box": box.intervals,
-                     "plan": asdict(plan), "method": method,
+                     "plan": plan._asdict(), "method": method,
                      "membership": (None if membership is None
                                     else _verdict_doc(membership)),
                      "reports": [_unity_doc(r) for r in reports],

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Mapping
 
+from ._record import Record
 from .expr import (
     BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
     Neg, UnboundVariableError, Undefined, Var, _ValueSource, evaluate,
@@ -315,8 +315,7 @@ def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
     return _value_and_gradient(f, names, env, method, kink_margin)[1]
 
 
-@dataclass(frozen=True)
-class UnityReport:
+class UnityReport(Record):
     """Outcome of the derivative identity checks at one point.
 
     sum_to_one constrains the sum of the diagonal partials to 1;
@@ -337,8 +336,7 @@ class UnityReport:
     degenerate_reason: str | None = None
 
 
-@dataclass(frozen=True)
-class UnitySweep:
+class UnitySweep(Record):
     reports: tuple[UnityReport, ...]
     points_skipped: int
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping
+
+from ._record import Record
 
 __all__ = [
     "Expr", "Const", "Var", "Neg", "BinOp", "Call",
@@ -78,9 +79,12 @@ class EvalDomainError(EvaluationError):
         self.detail = detail
 
 
-class Expr:
-    """Base class for AST nodes.  Nodes are immutable and compare
-    structurally."""
+class Expr(Record):
+    """Base class for AST nodes.  Nodes are immutable records (see
+    `_record.Record`): they compare and hash structurally by their fields,
+    and `_asdict()` gives the fields by name.  The compiled `program` is
+    kept in the instance __dict__ beside the fields, and is neither compared
+    nor pickled."""
 
     __slots__ = ()
 
@@ -100,10 +104,11 @@ class Expr:
         return state
 
 
-@dataclass(frozen=True)
 class Const(Expr):
+    """A numeric literal.  `value` is its float, derived from `literal`
+    and neither compared nor shown."""
+
     literal: str
-    value: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -112,10 +117,9 @@ class Const(Expr):
             raise ValueError(f"bad numeric literal {self.literal!r}") from None
         if not math.isfinite(v):
             raise ValueError(f"literal {self.literal!r} is not finite")
-        object.__setattr__(self, "value", v)
+        self.__dict__["value"] = v
 
 
-@dataclass(frozen=True)
 class Var(Expr):
     name: str
 
@@ -124,7 +128,6 @@ class Var(Expr):
             raise ValueError(f"bad variable name {self.name!r}")
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
 
@@ -132,7 +135,6 @@ class Neg(Expr):
         return (self.operand,)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
     op: str
     left: Expr
@@ -146,7 +148,6 @@ class BinOp(Expr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
     func: str
     args: tuple[Expr, ...]
@@ -167,8 +168,7 @@ class Call(Expr):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # number ident op lparen rparen comma eof
     text: str
     line: int

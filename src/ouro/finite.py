@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "FiniteEndofunction", "is_idempotent", "image_fixing_holds", "iterate",
@@ -29,8 +30,7 @@ ENUMERATION_LIMIT = 7
 COUNT_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class FiniteEndofunction:
+class FiniteEndofunction(Record):
     """A self-map of {0, ..., m-1}, stored as its value table."""
 
     table: tuple[int, ...]

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Union
 
+from ._record import Record
 from .expr import EvaluationError, Expr, evaluate
 
 if TYPE_CHECKING:
@@ -61,8 +61,7 @@ class Status(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class DomainBox:
+class DomainBox(Record):
     """Axis-aligned closed box; one (lo, hi) interval per coordinate."""
 
     intervals: tuple[tuple[float, float], ...]
@@ -135,8 +134,7 @@ class DomainBox:
         return 0.0
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(Record):
     """Reproducible sampling and tolerance policy."""
 
     seed: int = 0
@@ -162,8 +160,7 @@ class SamplePlan:
         return self.atol + self.rtol * abs(ref)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Concrete counterexample (or fault site) found during a check."""
 
     point: tuple[float, ...]
@@ -174,8 +171,7 @@ class Witness:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: Status
     witness: Witness | None
     samples_evaluated: int

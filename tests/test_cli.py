@@ -794,3 +794,31 @@ def test_only_vector_operators_load_numpy(lines, loads_numpy):
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == str(loads_numpy)
+
+
+# A scalar command needs neither code introspection (dataclasses pulls in
+# inspect, ast, dis and tokenize) nor datetime, which only --timestamp uses.
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+from ouro.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    print(sorted({"dataclasses", "inspect", "ast", "dis", "tokenize",
+                  "datetime"} & set(sys.modules)))
+print("timestamp" in json.loads(out.getvalue()))
+"""
+
+
+def test_scalar_commands_start_without_introspection_modules():
+    lines = [["check", "--expr", "abs(x)", "--samples", "8"],
+             ["derive", "--catalog", "geo_mean", "--samples", "8"],
+             ["enumerate", "--m", "4"],
+             ["catalog"],
+             ["check", "--expr", "abs(x)", "--samples", "8", "--format",
+              "json", "--timestamp"]]
+    r = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(lines)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]"] * 4 + ["['datetime']", "True"]

@@ -1,6 +1,5 @@
 """Tests for the sampling-based membership and iteration checks."""
 
-import dataclasses
 import math
 import random
 import warnings
@@ -194,7 +193,7 @@ def test_univariate_shape_validation():
 def test_verdicts_do_not_depend_on_sample_count():
     # The i-th sample is a pure function of (seed, i), so shrinking the
     # plan cannot change which violation is found first.
-    small = dataclasses.replace(PLAN, sample_count=4)
+    small = SamplePlan(**{**PLAN._asdict(), "sample_count": 4})
     v_small = check_membership(parse("x / 2"), BOX1, small)
     v_big = check_membership(parse("x / 2"), BOX1, PLAN)
     assert v_small.witness == v_big.witness
@@ -384,7 +383,7 @@ def test_membership_is_containment_plus_depth_two_iteration():
         trees += 1
         lo = rng.uniform(-10.0, 5.0)
         box = DomainBox.uniform(lo, lo + rng.uniform(0.1, 10.0), n)
-        plan = dataclasses.replace(base, seed=rng.getrandbits(64))
+        plan = SamplePlan(**{**base._asdict(), "seed": rng.getrandbits(64)})
         try:
             escaped = _assert_membership_is_depth_two(
                 check_membership(f, box, plan), check_iterated(f, box, plan))
@@ -396,7 +395,7 @@ def test_membership_is_containment_plus_depth_two_iteration():
     for op in (lambda x: x / 2.0, lambda x: np.clip(x, 0.0, 1.0)):
         for _ in range(20):
             box = DomainBox.uniform(-2.0, rng.uniform(0.5, 3.0), rng.randint(1, 4))
-            plan = dataclasses.replace(base, seed=rng.getrandbits(64))
+            plan = SamplePlan(**{**base._asdict(), "seed": rng.getrandbits(64)})
             assert not _assert_membership_is_depth_two(
                 check_membership(op, box, plan), check_iterated(op, box, plan))
 
