@@ -26,6 +26,7 @@ import math
 import re
 import sys
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 
 from . import catalog as _catalog
 from .deriv import (TOL_UNITY, KinkPointError, UnityReport, check_unity,
@@ -339,6 +340,94 @@ def _unity_doc(r: UnityReport) -> dict:
             "degenerate_reason": r.degenerate_reason, "tol": r.tol}
 
 
+# The arrays that hold a document's rows, one per point or per map.
+_ROW_ARRAYS = ("reports", "maps")
+
+
+def _json(doc: dict) -> str:
+    """json.dumps(doc, indent=2), byte for byte.
+
+    indent selects json's pure-Python encoder, which is slow per value, so
+    the members of the document are written one at a time, and each
+    non-empty row array a row at a time through _json_row.
+    """
+    members = []
+    for key, value in doc.items():
+        if key in _ROW_ARRAYS and value:
+            rows = ",\n".join(map(_json_row, value))
+            members.append(f"  {encode_basestring_ascii(key)}: [\n{rows}\n  ]")
+        else:
+            members.append(json.dumps({key: value}, indent=2)[2:-2])
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
+_ROW_TEMPLATES: dict = {}
+_SEQUENCES = frozenset((list, tuple))
+
+
+def _json_row(row) -> str:
+    """One element of a row array as json.dumps writes it there.
+
+    A row is a dict whose values are scalars or flat lists, or a flat list
+    of scalars.  Rows of one shape (keys and list lengths) share one
+    %-format template, and the row's scalars fill it in order.
+    """
+    if row.__class__ is dict:
+        leaves, shape = [], [*row]
+        for value in row.values():
+            if value.__class__ in _SEQUENCES:
+                leaves += value
+                shape.append(len(value))
+            else:
+                leaves.append(value)
+                shape.append(-1)
+        shape = tuple(shape)
+    else:
+        leaves, shape = row, len(row)
+    template = _ROW_TEMPLATES.get(shape)
+    if template is None:
+        template = _ROW_TEMPLATES[shape] = _row_template(row)
+    return template % tuple(map(_json_leaf, leaves))
+
+
+def _row_template(row) -> str:
+    """json.dumps of `row` with %s for each scalar, indented as an element
+    of a member of the document."""
+    mark = "\0"
+
+    def hollow(value):
+        if value.__class__ in _SEQUENCES:
+            return [mark] * len(value)
+        return mark
+
+    if row.__class__ is dict:
+        hollowed = {key: hollow(value) for key, value in row.items()}
+    else:
+        hollowed = hollow(row)
+    text = json.dumps(hollowed, indent=2)
+    text = text.replace("%", "%%").replace(json.dumps(mark), "%s")
+    return "    " + text.replace("\n", "\n    ")
+
+
+def _json_leaf(x):
+    """A scalar as json.dumps spells it, for %s: a finite float or an int
+    as itself (str of either is its repr, which json writes)."""
+    cls = x.__class__
+    if cls is float:
+        if x - x == 0.0:  # finite; inf - inf and nan - nan are nan
+            return x
+        return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+    if cls is int:
+        return x
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+
+
 def _emit(command: str, body: dict, o: dict):
     """Write the report document of `command` in the requested format."""
     doc = {"schema_version": SCHEMA_VERSION, "command": command}
@@ -348,7 +437,7 @@ def _emit(command: str, body: dict, o: dict):
     doc.update(body)
     fmt = o["format"]
     if fmt == "json":
-        text = json.dumps(doc, indent=2)
+        text = _json(doc)
     else:
         lines = _RENDERERS[command, fmt](doc)
         if "timestamp" in doc:  # second line; a comment keeps csv rows intact
@@ -415,7 +504,8 @@ def _derive_text(doc: dict) -> list[str]:
             f"point {r['point']!r}: f={r['value']!r} shares={shares} "
             f"sum={r['share_sum']!r} sum_to_one={r['sum_to_one']} "
             f"equal_shares={r['equal_shares']}{extra}")
-    if reports:
+    membership = doc["membership"]
+    if membership is None or membership["status"] == Status.PASS:  # it ran
         s, e = (Counter(r[claim] for r in reports)
                 for claim in ("sum_to_one", "equal_shares"))
         lines.append(
@@ -525,6 +615,8 @@ def cmd_derive(o: dict) -> int:
 
     statuses = [] if membership is None else [membership.status]
     statuses += [s for r in reports for s in (r.sum_to_one, r.equal_shares)]
+    if skipped and not reports:  # every sample sat on a kink: none checked
+        statuses.append(Status.DEGENERATE)
     overall = _overall_status(statuses)
     _emit("derive", {"target": target_doc, "box": box.intervals,
                      "plan": plan._asdict(), "method": method,

@@ -17,13 +17,13 @@ yields DEGENERATE.
 from __future__ import annotations
 
 import math
-import operator
+from functools import cache
 from typing import Mapping
 
 from ._record import Record
 from .expr import (
-    BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
-    Neg, UnboundVariableError, Undefined, Var, _ValueSource, evaluate,
+    BINARY_RULES, EvalDomainError, EvaluationError, Expr, UnboundVariableError,
+    Undefined, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -56,14 +56,15 @@ class KinkPointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tangent walk
+# derivative rules
 #
-# Vector forward mode: every node yields (value, tangent), the tangent a
-# tuple of any width holding one directional derivative per seed direction.
-# Values come from the very statements evaluate's generated function runs,
-# so the value is bit-identical to evaluate(...) by construction.  This
-# module adds only kink checks and derivative rules, applied to each tangent
-# component on its own.
+# Vector forward mode: every node has a value and a tangent, a tuple of any
+# width holding one directional derivative per seed direction.  The rules
+# below state each derivative once, over whole tangents, keyed like
+# expr.BINARY_RULES / BUILTIN_RULES; a rule takes the values and tangents of
+# its arguments and the node's value.  ouro._tangent unrolls them, component
+# by component, into generated tangent functions, and the tests compare the
+# two bit for bit.
 
 Tangent = tuple[float, ...]
 
@@ -105,14 +106,27 @@ def _pow_tangent(a: float, at: Tangent, b: float, bt: Tangent,
     return tuple(out)
 
 
-# Keyed like expr.BINARY_RULES: (a, a', b, b', value) -> tangent.
-BINARY_TANGENTS = {
-    "+": lambda a, at, b, bt, v: tuple(map(operator.add, at, bt)),
-    "-": lambda a, at, b, bt, v: tuple(map(operator.sub, at, bt)),
-    "*": lambda a, at, b, bt, v: tuple([da * b + a * db for da, db in zip(at, bt)]),
-    "/": lambda a, at, b, bt, v: tuple([(da - v * db) / b for da, db in zip(at, bt)]),
-    "^": _pow_tangent,
+# The rules of + - * /, one tangent component at a time:
+# (a, a'_k, b, b'_k, value) -> component k.  They are plain float
+# arithmetic, so each runs unchanged on floats and on the _Terms of a
+# generated tangent function.
+_COMPONENT_RULES = {
+    "+": lambda a, da, b, db, v: da + db,
+    "-": lambda a, da, b, db, v: da - db,
+    "*": lambda a, da, b, db, v: da * b + a * db,
+    "/": lambda a, da, b, db, v: (da - v * db) / b,
 }
+
+
+def _componentwise(rule):
+    return lambda a, at, b, bt, v: tuple([rule(a, da, b, db, v)
+                                          for da, db in zip(at, bt)])
+
+
+# Keyed like expr.BINARY_RULES: (a, a', b, b', value) -> tangent.
+BINARY_TANGENTS = {**{op: _componentwise(rule)
+                      for op, rule in _COMPONENT_RULES.items()},
+                   "^": _pow_tangent}
 
 
 def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
@@ -158,92 +172,64 @@ def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
     return mt if m <= hi else hit
 
 
-def _checked_tangent(node: Expr, inputs: tuple, rule, *args) -> Tangent:
-    """rule(*args), the tangent of `node`, whose arguments' values are
-    `inputs`; raises EvalDomainError where it is undefined or not finite."""
-    try:
-        t = rule(*args)
-    except Undefined as exc:
-        raise EvalDomainError(node, inputs, str(exc)) from None
-    if not all(map(math.isfinite, t)):
-        raise EvalDomainError(node, inputs, "derivative is not finite")
-    return t
+# ---------------------------------------------------------------------------
+# tangent functions
+#
+# One function is generated per expression and seed layout, by the emitter
+# in ouro._tangent.  A layout gives, for each variable in order of first
+# read, each component of its seed: 0.0 or 1.0 where the source can rely on
+# that, else None for a component read when the function runs.
+
+Layout = tuple[tuple[float | None, ...], ...]
 
 
-class _TangentSource(_ValueSource):
-    """The source of one expression's tangent function,
-    tangent(env, seeds, margin, zero) -> (value, tangent).
-
-    seeds[j] is the tangent of the j-th variable read, Program.names[j], and
-    zero that of a constant.  Each builder returns the (value, tangent) pair
-    of local names: it emits the node's value and its check through
-    _ValueSource's own builder, then one statement for the tangent, which
-    may raise only after the value has been checked.
-    """
-
-    params = "env, seeds, margin, zero"
-
-    def __init__(self):
-        super().__init__()
-        self.namespace.update(checked_tangent=_checked_tangent, neg=_neg,
-                              call_tangent=_call_tangent)
-        self.seeds: dict[str, str] = {}
-
-    def tangent(self, node: Expr, inputs: tuple[str, ...], rule: str,
-                *args: str) -> str:
-        out = self.fresh()
-        self.lines.append(
-            f"{out} = checked_tangent({self.bind(node)}, ({', '.join(inputs)},),"
-            f" {rule}, {', '.join(args)})")
-        return out
-
-    def const(self, node: Const):
-        return super().const(node), "zero"
-
-    def var(self, node: Var):
-        return super().var(node), self.seeds.setdefault(
-            node.name, f"seeds[{len(self.seeds)}]")
-
-    def neg(self, node: Neg, operand):
-        a, at = operand
-        v, out = super().neg(node, a), self.fresh()
-        self.lines.append(f"{out} = neg({at})")
-        return v, out
-
-    def binop(self, node: BinOp, left, right):
-        (a, at), (b, bt) = left, right
-        v = super().binop(node, a, b)
-        rule = self.bind(BINARY_TANGENTS[node.op])
-        return v, self.tangent(node, (a, b), rule, a, at, b, bt, v)
-
-    def call(self, node: Call, *args):
-        values = tuple(a for a, _ in args)
-        v = super().call(node, *values)
-        pairs = "".join(f"({a}, {t}), " for a, t in args)
-        return v, self.tangent(node, values, "call_tangent",
-                               self.bind(node.func), f"({pairs})", v, "margin")
-
-    def returns(self, result) -> str:
-        return ", ".join(result)
+def _same_bits(x: float, y: float) -> bool:
+    return x.hex() == y.hex()
 
 
-def _walk(f: Expr, names: list[str], env: Mapping[str, float],
-          seeds: list[Tangent], margin: float) -> tuple[float, Tangent]:
-    """(value, tangent) of f at env, variable names[j] carrying seeds[j];
-    raises KinkPointError within `margin` of a jump or corner."""
+def _tangent_source(layout: Layout = ()):
+    """The emitter of a tangent function for `layout`, and the key of such
+    functions in Program.generated.  ouro._tangent is loaded here, with the
+    first tangent function built, so a command that takes no derivative
+    never compiles it."""
+    from ._tangent import _TangentSource
+    return _TangentSource(layout)
+
+
+def _layout(seeds) -> Layout:
+    """The layout of `seeds`: each component 0.0 or 1.0 where it is exactly
+    that, sign of zero included, and None where it is read when the
+    function runs."""
+    return tuple(tuple([d if d == 1.0 or _same_bits(d, 0.0) else None
+                        for d in seed]) for seed in seeds)
+
+
+@cache
+def _unit_seeds(n: int) -> tuple[Tangent, ...]:
+    """The n unit seeds of width n, which are their own layout."""
+    return tuple(tuple([1.0 if k == j else 0.0 for k in range(n)])
+                 for j in range(n))
+
+
+def _check_bindings(names: list[str], env: Mapping[str, float]) -> None:
     for name in names:
         if name not in env:
             raise UnboundVariableError(name)
         x = env[name]
         if not math.isfinite(x):
             raise EvaluationError(f"non-finite binding {name}={x!r}")
-    zero = _zeros(seeds[0]) if seeds else ()
-    return f.program.generated(_TangentSource)(env, seeds, margin, zero)
 
 
-def _unit_seeds(n: int) -> list[Tangent]:
-    return [tuple([1.0 if k == j else 0.0 for k in range(n)])
-            for j in range(n)]
+def _walk(f: Expr, names: list[str], env: Mapping[str, float],
+          seeds, margin: float,
+          layout: Layout | None = None) -> tuple[float, Tangent]:
+    """(value, tangent) of f at env, variable names[j] carrying seeds[j];
+    raises KinkPointError within `margin` of a jump or corner.  `layout`
+    is _layout(seeds), from a caller that knows it already."""
+    _check_bindings(names, env)
+    if layout is None:
+        layout = _layout(seeds)
+    return f.program.generated(_tangent_source, layout)(env, seeds, margin)
 
 
 def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
@@ -258,8 +244,8 @@ def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
     names = f.program.names
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
-    seeds = [(1.0,) if j == i else (0.0,) for j in range(len(names))]
-    value, (deriv,) = _walk(f, names, env, seeds, kink_margin)
+    seeds = tuple([(1.0,) if j == i else (0.0,) for j in range(len(names))])
+    value, (deriv,) = _walk(f, names, env, seeds, kink_margin, seeds)
     return value, deriv
 
 
@@ -295,13 +281,14 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
 
 def _value_and_gradient(f: Expr, names: list[str], env: Mapping[str, float],
                         method: str, margin: float) -> tuple[float, Tangent]:
-    n = len(names)
+    """f's value and gradient at env, whose bindings the caller checked."""
     if method == "dual":
-        return _walk(f, names, env, _unit_seeds(n), margin)
+        unit = _unit_seeds(len(names))
+        return f.program.generated(_tangent_source, unit)(env, unit, margin)
     # Finite differencing cannot see kinks on its own: a width-0 walk
     # screens the point first.
-    value, _ = _walk(f, names, env, [()] * n, margin)
-    return value, tuple(fd_partial(f, env, i) for i in range(n))
+    value, _ = f.program.generated(_tangent_source, ())(env, (), margin)
+    return value, tuple([fd_partial(f, env, i) for i in range(len(names))])
 
 
 def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
@@ -312,6 +299,7 @@ def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
     names = f.program.names
     if method == "dual" and not names:
         return ()  # no coordinates to seed, so nothing is walked
+    _check_bindings(names, env)
     return _value_and_gradient(f, names, env, method, kink_margin)[1]
 
 
@@ -358,12 +346,13 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
     n = len(names)
     if n == 0:
         raise ValueError("candidate has no free variables")
+    _check_bindings(names, env)
     margin = plan.kink_margin
     value, outer = _value_and_gradient(f, names, env, method, margin)
-    zero_grad = max(abs(g) for g in outer) <= GRADIENT_FLOOR
+    zero_grad = max(map(abs, outer)) <= GRADIENT_FLOOR
 
     shares: tuple[float, ...] | None
-    try:
+    try:  # value is finite, so the diagonal point binds every name
         diag = dict.fromkeys(names, value)
         shares = _value_and_gradient(f, names, diag, method, margin)[1]
         share_sum = sum(shares)
@@ -383,10 +372,10 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
     else:
         sum_status = Status.PASS if abs(share_sum - 1.0) <= tol else Status.FAIL
         target = 1.0 / n
-        worst = max(abs(s - target) for s in shares)
+        worst = max([abs(s - target) for s in shares])
         equal_status = Status.PASS if worst <= tol else Status.FAIL
 
-    point = tuple(env[name] for name in names)
+    point = tuple([env[name] for name in names])
     return UnityReport(n, point, value, outer, shares, share_sum,
                        sum_status, equal_status, method, tol, reason)
 

@@ -395,7 +395,7 @@ BUILTIN_RULES = {
 # node type to a builder(node, *child_results) that appends Python source;
 # _fold applies it in post-order, left to right, and _generate turns the
 # source into one function.  _ValueSource emits evaluate's function;
-# ouro.deriv's tangent emitter extends it, so both run the same value
+# ouro._tangent's tangent emitter extends it, so both run the same value
 # statements.
 
 # Operators the value source writes inline instead of calling their rule;
@@ -483,11 +483,11 @@ class _ValueSource:
         return result
 
 
-def _generate(expr: Expr, emitter: type[_ValueSource]
+def _generate(expr: Expr, emitter: Callable[..., _ValueSource], *args
               ) -> tuple[Callable, tuple[str, ...]]:
-    """The function `emitter` generates from `expr`, taking its params, and
-    the variable names it reads, in order of first read."""
-    source = emitter()
+    """The function `emitter(*args)` generates from `expr`, taking its
+    params, and the variable names it reads, in order of first read."""
+    source = emitter(*args)
     result = source.returns(_fold(expr, source.table))
     body = "".join(f"    {line}\n" for line in [*source.lines, f"return {result}"])
     exec(compile(f"def run({source.params}):\n{body}", "<ouro.expr program>",
@@ -513,14 +513,16 @@ class Program:
     def __init__(self, expr: Expr):
         self.expr = expr
         self.value, self.names = _generate(expr, _ValueSource)
-        self._generated: dict[type, Callable] = {}
+        self._generated: dict[tuple, Callable] = {}
 
-    def generated(self, emitter: type[_ValueSource]) -> Callable:
-        """The function another emitter generates from this program, built
-        on first use and kept."""
-        run = self._generated.get(emitter)
+    def generated(self, emitter: Callable[..., _ValueSource],
+                  *args) -> Callable:
+        """The function another emitter, built with `args`, generates from
+        this program; built on first use and kept under (emitter, *args)."""
+        key = (emitter, *args)
+        run = self._generated.get(key)
         if run is None:
-            run = self._generated[emitter] = _generate(self.expr, emitter)[0]
+            run = self._generated[key] = _generate(self.expr, emitter, *args)[0]
         return run
 
 

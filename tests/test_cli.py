@@ -6,7 +6,9 @@ The option-table tests also call the parser and the config loader of
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +16,9 @@ import sys
 import pytest
 
 from ouro import cli
+from ouro.deriv import UnityReport
+from ouro.finite import enumerate_idempotent
+from ouro.verify import Status
 
 
 def run_cli(*args, **kwargs):
@@ -333,6 +338,28 @@ def test_derive_sweep_domain_fault_exits_3():
     assert r.returncode == 3
     assert "derivative is not finite in 'exp(x^2)'" in r.stderr
     assert r.stdout == ""
+
+
+ALL_SKIPPED = ("derive", "--expr", "clamp(x,0,1)", "--box", "0:1",
+               "--samples", "3", "--kink-margin", "0.6")
+
+
+def test_a_sweep_that_checked_no_point_is_degenerate():
+    # the kink margin covers the whole box, so every draw is skipped
+    r = run_cli(*ALL_SKIPPED, "--format", "json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["reports"] == [] and doc["points_skipped"] == 3
+    assert doc["overall"] == "DEGENERATE"
+    r = run_cli(*ALL_SKIPPED)
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[-2:] == [
+        "summary: points=0 skipped=3 | sum_to_one 0/0/0 (pass/fail/degenerate)"
+        " | equal_shares 0/0/0",
+        "overall: DEGENERATE"]
+    r = run_cli(*ALL_SKIPPED, "--strict-degenerate", "--format", "json")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["overall"] == "DEGENERATE"
 
 
 def test_derive_rejects_vector_targets():
@@ -796,6 +823,20 @@ def test_only_vector_operators_load_numpy(lines, loads_numpy):
     assert r.stdout.strip() == str(loads_numpy)
 
 
+def test_only_derivatives_load_the_tangent_emitter():
+    # the emitter of tangent functions is compiled on every start that
+    # loads it, so commands that take no derivative leave it unloaded
+    probe = _NUMPY_PROBE.replace('"numpy"', '"ouro._tangent"')
+    for lines, loads in [([["check", "--expr", "abs(x)", "--samples", "8"],
+                           ["enumerate", "--m", "3"], ["catalog"]], False),
+                         ([["derive", "--expr", "abs(x)", "--samples", "8"]],
+                          True)]:
+        r = subprocess.run([sys.executable, "-c", probe, json.dumps(lines)],
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == str(loads)
+
+
 # A scalar command needs neither code introspection (dataclasses pulls in
 # inspect, ast, dis and tokenize) nor datetime, which only --timestamp uses.
 _STARTUP_PROBE = """
@@ -822,3 +863,59 @@ def test_scalar_commands_start_without_introspection_modules():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["[]"] * 4 + ["['datetime']", "True"]
+
+
+# --- JSON row writer ------------------------------------------------------------
+
+# Leaves whose json spelling differs from a plain repr, or that sit at the
+# edges of what repr writes.
+AWKWARD = (-0.0, 0.0, 5e-324, 1e308, -1e-300, math.nan, math.inf, -math.inf)
+
+
+def _derive_body(rng, n: int, rows: int) -> dict:
+    def leaf():
+        return rng.choice(AWKWARD) if rng.random() < 0.3 else rng.uniform(-9, 9)
+
+    def leaves():
+        return tuple(leaf() for _ in range(n))
+
+    statuses, reasons = list(Status), [None, "zero_gradient", "kink_diagonal"]
+    reports = [cli._unity_doc(UnityReport(
+        n, leaves(), leaf(), leaves(),
+        None if rng.random() < 0.3 else leaves(),
+        None if rng.random() < 0.3 else leaf(),
+        rng.choice(statuses), rng.choice(statuses), rng.choice(["dual", "fd"]),
+        leaf(), rng.choice(reasons))) for _ in range(rows)]
+    return {"target": {"expr": "x % 2"}, "box": [(-1.0, 1.0)] * n,
+            "plan": {"seed": 0, "sample_count": rows}, "method": "dual",
+            "membership": None, "reports": reports,
+            "points_skipped": rng.randrange(3), "overall": Status.PASS}
+
+
+def _row_documents():
+    rng = random.Random(20261018)
+    for n in range(1, 13):
+        for rows in (0, 1, 7):
+            yield "derive", _derive_body(rng, n, rows)
+    for m in range(1, 8):
+        yield "enumerate", {"m": m, "count": 0, "maps": [
+            f.table for f in enumerate_idempotent(m)]}
+    yield "enumerate", {"m": 3, "count": 10, "maps": []}
+    yield "enumerate", {"m": 20, "count": 0, "maps": None}
+
+
+def test_json_rows_are_written_as_json_dumps_writes_them():
+    for command, body in _row_documents():
+        doc = {"schema_version": cli.SCHEMA_VERSION, "command": command, **body}
+        assert cli._json(doc) == json.dumps(doc, indent=2), (command, body)
+
+
+def test_json_rows_with_timestamp_and_out(tmp_path):
+    path = tmp_path / "report.json"
+    for command, body in _row_documents():
+        cli._emit(command, body, {"format": "json", "timestamp": True,
+                                  "out": str(path)})
+        text = path.read_text(encoding="utf-8")
+        doc = {"schema_version": cli.SCHEMA_VERSION, "command": command,
+               "timestamp": json.loads(text)["timestamp"], **body}
+        assert text == json.dumps(doc, indent=2) + "\n"

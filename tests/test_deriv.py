@@ -400,6 +400,34 @@ def test_value_checks_build_no_tangent_function():
     assert len(f.program._generated) == 1
 
 
+def _hexed(x):
+    """x with every float spelled by float.hex, so -0.0 differs from 0.0."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_hexed, x))
+    if hasattr(x, "_asdict"):
+        return _hexed(tuple(x._asdict().items()))
+    return x
+
+
+def test_each_seed_layout_gets_its_own_tangent_function():
+    # One program serves dual_eval (width 1), gradient (width n) and the fd
+    # kink screen of check_unity (width 0) in every order; each must give
+    # what a fresh parse gives, so no layout's function serves another.
+    source = "x1^3 * x2 + exp(x1 - x2) / 4 - abs(x2)"
+    env = {"x1": 0.6, "x2": -0.4}
+    steps = [lambda f: dual_eval(f, env, 1),
+             lambda f: gradient(f, env),
+             lambda f: check_unity(f, env, PLAN, method="fd")]
+    for order in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                  (2, 1, 0)):
+        shared = parse(source)
+        for i in order:
+            assert _hexed(steps[i](shared)) == _hexed(steps[i](parse(source)))
+        assert len(shared.program._generated) == 3
+
+
 def test_every_operator_has_a_tangent_rule():
     assert BINARY_TANGENTS.keys() == BINARY_RULES.keys()
 
