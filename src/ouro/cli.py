@@ -21,18 +21,17 @@ content.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from collections import Counter
-from json.encoder import encode_basestring_ascii
 
+# Bound as modules: catalog, deriv and finite load on first use, so a
+# command loads only those it calls into.
 from . import catalog as _catalog
-from .deriv import (TOL_UNITY, KinkPointError, UnityReport, check_unity,
-                    unity_sweep)
+from . import deriv as _deriv
+from . import finite as _finite
 from .expr import EvaluationError, Expr, ParseError, format_expr, parse
-from .finite import COUNT_LIMIT, count_idempotent, enumerate_idempotent
 from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
                      _expr_names, check_iterated, check_membership)
 
@@ -97,6 +96,10 @@ def _formats(command: str) -> tuple[str, ...]:
 _TARGET = ("check", "derive")
 _ALL = ("check", "derive", "enumerate", "catalog")
 _PLAN = SamplePlan()
+# deriv.TOL_UNITY's keys and finite.COUNT_LIMIT, written out because the
+# option table below is read whenever cli is imported; the tests pin both.
+_METHODS = ("dual", "fd")
+_COUNT_LIMIT = 20
 
 # (dest, subcommands, default, argparse keywords).  The flag is the dest with
 # "_" spelled "-"; the order is the order of --help.  The parse helpers raise
@@ -126,7 +129,7 @@ _OPTIONS = (
     ("m", ("enumerate",), None, {"type": int, "help": "domain size"}),
     ("count_only", ("enumerate",), False,
      {"action": "store_true",
-      "help": f"print only the closed-form count (m up to {COUNT_LIMIT})"}),
+      "help": f"print only the closed-form count (m up to {_COUNT_LIMIT})"}),
     ("format", _ALL, "text", {"choices": _formats, "help": "report format"}),
     ("out", _ALL, None, {"metavar": "PATH", "help": "write the report to a file"}),
     ("timestamp", _ALL, False,
@@ -137,7 +140,7 @@ _OPTIONS = (
     ("point", ("derive",), None,
      {"metavar": "V1,V2,...", "help": "evaluate at this point instead of sampling"}),
     ("method", ("derive",), "dual",
-     {"choices": tuple(TOL_UNITY), "help": "derivative backend"}),
+     {"choices": _METHODS, "help": "derivative backend"}),
     ("skip_membership", ("derive",), False,
      {"action": "store_true", "help": "skip the membership precondition check"}),
     ("strict_degenerate", ("derive",), False,
@@ -332,7 +335,7 @@ def _verdict_doc(v: Verdict) -> dict:
             "witness": None if v.witness is None else v.witness._asdict()}
 
 
-def _unity_doc(r: UnityReport) -> dict:
+def _unity_doc(r: _deriv.UnityReport) -> dict:
     return {"n": r.n, "point": r.point, "value": r.value,
             "outer_gradient": r.outer_gradient,
             "shares": r.shares, "share_sum": r.share_sum,
@@ -349,8 +352,13 @@ def _json(doc: dict) -> str:
 
     indent selects json's pure-Python encoder, which is slow per value, so
     the members of the document are written one at a time, and each
-    non-empty row array a row at a time through _json_row.
+    non-empty row array a row at a time through _json_row.  json is
+    imported here, for the writer's functions below, since text reports
+    never use it.
     """
+    global json, encode_basestring_ascii
+    import json
+    from json.encoder import encode_basestring_ascii
     members = []
     for key, value in doc.items():
         if key in _ROW_ARRAYS and value:
@@ -603,13 +611,13 @@ def cmd_derive(o: dict) -> int:
     if not o["skip_membership"]:
         membership = check_membership(target, box, plan)
 
-    reports: list[UnityReport] = []
+    reports: list[_deriv.UnityReport] = []
     skipped = 0
     if membership is None or membership.status is Status.PASS:
         if point is not None:
-            reports.append(check_unity(target, point, plan, method))
+            reports.append(_deriv.check_unity(target, point, plan, method))
         else:
-            sweep = unity_sweep(target, box, plan, method)
+            sweep = _deriv.unity_sweep(target, box, plan, method)
             reports = list(sweep.reports)
             skipped = sweep.points_skipped
 
@@ -634,8 +642,8 @@ def cmd_enumerate(o: dict) -> int:
     if m is None:
         raise UsageError("--m is required")
     try:
-        maps = None if o["count_only"] else enumerate_idempotent(m)
-        count = count_idempotent(m)
+        maps = None if o["count_only"] else _finite.enumerate_idempotent(m)
+        count = _finite.count_idempotent(m)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if maps is not None and count != len(maps):
@@ -674,7 +682,10 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 2
-    except (KinkPointError, EvaluationError) as exc:
+    except EvaluationError as exc:
+        print(f"ouro: error: {exc}", file=sys.stderr)
+        return 3
+    except _deriv.KinkPointError as exc:  # read, loading deriv, only here
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 3
 

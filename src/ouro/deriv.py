@@ -279,16 +279,21 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
     return (y0 - y1) / (s0 - s1)
 
 
-def _value_and_gradient(f: Expr, names: list[str], env: Mapping[str, float],
-                        method: str, margin: float) -> tuple[float, Tangent]:
-    """f's value and gradient at env, whose bindings the caller checked."""
+def _gradient_walk(f: Expr, names: list[str], method: str):
+    """The function (env, margin) -> f's value and gradient at env, whose
+    bindings the caller checked; its tangent function is looked up once."""
     if method == "dual":
         unit = _unit_seeds(len(names))
-        return f.program.generated(_tangent_source, unit)(env, unit, margin)
+        tangent = f.program.generated(_tangent_source, unit)
+        return lambda env, margin: tangent(env, unit, margin)
     # Finite differencing cannot see kinks on its own: a width-0 walk
     # screens the point first.
-    value, _ = f.program.generated(_tangent_source, ())(env, (), margin)
-    return value, tuple([fd_partial(f, env, i) for i in range(len(names))])
+    screen = f.program.generated(_tangent_source, ())
+
+    def walk(env, margin):
+        value, _ = screen(env, (), margin)
+        return value, tuple([fd_partial(f, env, i) for i in range(len(names))])
+    return walk
 
 
 def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
@@ -300,7 +305,7 @@ def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
     if method == "dual" and not names:
         return ()  # no coordinates to seed, so nothing is walked
     _check_bindings(names, env)
-    return _value_and_gradient(f, names, env, method, kink_margin)[1]
+    return _gradient_walk(f, names, method)(env, kink_margin)[1]
 
 
 class UnityReport(Record):
@@ -348,13 +353,14 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
         raise ValueError("candidate has no free variables")
     _check_bindings(names, env)
     margin = plan.kink_margin
-    value, outer = _value_and_gradient(f, names, env, method, margin)
+    walk = _gradient_walk(f, names, method)
+    value, outer = walk(env, margin)
     zero_grad = max(map(abs, outer)) <= GRADIENT_FLOOR
 
     shares: tuple[float, ...] | None
     try:  # value is finite, so the diagonal point binds every name
         diag = dict.fromkeys(names, value)
-        shares = _value_and_gradient(f, names, diag, method, margin)[1]
+        shares = walk(diag, margin)[1]
         share_sum = sum(shares)
     except KinkPointError:
         shares = None

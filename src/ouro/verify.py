@@ -100,11 +100,15 @@ class DomainBox(Record):
         return self.intervals[0]
 
     def sample_point(self, seed: int, index: int) -> tuple[float, ...]:
+        """Coordinate j is lo + unit_uniform(seed, index * n + j) * (hi - lo),
+        with the splitmix64 state stepped by _GOLDEN per coordinate."""
+        z = (seed + (index * len(self.intervals) + 1) * _GOLDEN) & _M64
         out = []
-        base = index * self.n
-        for j, (lo, hi) in enumerate(self.intervals):
-            u = unit_uniform(seed, base + j)
-            out.append(lo + u * (hi - lo))
+        for lo, hi in self.intervals:
+            x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
+            out.append(lo + ((x ^ (x >> 31)) >> 11) * 2.0 ** -53 * (hi - lo))
+            z = (z + _GOLDEN) & _M64
         return tuple(out)
 
     def sample_rows(self, seed: int, start: int, stop: int) -> np.ndarray:
@@ -261,10 +265,13 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     VectorInstance is checked in chunks; every other target sample by
     sample.
     """
-    from .catalog import VectorInstance  # catalog imports this module
     kind = _target_kind(f, domain)
     max_drift = None if membership else 0.0
-    if isinstance(f, VectorInstance):
+    chunked = False
+    if not isinstance(f, Expr):  # a DSL target leaves catalog unloaded
+        from .catalog import VectorInstance  # catalog imports this module
+        chunked = isinstance(f, VectorInstance)
+    if chunked:
         verdict, max_drift = _scan_operator(f, kind, domain, plan, membership,
                                             max_drift)
     else:

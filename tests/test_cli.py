@@ -3,6 +3,7 @@
 The option-table tests also call the parser and the config loader of
 `ouro.cli` in-process, to compare the options they produce."""
 
+import ast
 import contextlib
 import io
 import json
@@ -338,6 +339,10 @@ def test_derive_sweep_domain_fault_exits_3():
     assert r.returncode == 3
     assert "derivative is not finite in 'exp(x^2)'" in r.stderr
     assert r.stdout == ""
+    # a --point on a kink of the outer gradient has no derivative at all
+    r = run_cli("derive", "--expr", "abs(x)", "--point", "0")
+    assert r.returncode == 3
+    assert r.stderr == "ouro: error: derivative undefined: abs at its corner 0\n"
 
 
 ALL_SKIPPED = ("derive", "--expr", "clamp(x,0,1)", "--box", "0:1",
@@ -863,6 +868,113 @@ def test_scalar_commands_start_without_introspection_modules():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["[]"] * 4 + ["['datetime']", "True"]
+
+
+# The names the package re-exported when it imported every submodule
+# eagerly; catalog's, deriv's and finite's are now read on first use.
+LAZY_EXPORTS = {
+    "catalog": ("CatalogEntry", "CatalogError", "ScalarInstance",
+                "VectorInstance", "entry_names", "get_entry", "instantiate",
+                "list_entries"),
+    "deriv": ("GRADIENT_FLOOR", "KINK_RETRY_LIMIT", "TOL_UNITY",
+              "KinkPointError", "UnityReport", "UnitySweep", "check_unity",
+              "dual_eval", "fd_partial", "gradient", "unity_sweep"),
+    "finite": ("COUNT_LIMIT", "ENUMERATION_LIMIT", "FiniteEndofunction",
+               "count_idempotent", "enumerate_idempotent",
+               "image_fixing_holds", "is_idempotent", "iterate"),
+}
+EAGER_EXPORTS = (
+    "BUILTIN_ARITY", "BinOp", "Call", "Const", "EvalDomainError",
+    "EvaluationError", "Expr", "Neg", "ParseError", "UnboundVariableError",
+    "Var", "evaluate", "format_expr", "free_variables", "parse",
+    "DEFAULT_INTERVAL", "DomainBox", "SamplePlan", "Status", "Verdict",
+    "Witness", "check_iterated", "check_membership", "unit_uniform")
+
+# Runs stages of command lines; after each stage, prints which exported
+# names each lazy module's dict holds (read without loading the module),
+# whether json is loaded, and the exit code and stdout of every line.  It
+# passes data by repr, so that only the JSON report loads json.
+_LAZY_PROBE = """
+import ast, contextlib, io, sys
+from ouro.cli import main
+stages, exports = map(ast.literal_eval, sys.argv[1:])
+for stage in stages:
+    outputs = []
+    for argv in stage:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            outputs.append((main(argv), out.getvalue()))
+    held = {m: [name for name in names if name in object.__getattribute__(
+                sys.modules["ouro." + m], "__dict__")]
+            for m, names in exports.items()}
+    print(repr((held, "json" in sys.modules, outputs)))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    stages = [[["check", "--expr", "abs(x)", "--samples", "8"],
+               ["check", "--expr", "ln(x)", "--box=-10:-1", "--samples", "8"]],
+              [["check", "--expr", "abs(x)", "--samples", "8", *JSON]],
+              [["enumerate", "--m", "4"]],
+              [["derive", "--expr", "x", "--point", "0.5"],
+               ["enumerate", "--m", "3", "--format", "csv"],
+               ["catalog"]]]
+    runs = {}
+    for prelude in ("", "import ouro.catalog, ouro.deriv, ouro.finite"):
+        r = subprocess.run([sys.executable, "-c", prelude + _LAZY_PROBE,
+                            repr(stages), repr(LAZY_EXPORTS)],
+                           capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        runs[prelude] = [ast.literal_eval(line) for line in r.stdout.splitlines()]
+    lazy, eager = runs.values()
+    none = {m: [] for m in LAZY_EXPORTS}
+    assert [held for held, _, _ in lazy] == [
+        none, none, {**none, "finite": list(LAZY_EXPORTS["finite"])},
+        {m: list(names) for m, names in LAZY_EXPORTS.items()}]
+    assert [json_loaded for _, json_loaded, _ in lazy] == [False, True, True,
+                                                          True]
+    # a module loaded mid-process gives the bytes of one loaded at start
+    assert [outputs for *_, outputs in lazy] == [outputs for *_, outputs in eager]
+    assert [[code for code, _ in outputs] for *_, outputs in lazy] == [
+        [0, 3], [0], [0], [0, 0, 0]]
+    derive, enumerate_csv, _ = lazy[3][2]
+    assert derive[1] == DERIVE_POINT_TEXT
+    assert enumerate_csv[1] == ENUMERATE_CSV
+
+
+def test_the_package_exports_every_name_it_did():
+    import ouro
+    for name in EAGER_EXPORTS:
+        assert hasattr(ouro, name) and name in dir(ouro), name
+    for module, names in LAZY_EXPORTS.items():
+        sub = sys.modules["ouro." + module]
+        assert sub is getattr(ouro, module)
+        assert sorted(names) == sorted(sub.__all__)
+        for name in names:
+            assert getattr(ouro, name) is getattr(sub, name)
+            assert name in dir(ouro)
+    with pytest.raises(AttributeError):
+        ouro.no_such_name
+    star: dict = {}
+    exec("from ouro import *", star)
+    assert {*EAGER_EXPORTS, *LAZY_EXPORTS}.union(*LAZY_EXPORTS.values()) <= star.keys()
+    probe = ("import ouro.deriv\n"
+             "from ouro.catalog import instantiate\n"
+             "from ouro import gradient, TOL_UNITY\n"
+             "assert ouro.deriv.gradient is gradient\n"
+             "print(instantiate('abs').entry.name, sorted(TOL_UNITY))")
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "abs ['dual', 'fd']\n"
+
+
+def test_option_values_written_out_in_cli_match_their_modules():
+    from ouro.deriv import TOL_UNITY
+    from ouro.finite import COUNT_LIMIT
+    assert cli._rows("derive")["method"][1]["choices"] == tuple(TOL_UNITY)
+    help_text = cli._rows("enumerate")["count_only"][1]["help"]
+    assert help_text.endswith(f"(m up to {COUNT_LIMIT})")
 
 
 # --- JSON row writer ------------------------------------------------------------

@@ -428,6 +428,25 @@ def test_each_seed_layout_gets_its_own_tangent_function():
         assert len(shared.program._generated) == 3
 
 
+def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
+    # the walks at x and at the diagonal point share one lookup
+    program = type(parse("x").program)
+    lookups = []
+    generated = program.generated
+
+    def counted(self, emitter, *args):
+        lookups.append(args)
+        return generated(self, emitter, *args)
+
+    monkeypatch.setattr(program, "generated", counted)
+    f = parse("(x1 * x2)^0.5")
+    for method, layout in (("dual", _unit_seeds(2)), ("fd", ())):
+        lookups.clear()
+        r = check_unity(f, {"x1": 2.0, "x2": 3.0}, PLAN, method)
+        assert r.sum_to_one is Status.PASS
+        assert lookups == [(layout,)]
+
+
 def test_every_operator_has_a_tangent_rule():
     assert BINARY_TANGENTS.keys() == BINARY_RULES.keys()
 

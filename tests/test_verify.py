@@ -60,6 +60,25 @@ def test_sample_points_stay_inside_the_box():
         assert 3.0 <= b <= 7.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
+def test_sample_point_matches_unit_uniform_and_sample_rows(seed):
+    # sample_point steps one splitmix64 state per coordinate inline; every
+    # coordinate stays the unit_uniform draw of its counter, bit for bit
+    rng = random.Random(seed)
+    for n in range(1, 9):
+        ragged = DomainBox(tuple(tuple(sorted((rng.uniform(-1e3, 1e3),
+                                               rng.uniform(-1e3, 1e3))))
+                                 for _ in range(n)))
+        for box in (DomainBox.uniform(-10.0, 10.0, n), ragged):
+            for i in (0, 1, 2, 97, 12_345, 99_999, 100_000):
+                want = [lo + unit_uniform(seed, i * n + j) * (hi - lo)
+                        for j, (lo, hi) in enumerate(box.intervals)]
+                got = box.sample_point(seed, i)
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+                row = box.sample_rows(seed, i, i + 1)[0].tolist()
+                assert list(map(float.hex, row)) == list(map(float.hex, want))
+
+
 CHUNK = verify._CHUNK
 
 
