@@ -251,7 +251,10 @@ def _resolve_target(o: dict):
         box, doc = _resolve_box(o, arity, None), {}
     else:
         params = {dest: o[dest] for dest in ("n", "w") if o[dest] is not None}
-        params.update(o["params"])
+        for key, value in o["params"]:
+            if key in params:
+                raise UsageError(f"parameter {key!r} given twice")
+            params[key] = value
         try:
             inst = _catalog.instantiate(o["catalog"], **params)
         except _catalog.CatalogError as exc:
@@ -290,18 +293,25 @@ def _resolve_box(o: dict, arity: int, natural: DomainBox | None) -> DomainBox:
     return DomainBox.uniform(*DEFAULT_INTERVAL, arity)
 
 
-def _resolve_plan(o: dict) -> SamplePlan:
-    # SamplePlan field -> the option that sets it, if the command has that
-    # option (else the field keeps its default); an error names the flag
-    fields = {"seed": "seed", "sample_count": "samples", "atol": "atol",
-              "rtol": "rtol", "kink_margin": "kink_margin", "k_max": "kmax"}
+# SamplePlan field -> the option that sets it, in the order of the text
+# report's plan line
+_PLAN_OPTIONS = {"sample_count": "samples", "seed": "seed", "atol": "atol",
+                 "rtol": "rtol", "kink_margin": "kink_margin", "k_max": "kmax"}
+
+
+def _resolve_plan(o: dict) -> tuple[SamplePlan, dict]:
+    """The plan and its document, which holds only the fields the command
+    has an option for; the other fields keep their defaults.  An error
+    names the flag."""
+    given = {field: o[dest] for field, dest in _PLAN_OPTIONS.items()
+             if dest in o}
     try:
-        return SamplePlan(**{field: o[dest] for field, dest in fields.items()
-                             if dest in o})
+        plan = SamplePlan(**given)
     except ValueError as exc:  # every message starts with the field
         field, _, rest = str(exc).partition(" ")
-        flag = "--" + fields[field].replace("_", "-")
+        flag = "--" + _PLAN_OPTIONS[field].replace("_", "-")
         raise UsageError(f"{flag} {rest}") from None
+    return plan, {k: v for k, v in plan._asdict().items() if k in given}
 
 
 def _resolve_point(o: dict, names: list[str], box: DomainBox) -> dict | None:
@@ -467,10 +477,9 @@ def _header(doc: dict) -> list[str]:
     if "note" in target:
         lines.append(f"note: {target['note']}")
     lines.append("box: " + " x ".join(f"[{lo!r}, {hi!r}]" for lo, hi in doc["box"]))
-    lines.append(
-        f"plan: samples={plan['sample_count']} seed={plan['seed']} "
-        f"atol={plan['atol']!r} rtol={plan['rtol']!r} "
-        f"kink_margin={plan['kink_margin']!r} k_max={plan['k_max']}")
+    lines.append("plan: " + " ".join(
+        f"{'samples' if field == 'sample_count' else field}={plan[field]!r}"
+        for field in _PLAN_OPTIONS if field in plan))
     return lines
 
 
@@ -586,12 +595,12 @@ def _status_exit(overall: Status, strict_degenerate: bool = False) -> int:
 def cmd_check(o: dict) -> int:
     """membership and iterated checks"""
     target, _, box, target_doc = _resolve_target(o)
-    plan = _resolve_plan(o)
+    plan, plan_doc = _resolve_plan(o)
     membership = check_membership(target, box, plan)
     iterated = check_iterated(target, box, plan)
     overall = _overall_status([membership.status, iterated.status])
     _emit("check", {"target": target_doc, "box": box.intervals,
-                    "plan": plan._asdict(),
+                    "plan": plan_doc,
                     "membership": _verdict_doc(membership),
                     "iterated": _verdict_doc(iterated),
                     "overall": overall}, o)
@@ -603,7 +612,7 @@ def cmd_derive(o: dict) -> int:
     target, names, box, target_doc = _resolve_target(o)
     if names is None:
         raise UsageError("derivative checks apply to scalar entries only")
-    plan = _resolve_plan(o)
+    plan, plan_doc = _resolve_plan(o)
     point = _resolve_point(o, names, box)
     method = o["method"]
 
@@ -627,7 +636,7 @@ def cmd_derive(o: dict) -> int:
         statuses.append(Status.DEGENERATE)
     overall = _overall_status(statuses)
     _emit("derive", {"target": target_doc, "box": box.intervals,
-                     "plan": plan._asdict(), "method": method,
+                     "plan": plan_doc, "method": method,
                      "membership": (None if membership is None
                                     else _verdict_doc(membership)),
                      "reports": [_unity_doc(r) for r in reports],

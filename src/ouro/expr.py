@@ -395,8 +395,7 @@ BUILTIN_RULES = {
 # node type to a builder(node, *child_results) that appends Python source;
 # _fold applies it in post-order, left to right, and _generate turns the
 # source into one function.  _ValueSource emits evaluate's function;
-# ouro._tangent's tangent emitter extends it, so both run the same value
-# statements.
+# deriv._TangentSource extends it, so both run the same value statements.
 
 # Operators the value source writes inline instead of calling their rule;
 # a test pins that each one's rule is the matching function of `operator`.

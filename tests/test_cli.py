@@ -188,6 +188,27 @@ def test_catalog_flags_are_rejected_with_expr(args, flag):
     assert r.stderr == f"ouro: error: {flag} cannot be used with --expr\n"
 
 
+@pytest.mark.parametrize("args, config, name", [
+    (("derive", "--catalog", "arith_mean", "--n", "3", "--params", "n=4"),
+     None, "n"),
+    (("check", "--catalog", "weighted_mean", "--w", "0.5,0.5",
+      "--params", "w=0.25,0.75"), None, "w"),
+    (("check", "--catalog", "power_mean", "--params", "p=2", "--params", "p=3"),
+     None, "p"),
+    (("derive", "--catalog", "arith_mean", "--params", "n=4"), "n = 3\n", "n"),
+    (("check", "--catalog", "power_mean"), "params = p=2 p=3\n", "p"),
+])
+def test_a_parameter_given_twice_is_rejected(tmp_path, args, config, name):
+    if config is not None:
+        cfg = tmp_path / "ouro.cfg"
+        cfg.write_text(config)
+        args += ("--config", str(cfg))
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"ouro: error: parameter {name!r} given twice\n"
+
+
 def test_bad_weights_name_the_flag():
     r = run_cli("check", "--catalog", "weighted_mean", "--w", "abc")
     assert r.returncode == 2
@@ -453,7 +474,7 @@ def test_catalog_json_listing():
 CHECK_HALF_TEXT = """\
 ouro check: expr 'x / 2'
 box: [-10.0, 10.0]
-plan: samples=8 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
+plan: samples=8 seed=0 atol=1e-09 rtol=1e-09 k_max=16
 membership: FAIL  evaluated=1 skipped=7
   reason: RESIDUAL
   point: (7.6662161642728535,)
@@ -472,7 +493,7 @@ overall: FAIL
 DERIVE_POINT_TEXT = """\
 ouro derive: expr 'x'
 box: [-10.0, 10.0]
-plan: samples=256 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
+plan: samples=256 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07
 method: dual
 membership: PASS  evaluated=256 skipped=0
 point (0.5,): f=0.5 shares=(1.0,) sum=1.0 sum_to_one=PASS equal_shares=PASS
@@ -484,7 +505,7 @@ overall: PASS
 DERIVE_MEDIAN_TEXT = """\
 ouro derive: catalog median
 box: [-10.0, 10.0] x [-10.0, 10.0] x [-10.0, 10.0]
-plan: samples=4 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07 k_max=16
+plan: samples=4 seed=0 atol=1e-09 rtol=1e-09 kink_margin=1e-07
 method: dual
 membership: PASS  evaluated=4 skipped=0
 point (7.6662161642728535, -1.3694400590298006, -9.471324568148045): \
@@ -828,20 +849,6 @@ def test_only_vector_operators_load_numpy(lines, loads_numpy):
     assert r.stdout.strip() == str(loads_numpy)
 
 
-def test_only_derivatives_load_the_tangent_emitter():
-    # the emitter of tangent functions is compiled on every start that
-    # loads it, so commands that take no derivative leave it unloaded
-    probe = _NUMPY_PROBE.replace('"numpy"', '"ouro._tangent"')
-    for lines, loads in [([["check", "--expr", "abs(x)", "--samples", "8"],
-                           ["enumerate", "--m", "3"], ["catalog"]], False),
-                         ([["derive", "--expr", "abs(x)", "--samples", "8"]],
-                          True)]:
-        r = subprocess.run([sys.executable, "-c", probe, json.dumps(lines)],
-                           capture_output=True, text=True, timeout=120)
-        assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == str(loads)
-
-
 # A scalar command needs neither code introspection (dataclasses pulls in
 # inspect, ast, dis and tokenize) nor datetime, which only --timestamp uses.
 _STARTUP_PROBE = """
@@ -916,6 +923,11 @@ def test_each_command_loads_only_the_modules_it_runs():
                ["check", "--expr", "ln(x)", "--box=-10:-1", "--samples", "8"]],
               [["check", "--expr", "abs(x)", "--samples", "8", *JSON]],
               [["enumerate", "--m", "4"]],
+              # derive lines that stop before any derivative is taken: a
+              # membership FAIL, a usage error and a domain fault
+              [["derive", "--expr", "x + 1", "--samples", "8"],
+               ["derive", "--catalog", "simplex_projection"],
+               ["derive", "--expr", "ln(x)", "--box=-2:-1", "--samples", "8"]],
               [["derive", "--expr", "x", "--point", "0.5"],
                ["enumerate", "--m", "3", "--format", "csv"],
                ["catalog"]]]
@@ -928,16 +940,17 @@ def test_each_command_loads_only_the_modules_it_runs():
         runs[prelude] = [ast.literal_eval(line) for line in r.stdout.splitlines()]
     lazy, eager = runs.values()
     none = {m: [] for m in LAZY_EXPORTS}
+    every = {m: list(names) for m, names in LAZY_EXPORTS.items()}
     assert [held for held, _, _ in lazy] == [
-        none, none, {**none, "finite": list(LAZY_EXPORTS["finite"])},
-        {m: list(names) for m, names in LAZY_EXPORTS.items()}]
+        none, none, {**none, "finite": every["finite"]},
+        {**every, "deriv": []}, every]
     assert [json_loaded for _, json_loaded, _ in lazy] == [False, True, True,
-                                                          True]
+                                                          True, True]
     # a module loaded mid-process gives the bytes of one loaded at start
     assert [outputs for *_, outputs in lazy] == [outputs for *_, outputs in eager]
     assert [[code for code, _ in outputs] for *_, outputs in lazy] == [
-        [0, 3], [0], [0], [0, 0, 0]]
-    derive, enumerate_csv, _ = lazy[3][2]
+        [0, 3], [0], [0], [1, 2, 3], [0, 0, 0]]
+    derive, enumerate_csv, _ = lazy[4][2]
     assert derive[1] == DERIVE_POINT_TEXT
     assert enumerate_csv[1] == ENUMERATE_CSV
 
