@@ -192,8 +192,11 @@ def _b_power_mean(p):
     exponent = _finite(p, "p")
     if exponent == 0.0:
         raise CatalogError("power_mean needs p != 0")
+    inverse = 1.0 / exponent
+    if not math.isfinite(inverse):
+        raise CatalogError(f"power_mean needs a finite 1/p, got p={exponent!r}")
     powers = " + ".join(f"{v}^{_lit(exponent)}" for v in _names(n))
-    return parse(f"(({powers}) / {n})^{_lit(1.0 / exponent)}"), n
+    return parse(f"(({powers}) / {n})^{_lit(inverse)}"), n
 
 
 def _med3(a: str, b: str, c: str) -> str:

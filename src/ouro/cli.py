@@ -207,10 +207,13 @@ def _load_config(path: str, command: str) -> dict:
         if dest == "config" or dest not in rows:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[dest] = _config_value(rows[dest][1], value)
+            parsed = _config_value(rows[dest][1], value)
         except (ValueError, KeyError, UsageError):
             raise UsageError(
                 f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+        if dest == "params":  # params lines add up; any other key's last wins
+            parsed = out.get(dest, []) + parsed
+        out[dest] = parsed
     return out
 
 
@@ -219,6 +222,10 @@ def _effective_options(ns: argparse.Namespace) -> dict:
     provided = {k: v for k, v in vars(ns).items() if k != "command"}
     if provided.get("config"):
         options.update(_load_config(provided["config"], ns.command))
+        # --params adds to the file's params, so a key in both is given
+        # twice; every other flag replaces its config value
+        if "params" in provided:
+            provided["params"] = [*options["params"], *provided["params"]]
     options.update(provided)
     return options
 

@@ -23,7 +23,7 @@ from typing import Mapping
 from ._record import Record
 from .expr import (
     BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
-    Neg, UnboundVariableError, Undefined, Var, _ValueSource, evaluate,
+    Neg, UnboundVariableError, Var, _ValueSource, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -56,54 +56,29 @@ class KinkPointError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# derivative rules
+# tangent functions
 #
 # Vector forward mode: every node has a value and a tangent, a tuple of any
-# width holding one directional derivative per seed direction.  The rules
-# below state each derivative once, over whole tangents, keyed like
-# expr.BINARY_RULES / BUILTIN_RULES; a rule takes the values and tangents of
-# its arguments and the node's value.  _TangentSource below unrolls them,
-# component by component, into generated tangent functions, and the tests
-# compare the two bit for bit.
+# width holding one directional derivative per seed direction.
+# _TangentSource states each derivative rule once, as the source it emits:
+# one builder per node type and one per builtin of expr.BUILTIN_RULES.  It
+# generates one function per expression and seeds.  The seeds are known
+# when the source is written, each component 0.0 or 1.0, so each rule is
+# written as one statement per tangent component not known then, and a
+# known component costs nothing: x_i^p has a non-zero tangent only in
+# component i.  This is source-transformation forward mode with static
+# sparsity (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008,
+# ch. 3 and 7).
+#
+# Values come from the very statements evaluate's generated function runs,
+# so the value is bit-identical to evaluate(...) by construction.  Each
+# component runs its rule's float operations in a fixed order, and a
+# component is known early only when its bits are, sign of zero included.
+# tests/test_deriv.py keeps the reference: the same rules written over
+# whole tangents and run by a closure walk.  The generated functions match
+# its tangents, kink checks and errors, with their nodes, bit for bit.
 
 Tangent = tuple[float, ...]
-
-
-def _near(a: float, b: float, margin: float) -> bool:
-    return abs(a - b) <= margin
-
-
-def _neg(t: Tangent) -> Tangent:
-    return tuple([-d for d in t])
-
-
-def _zeros(t: Tangent) -> Tangent:
-    return (0.0,) * len(t)
-
-
-def _check_tie(a: float, b: float, margin: float, site: str) -> None:
-    if _near(a, b, margin):
-        raise KinkPointError(f"{site} tie at {a!r}")
-
-
-def _pow_tangent(a: float, at: Tangent, b: float, bt: Tangent,
-                 v: float) -> Tangent:
-    base = None
-    out = []
-    for da, db in zip(at, bt):
-        if db == 0.0:
-            # constant exponent: d(a^c) = c * a^(c-1) * a'
-            if da == 0.0 or b == 0.0:
-                out.append(0.0)
-                continue
-            if base is None:
-                base = BINARY_RULES["^"](a, b - 1.0)
-            out.append(b * base * da)
-        else:
-            if a <= 0.0:
-                raise Undefined("varying exponent needs a positive base")
-            out.append(v * (db * math.log(a) + b * da / a))
-    return tuple(out)
 
 
 # The rules of + - * /, one tangent component at a time:
@@ -116,79 +91,6 @@ _COMPONENT_RULES = {
     "*": lambda a, da, b, db, v: da * b + a * db,
     "/": lambda a, da, b, db, v: (da - v * db) / b,
 }
-
-
-def _componentwise(rule):
-    return lambda a, at, b, bt, v: tuple([rule(a, da, b, db, v)
-                                          for da, db in zip(at, bt)])
-
-
-# Keyed like expr.BINARY_RULES: (a, a', b, b', value) -> tangent.
-BINARY_TANGENTS = {**{op: _componentwise(rule)
-                      for op, rule in _COMPONENT_RULES.items()},
-                   "^": _pow_tangent}
-
-
-def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
-    """Kink checks and tangent of builtin `func` with value v; args holds
-    the (value, tangent) pair of every argument."""
-    a, t = args[0]
-    if func in ("abs", "relu", "sign"):
-        if _near(a, 0.0, margin):
-            kind = "jump" if func == "sign" else "corner"
-            raise KinkPointError(f"{func} at its {kind} 0")
-        if func == "sign":
-            return _zeros(t)
-        if a > 0.0:
-            return t
-        return _neg(t) if func == "abs" else _zeros(t)
-    if func in ("floor", "ceil"):
-        frac = a - math.floor(a)
-        if frac <= margin or 1.0 - frac <= margin:
-            raise KinkPointError(f"{func} at a jump near {a!r}")
-        return _zeros(t)
-    if func == "exp":
-        return tuple([d * v for d in t])
-    if func == "ln":
-        return tuple([d / a for d in t])
-    if func == "sqrt":
-        if a != 0.0:
-            return tuple([d * 0.5 / v for d in t])
-        if any(t):
-            raise Undefined("derivative of sqrt at zero")
-        return _zeros(t)
-    b, bt = args[1]
-    if func == "min":
-        _check_tie(a, b, margin, "min")
-        return t if a <= b else bt
-    if func == "max":
-        _check_tie(a, b, margin, "max")
-        return t if a >= b else bt
-    # clamp(a, lo, hi) = min(max(a, lo), hi), lo = b
-    hi, hit = args[2]
-    _check_tie(a, b, margin, "clamp lower corner")
-    m, mt = (a, t) if a >= b else (b, bt)
-    _check_tie(m, hi, margin, "clamp upper corner")
-    return mt if m <= hi else hit
-
-
-# ---------------------------------------------------------------------------
-# tangent functions
-#
-# _TangentSource generates one function per expression and seeds.  The
-# seeds are known when the source is written, each component 0.0 or 1.0,
-# so each rule above is unrolled into one statement per tangent component
-# not known then, and a known component costs nothing: x_i^p has a
-# non-zero tangent only in component i.  This is source-transformation
-# forward mode with static sparsity (Griewank & Walther, Evaluating
-# Derivatives, 2nd ed., SIAM 2008, ch. 3 and 7).
-#
-# Values come from the very statements evaluate's generated function runs,
-# so the value is bit-identical to evaluate(...) by construction.  Each
-# component runs its rule's own float operations in the rule's order, and a
-# component is known early only when its bits are, sign of zero included;
-# so the tangent, each kink check and each error, with its node, are those
-# of the rules above, which tests/test_deriv.py compares bit for bit.
 
 
 def _same_bits(x: float, y: float) -> bool:
@@ -254,10 +156,10 @@ class _TangentSource(_ValueSource):
     the function runs the values and the kink checks only.  A constant's
     tangent is zero.
 
-    Each builder returns its node's value, a local's name, and its tangent,
-    a tuple of floats known now and _Terms.  It emits the value and its
-    check through _ValueSource's own builder, then the kink checks and
-    errors of the node's rule in the rule's order, then one statement per
+    Each builder states its node's derivative rule.  It returns the node's
+    value, a local's name, and its tangent, a tuple of floats known now and
+    _Terms.  It emits the value and its check through _ValueSource's own
+    builder, then the rule's kink checks and errors, then one statement per
     component not known now, then the check that those are finite.
     """
 
@@ -296,8 +198,8 @@ class _TangentSource(_ValueSource):
     def settle(self, comps, node: Expr | None = None,
                inputs: tuple[str, ...] = ()) -> Tangent:
         """comps, each term's expression assigned to a local; for a checked
-        `node`, those not known finite are checked, as the rules' caller
-        checks the whole tangent."""
+        `node`, those not known finite are checked, so that the whole
+        tangent is."""
         out, unchecked = [], []
         for d in comps:
             if node is not None and type(d) is float and not math.isfinite(d):
@@ -374,7 +276,7 @@ class _TangentSource(_ValueSource):
         v, t = result
         return f"{v}, ({''.join(self.code(d) + ', ' for d in t)})"
 
-    # -- the builtins of _call_tangent, unrolled
+    # -- the builtins, keyed like expr.BUILTIN_RULES
 
     def corner(self, node: Call, v: str, arg):
         (a, t), func = arg, node.func
@@ -433,15 +335,16 @@ class _TangentSource(_ValueSource):
         return self.select(f"{m} <= {hi}",
                            self.select(f"{a} >= {lo}", t, lot), hit)
 
-    # -- _pow_tangent, unrolled
+    # -- the power rule
 
     def power(self, node: BinOp, a: str, at, b: str, bt, v: str) -> list:
-        """Each component takes the branch its exponent component selects,
-        decided now where that component is known.  The base a^(b-1) is
-        computed where a component needs it; the same inputs give the same
-        bits and the same error, so it is computed again unless every path
-        has computed it already.  A varying exponent needs a positive
-        base."""
+        """Component k of d(a^b) is b * a^(b-1) * a'_k where b'_k is 0.0
+        (0.0 where a'_k or b is), else a^b * (b'_k * ln a + b * a'_k / a),
+        which needs a positive base.  Each component takes the branch its
+        exponent component selects, decided now where that component is
+        known.  The base a^(b-1) is computed where a component needs it;
+        the same inputs give the same bits and the same error, so it is
+        computed again unless every path has computed it already."""
         here, inputs = self.bind(node), f"({a}, {b},)"
         B = self.operand(b)
         base = _Term(self, self.fresh(), True)
@@ -568,6 +471,8 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     name = names[i]
+    if name not in env:
+        raise UnboundVariableError(name)
     x = env[name]
     h = 1e-6 * max(1.0, abs(x))
     probe, ends, errors = dict(env), [], []

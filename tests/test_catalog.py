@@ -87,6 +87,9 @@ def test_geo_mean_pair_uses_sqrt():
 def test_power_mean_rejects_zero_exponent():
     with pytest.raises(CatalogError):
         instantiate("power_mean", p=0.0)
+    # 1/p overflows: the message names the parameter that was given
+    with pytest.raises(CatalogError, match=r"1/p, got p=1e-320"):
+        instantiate("power_mean", p=1e-320)
 
 
 def test_median_matches_the_order_statistic():

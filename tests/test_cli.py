@@ -197,6 +197,10 @@ def test_catalog_flags_are_rejected_with_expr(args, flag):
      None, "p"),
     (("derive", "--catalog", "arith_mean", "--params", "n=4"), "n = 3\n", "n"),
     (("check", "--catalog", "power_mean"), "params = p=2 p=3\n", "p"),
+    (("check", "--catalog", "power_mean"), "params = p=2\nparams = p=3\n",
+     "p"),
+    (("check", "--catalog", "clamp", "--params", "lo=-1"), "params = lo=-2\n",
+     "lo"),
 ])
 def test_a_parameter_given_twice_is_rejected(tmp_path, args, config, name):
     if config is not None:
@@ -207,6 +211,30 @@ def test_a_parameter_given_twice_is_rejected(tmp_path, args, config, name):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == f"ouro: error: parameter {name!r} given twice\n"
+
+
+def test_config_and_flag_params_are_merged(tmp_path):
+    # params add up, config first; --box still replaces the config's box
+    cfg = tmp_path / "ouro.cfg"
+    cfg.write_text("params = lo=-2\nbox = 0:1\n")
+    r = run_cli("check", "--catalog", "clamp", "--config", str(cfg),
+                "--params", "hi=5", "--box=-3:3", "--samples", "8",
+                "--format", "json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["target"]["params"] == {"hi": 5, "lo": -2}
+    assert doc["target"]["expr"] == "clamp(x, -2.0, 5.0)"
+    assert doc["box"] == [[-3.0, 3.0]]
+
+
+def test_an_unknown_config_parameter_is_rejected_beside_flag_params(tmp_path):
+    cfg = tmp_path / "ouro.cfg"
+    cfg.write_text("params = c=3\n")
+    r = run_cli("check", "--catalog", "clamp", "--config", str(cfg),
+                "--params", "lo=-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "ouro: error: clamp does not take parameter 'c'\n"
 
 
 def test_bad_weights_name_the_flag():

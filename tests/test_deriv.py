@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
 from ouro.deriv import (
-    BINARY_TANGENTS, GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY,
-    KinkPointError, _call_tangent, _unit_seeds, _walk, check_unity, dual_eval,
-    fd_partial, gradient, unity_sweep,
+    GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, _COMPONENT_RULES,
+    KinkPointError, Tangent, _TangentSource, _unit_seeds, _walk, check_unity,
+    dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
-    BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError, Neg, Undefined,
-    Var, evaluate, free_variables, parse,
+    BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError, Neg,
+    UnboundVariableError, Undefined, Var, evaluate, free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status, check_iterated, check_membership
 
@@ -209,6 +209,10 @@ def test_fd_leaves_env_alone():
 def test_fd_coordinate_validation():
     with pytest.raises(ValueError):
         fd_partial(parse("x"), {"x": 1.0}, 1)
+    # a missing binding is named, whichever coordinate is probed
+    for i in (0, 1):
+        with pytest.raises(UnboundVariableError, match="x2"):
+            fd_partial(parse("x1 + x2"), {"x1": 1.0}, i)
 
 
 # --- gradients -------------------------------------------------------------------
@@ -297,6 +301,103 @@ def test_vector_tangent_matches_per_coordinate_duals():
         assert tangent == grad
         assert value == evaluate(f, env)
     assert completed >= 500
+
+
+# The reference rules: each derivative over whole tangents, keyed like
+# BINARY_RULES / BUILTIN_RULES.  A rule takes the values and tangents of its
+# arguments and the node's value.  They are written apart from
+# deriv._TangentSource, which states the same rules as the source it emits,
+# so the oracle below checks the emitter rather than repeating it.
+
+def _near(a: float, b: float, margin: float) -> bool:
+    return abs(a - b) <= margin
+
+
+def _neg(t: Tangent) -> Tangent:
+    return tuple([-d for d in t])
+
+
+def _zeros(t: Tangent) -> Tangent:
+    return (0.0,) * len(t)
+
+
+def _check_tie(a: float, b: float, margin: float, site: str) -> None:
+    if _near(a, b, margin):
+        raise KinkPointError(f"{site} tie at {a!r}")
+
+
+def _pow_tangent(a: float, at: Tangent, b: float, bt: Tangent,
+                 v: float) -> Tangent:
+    base = None
+    out = []
+    for da, db in zip(at, bt):
+        if db == 0.0:
+            # constant exponent: d(a^c) = c * a^(c-1) * a'
+            if da == 0.0 or b == 0.0:
+                out.append(0.0)
+                continue
+            if base is None:
+                base = BINARY_RULES["^"](a, b - 1.0)
+            out.append(b * base * da)
+        else:
+            if a <= 0.0:
+                raise Undefined("varying exponent needs a positive base")
+            out.append(v * (db * math.log(a) + b * da / a))
+    return tuple(out)
+
+
+def _componentwise(rule):
+    return lambda a, at, b, bt, v: tuple([rule(a, da, b, db, v)
+                                          for da, db in zip(at, bt)])
+
+
+# Keyed like expr.BINARY_RULES: (a, a', b, b', value) -> tangent.
+BINARY_TANGENTS = {**{op: _componentwise(rule)
+                      for op, rule in _COMPONENT_RULES.items()},
+                   "^": _pow_tangent}
+
+
+def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
+    """Kink checks and tangent of builtin `func` with value v; args holds
+    the (value, tangent) pair of every argument."""
+    a, t = args[0]
+    if func in ("abs", "relu", "sign"):
+        if _near(a, 0.0, margin):
+            kind = "jump" if func == "sign" else "corner"
+            raise KinkPointError(f"{func} at its {kind} 0")
+        if func == "sign":
+            return _zeros(t)
+        if a > 0.0:
+            return t
+        return _neg(t) if func == "abs" else _zeros(t)
+    if func in ("floor", "ceil"):
+        frac = a - math.floor(a)
+        if frac <= margin or 1.0 - frac <= margin:
+            raise KinkPointError(f"{func} at a jump near {a!r}")
+        return _zeros(t)
+    if func == "exp":
+        return tuple([d * v for d in t])
+    if func == "ln":
+        return tuple([d / a for d in t])
+    if func == "sqrt":
+        if a != 0.0:
+            return tuple([d * 0.5 / v for d in t])
+        if any(t):
+            raise Undefined("derivative of sqrt at zero")
+        return _zeros(t)
+    b, bt = args[1]
+    if func == "min":
+        _check_tie(a, b, margin, "min")
+        return t if a <= b else bt
+    if func == "max":
+        _check_tie(a, b, margin, "max")
+        return t if a >= b else bt
+    # clamp(a, lo, hi) = min(max(a, lo), hi), lo = b
+    hi, hit = args[2]
+    _check_tie(a, b, margin, "clamp lower corner")
+    m, mt = (a, t) if a >= b else (b, bt)
+    _check_tie(m, hi, margin, "clamp upper corner")
+    return mt if m <= hi else hit
 
 
 def _tangent_oracle(node, bound, margin, zero):
@@ -448,7 +549,8 @@ def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
 
 
 def test_every_operator_has_a_tangent_rule():
-    assert BINARY_TANGENTS.keys() == BINARY_RULES.keys()
+    assert _COMPONENT_RULES.keys() | {"^"} == BINARY_RULES.keys()
+    assert _TangentSource().calls.keys() == BUILTIN_RULES.keys()
 
 
 # --- unity checks ------------------------------------------------------------------
