@@ -95,22 +95,29 @@ class VectorInstance(Record):
         return self
 
 
-def _lit(v: float) -> str:
-    v = float(v)
-    if not math.isfinite(v):
-        raise CatalogError(f"parameter must be finite, got {v!r}")
-    return repr(v)
-
-
 def _names(n: int) -> list[str]:
     return [f"x{i}" for i in range(1, n + 1)]
+
+
+def _typed(key: str, default, value):
+    """value in the type of its parameter's default: an int, a finite float,
+    or a tuple of finite floats, where one number is a one-element vector."""
+    if isinstance(default, tuple):
+        values = (value,) if isinstance(value, (int, float)) else value
+        return tuple(_typed(key, 0.0, v) for v in values)
+    if isinstance(default, int):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise CatalogError(f"{key} must be an integer, got {value!r}")
+        return value
+    v = float(value)
+    if not math.isfinite(v):
+        raise CatalogError(f"{key} must be finite, got {value!r}")
+    return v
 
 
 def _int_n(params: Mapping, key: str = "n", *, minimum: int = 2,
            odd: bool = False) -> int:
     n = params[key]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise CatalogError(f"{key} must be an integer, got {n!r}")
     if n < minimum:
         raise CatalogError(f"{key} must be at least {minimum}")
     if odd and n % 2 == 0:
@@ -118,54 +125,15 @@ def _int_n(params: Mapping, key: str = "n", *, minimum: int = 2,
     return n
 
 
-def _finite(params: Mapping, key: str) -> float:
-    v = float(params[key])
-    if not math.isfinite(v):
-        raise CatalogError(f"{key} must be finite")
-    return v
-
-
 # --- scalar builders -------------------------------------------------------
-
-def _b_identity(p):
-    return parse("x"), 1
-
-
-def _b_constant(p):
-    c = _finite(p, "c")
-    # 0*x keeps the function univariate while evaluating to exactly c.
-    return parse(f"0 * x + {_lit(c)}"), 1
-
-
-def _b_abs(p):
-    return parse("abs(x)"), 1
-
-
-def _b_floor(p):
-    return parse("floor(x)"), 1
-
-
-def _b_ceil(p):
-    return parse("ceil(x)"), 1
-
-
-def _b_relu(p):
-    return parse("relu(x)"), 1
-
+# An entry whose formula only fills in its parameters is a DSL template in
+# its registry row instead of a builder.
 
 def _b_clamp(p):
-    lo, hi = _finite(p, "lo"), _finite(p, "hi")
+    lo, hi = p["lo"], p["hi"]
     if not lo < hi:
         raise CatalogError("clamp needs lo < hi")
-    return parse(f"clamp(x, {_lit(lo)}, {_lit(hi)})"), 1
-
-
-def _b_max_const(p):
-    return parse(f"max(x, {_lit(_finite(p, 'c'))})"), 1
-
-
-def _b_min_const(p):
-    return parse(f"min(x, {_lit(_finite(p, 'c'))})"), 1
+    return parse(f"clamp(x, {lo!r}, {hi!r})"), 1
 
 
 def _b_arith_mean(p):
@@ -178,7 +146,7 @@ def _b_geo_mean(p):
     product = " * ".join(_names(n))
     if n == 2:
         return parse(f"sqrt({product})"), 2
-    return parse(f"({product})^{_lit(1.0 / n)}"), n
+    return parse(f"({product})^{1.0 / n!r}"), n
 
 
 def _b_harmonic_mean(p):
@@ -189,14 +157,14 @@ def _b_harmonic_mean(p):
 
 def _b_power_mean(p):
     n = _int_n(p)
-    exponent = _finite(p, "p")
+    exponent = p["p"]
     if exponent == 0.0:
         raise CatalogError("power_mean needs p != 0")
     inverse = 1.0 / exponent
     if not math.isfinite(inverse):
         raise CatalogError(f"power_mean needs a finite 1/p, got p={exponent!r}")
-    powers = " + ".join(f"{v}^{_lit(exponent)}" for v in _names(n))
-    return parse(f"(({powers}) / {n})^{_lit(inverse)}"), n
+    powers = " + ".join(f"{v}^{exponent!r}" for v in _names(n))
+    return parse(f"(({powers}) / {n})^{inverse!r}"), n
 
 
 def _med3(a: str, b: str, c: str) -> str:
@@ -237,15 +205,14 @@ def _b_max_all(p):
 
 
 def _b_weighted_mean(p):
-    w = tuple(float(v) for v in p["w"])
+    w = p["w"]
     if len(w) < 2:
         raise CatalogError("weighted_mean needs at least two weights")
-    for v in w:
-        if not math.isfinite(v) or v < 0.0:
-            raise CatalogError("weights must be finite and non-negative")
+    if min(w) < 0.0:
+        raise CatalogError("weights must be non-negative")
     if abs(math.fsum(w) - 1.0) > 1e-12:
         raise CatalogError("weights must sum to 1 within 1e-12")
-    terms = " + ".join(f"{_lit(v)} * {name}" for v, name in zip(w, _names(len(w))))
+    terms = " + ".join(f"{v!r} * {name}" for v, name in zip(w, _names(len(w))))
     return parse(terms), len(w)
 
 
@@ -264,7 +231,7 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _v_box_clamp(p):
     import numpy as np
-    lo, hi = _finite(p, "lo"), _finite(p, "hi")
+    lo, hi = p["lo"], p["hi"]
     d = _int_n(p, "d", minimum=1)
     if not lo < hi:
         raise CatalogError("box_clamp needs lo < hi")
@@ -277,7 +244,7 @@ def _v_box_clamp(p):
 
 def _v_l2_ball(p):
     import numpy as np
-    r = _finite(p, "r")
+    r = p["r"]
     d = _int_n(p, "d", minimum=1)
     if r <= 0.0:
         raise CatalogError("l2_ball_projection needs r > 0")
@@ -301,10 +268,10 @@ def _v_l2_ball(p):
 
 def _v_hyperplane(p):
     import numpy as np
-    a = np.asarray([float(v) for v in p["a"]], dtype=float)
-    b = _finite(p, "b")
-    if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a)):
-        raise CatalogError("a must be a non-empty finite vector")
+    a = np.asarray(p["a"], dtype=float)
+    b = p["b"]
+    if a.size == 0:
+        raise CatalogError("a must be a non-empty vector")
     denom = float(a @ a)
     if denom == 0.0:
         raise CatalogError("a must be non-zero")
@@ -343,11 +310,22 @@ def _v_simplex(p):
 _REGISTRY: dict[str, tuple[CatalogEntry, Callable]] = {}
 
 
-def _scalar(name, kind, summary, arity, params, defaults, interval,
-            smooth, symmetric, exact, builder):
-    entry = CatalogEntry(name, kind, summary, arity, tuple(params), dict(defaults),
+def _scalar(name, kind, summary, arity, params, interval,
+            smooth, symmetric, exact, build):
+    """Register an entry.  params are (name, default, meaning) rows; build
+    maps typed params to (expr or operator, size), or is a univariate DSL
+    template formatted with them."""
+    entry = CatalogEntry(name, kind, summary, arity,
+                         tuple((key, meaning) for key, _, meaning in params),
+                         {key: default for key, default, _ in params},
                          interval, smooth, symmetric, exact)
-    _REGISTRY[name] = (entry, builder)
+    if isinstance(build, str):
+        template = build
+
+        def build(p):
+            return parse(template.format_map(p)), 1
+
+    _REGISTRY[name] = (entry, build)
 
 
 _U = "scalar-univariate"
@@ -357,64 +335,64 @@ _BOX = DEFAULT_INTERVAL
 _POS = POSITIVE_INTERVAL
 
 _scalar("identity", _U, "x itself; every point is fixed", "1",
-        (), {}, _BOX, True, True, True, _b_identity)
+        (), _BOX, True, True, True, "x")
+# 0*x keeps the function univariate while evaluating to exactly c.
 _scalar("constant", _U, "the constant function c (written 0*x + c)", "1",
-        (("c", "constant value, inside the box"),), {"c": 5.0}, _BOX,
-        True, True, True, _b_constant)
+        (("c", 5.0, "constant value, inside the box"),), _BOX,
+        True, True, True, "0 * x + {c!r}")
 _scalar("abs", _U, "absolute value; fixes [0, hi]", "1",
-        (), {}, _BOX, False, True, True, _b_abs)
+        (), _BOX, False, True, True, "abs(x)")
 _scalar("floor", _U, "round down; fixes the integers", "1",
-        (), {}, _BOX, False, True, True, _b_floor)
+        (), _BOX, False, True, True, "floor(x)")
 _scalar("ceil", _U, "round up; fixes the integers", "1",
-        (), {}, _BOX, False, True, True, _b_ceil)
+        (), _BOX, False, True, True, "ceil(x)")
 _scalar("relu", _U, "max(x, 0); fixes [0, hi]", "1",
-        (), {}, _BOX, False, True, True, _b_relu)
+        (), _BOX, False, True, True, "relu(x)")
 _scalar("clamp", _U, "clip into [lo, hi]", "1",
-        (("lo", "lower edge"), ("hi", "upper edge")),
-        {"lo": 0.0, "hi": 1.0}, _BOX, False, True, True, _b_clamp)
+        (("lo", 0.0, "lower edge"), ("hi", 1.0, "upper edge")),
+        _BOX, False, True, True, _b_clamp)
 _scalar("max_const", _U, "max(x, c); fixes [c, hi]", "1",
-        (("c", "floor value"),), {"c": 0.0}, _BOX, False, True, True,
-        _b_max_const)
+        (("c", 0.0, "floor value"),), _BOX, False, True, True,
+        "max(x, {c!r})")
 _scalar("min_const", _U, "min(x, c); fixes [lo, c]", "1",
-        (("c", "cap value"),), {"c": 0.0}, _BOX, False, True, True,
-        _b_min_const)
+        (("c", 0.0, "cap value"),), _BOX, False, True, True,
+        "min(x, {c!r})")
 
-_N_PARAM = ("n", "number of arguments")
+_N_PARAM = ("n", 3, "number of arguments")
 
 _scalar("arith_mean", _M, "arithmetic mean of n arguments", "n >= 2",
-        (_N_PARAM,), {"n": 3}, _BOX, True, True, False, _b_arith_mean)
+        (_N_PARAM,), _BOX, True, True, False, _b_arith_mean)
 _scalar("geo_mean", _M, "geometric mean on a positive box", "n >= 2",
-        (_N_PARAM,), {"n": 3}, _POS, True, True, False, _b_geo_mean)
+        (_N_PARAM,), _POS, True, True, False, _b_geo_mean)
 _scalar("harmonic_mean", _M, "harmonic mean on a positive box", "n >= 2",
-        (_N_PARAM,), {"n": 3}, _POS, True, True, False, _b_harmonic_mean)
+        (_N_PARAM,), _POS, True, True, False, _b_harmonic_mean)
 _scalar("power_mean", _M, "power mean ((sum x_i^p)/n)^(1/p) on a positive box",
-        "n >= 2", (("p", "exponent, p != 0"), _N_PARAM),
-        {"p": 2.0, "n": 3}, _POS, True, True, False, _b_power_mean)
+        "n >= 2", (("p", 2.0, "exponent, p != 0"), _N_PARAM),
+        _POS, True, True, False, _b_power_mean)
 _scalar("median", _M, "middle order statistic (odd n keeps it single-valued)",
-        "n in {3, 5}", (_N_PARAM,), {"n": 3}, _BOX, False, True, True,
-        _b_median)
+        "n in {3, 5}", (_N_PARAM,), _BOX, False, True, True, _b_median)
 _scalar("min_all", _M, "smallest argument", "n >= 2",
-        (_N_PARAM,), {"n": 3}, _BOX, False, True, True, _b_min_all)
+        (_N_PARAM,), _BOX, False, True, True, _b_min_all)
 _scalar("max_all", _M, "largest argument", "n >= 2",
-        (_N_PARAM,), {"n": 3}, _BOX, False, True, True, _b_max_all)
+        (_N_PARAM,), _BOX, False, True, True, _b_max_all)
 _scalar("weighted_mean", _M,
         "convex combination sum w_i x_i; idempotent but not symmetric",
-        "n = len(w)", (("w", "non-negative weights summing to 1"),),
-        {"w": (0.3, 0.7)}, _BOX, True, False, False, _b_weighted_mean)
+        "n = len(w)", (("w", (0.3, 0.7), "non-negative weights summing to 1"),),
+        _BOX, True, False, False, _b_weighted_mean)
 
 _scalar("box_clamp", _V, "componentwise clip into [lo, hi]^d", "vector, d >= 1",
-        (("lo", "lower edge"), ("hi", "upper edge"), ("d", "dimension")),
-        {"lo": 0.0, "hi": 1.0, "d": 3}, _BOX, False, False, True, _v_box_clamp)
+        (("lo", 0.0, "lower edge"), ("hi", 1.0, "upper edge"),
+         ("d", 3, "dimension")), _BOX, False, False, True, _v_box_clamp)
 _scalar("l2_ball_projection", _V, "nearest point of the centered l2 ball of radius r",
-        "vector, d >= 1", (("r", "radius, r > 0"), ("d", "dimension")),
-        {"r": 1.0, "d": 3}, _BOX, False, False, False, _v_l2_ball)
+        "vector, d >= 1", (("r", 1.0, "radius, r > 0"), ("d", 3, "dimension")),
+        _BOX, False, False, False, _v_l2_ball)
 _scalar("hyperplane_projection", _V, "orthogonal projection onto a.x = b",
-        "vector, d = len(a)", (("a", "normal vector, non-zero"), ("b", "offset")),
-        {"a": (1.0, 1.0, 1.0), "b": 1.0}, _BOX, False, False, False,
-        _v_hyperplane)
+        "vector, d = len(a)",
+        (("a", (1.0, 1.0, 1.0), "normal vector, non-zero"), ("b", 1.0, "offset")),
+        _BOX, False, False, False, _v_hyperplane)
 _scalar("simplex_projection", _V,
         "Euclidean projection onto the probability simplex",
-        "vector, d >= 1", (("d", "dimension"),), {"d": 3}, (-1.0, 1.0),
+        "vector, d >= 1", (("d", 3, "dimension"),), (-1.0, 1.0),
         False, False, False, _v_simplex)
 
 
@@ -446,15 +424,14 @@ def instantiate(name: str, **overrides):
         raise CatalogError(f"no catalog entry named {name!r}")
     entry, builder = _REGISTRY[name]
     params = dict(entry.defaults)
-    for key, value in overrides.items():
+    for key in overrides:
         if key not in params:
             raise CatalogError(f"{name} does not take parameter {key!r}")
-        if isinstance(params[key], tuple) and isinstance(value, (int, float)):
-            value = (float(value),)  # one number is a one-element vector
-        params[key] = value
     try:
+        params.update((key, _typed(key, params[key], value))
+                      for key, value in overrides.items())
         built, size = builder(params)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, CatalogError):
             raise
         raise CatalogError(f"bad parameters for {name}: {exc}") from None

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import statistics
 import warnings
 
@@ -49,6 +50,63 @@ def test_unknown_name_and_parameter_are_rejected():
         instantiate("abs", c=3.0)
     with pytest.raises(CatalogError):
         instantiate("clamp", lo=2.0, hi=1.0)
+
+
+def test_a_value_takes_the_type_of_its_default():
+    value = instantiate("clamp", lo=-2).params["lo"]
+    assert type(value) is float and value == -2.0
+    params = instantiate("power_mean", p=2, n=4).params
+    assert type(params["p"]) is float and type(params["n"]) is int
+    assert instantiate("weighted_mean", w=[1, 0]).params["w"] == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("clamp", {"lo": math.nan}, "lo must be finite, got nan"),
+    ("power_mean", {"p": math.inf}, "p must be finite, got inf"),
+    ("box_clamp", {"hi": -math.inf}, "hi must be finite, got -inf"),
+    ("weighted_mean", {"w": (0.5, math.nan)}, "w must be finite, got nan"),
+    ("hyperplane_projection", {"a": (1.0, math.inf)}, "a must be finite, got inf"),
+])
+def test_typing_errors_name_the_key(name, params, message):
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        instantiate(name, **params)
+
+
+# Every scalar entry's formula at its defaults, and at one other set where
+# the entry takes parameters.
+FORMULAS = [
+    ("identity", {}, "x"),
+    ("constant", {}, "0 * x + 5.0"),
+    ("abs", {}, "abs(x)"),
+    ("floor", {}, "floor(x)"),
+    ("ceil", {}, "ceil(x)"),
+    ("relu", {}, "relu(x)"),
+    ("clamp", {}, "clamp(x, 0.0, 1.0)"),
+    ("max_const", {}, "max(x, 0.0)"),
+    ("min_const", {}, "min(x, 0.0)"),
+    ("arith_mean", {}, "(x1 + x2 + x3) / 3"),
+    ("geo_mean", {}, "(x1 * x2 * x3)^0.3333333333333333"),
+    ("harmonic_mean", {}, "3 / (1 / x1 + 1 / x2 + 1 / x3)"),
+    ("power_mean", {}, "((x1^2.0 + x2^2.0 + x3^2.0) / 3)^0.5"),
+    ("median", {}, "max(min(x1, x2), min(max(x1, x2), x3))"),
+    ("min_all", {}, "min(min(x1, x2), x3)"),
+    ("max_all", {}, "max(max(x1, x2), x3)"),
+    ("weighted_mean", {}, "0.3 * x1 + 0.7 * x2"),
+    ("constant", {"c": -3.25}, "0 * x + -3.25"),
+    ("max_const", {"c": -1}, "max(x, -1.0)"),
+    ("min_const", {"c": 2.5}, "min(x, 2.5)"),
+    ("clamp", {"lo": -2, "hi": 0.5}, "clamp(x, -2.0, 0.5)"),
+]
+
+
+@pytest.mark.parametrize("name, params, formula", FORMULAS)
+def test_scalar_formulas_are_pinned(name, params, formula):
+    assert format_expr(instantiate(name, **params).expr) == formula
+
+
+def test_every_scalar_entry_has_a_pinned_formula():
+    pinned = {name for name, params, _ in FORMULAS if not params}
+    assert pinned == {e.name for e in list_entries() if e.kind != "vector-operator"}
 
 
 # --- scalar values against independent formulas --------------------------------
@@ -394,7 +452,9 @@ def test_vector_dimension_overrides():
 @pytest.mark.parametrize("name", ["box_clamp", "l2_ball_projection",
                                   "simplex_projection"])
 def test_vector_dimension_errors_name_d(name):
-    with pytest.raises(CatalogError, match=r"^d must be an integer, got 3\.5$"):
-        instantiate(name, d=3.5)
+    for bad in (3.5, 3.0, True):
+        message = f"d must be an integer, got {bad}"
+        with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+            instantiate(name, d=bad)
     with pytest.raises(CatalogError, match=r"^d must be at least 1$"):
         instantiate(name, d=0)

@@ -227,6 +227,21 @@ def test_config_and_flag_params_are_merged(tmp_path):
     assert doc["box"] == [[-3.0, 3.0]]
 
 
+@pytest.mark.parametrize("args, spellings, echo", [
+    (("check", "--catalog", "clamp", "--samples", "8"), ("lo=-2", "lo=-2.0"),
+     '"lo": -2.0'),
+    (("derive", "--catalog", "power_mean", "--samples", "8"), ("p=2", "p=2.0"),
+     '"p": 2.0'),
+])
+def test_one_target_has_one_report_spelling(args, spellings, echo):
+    # a value takes its parameter's type, so the echo cannot tell how it was typed
+    one, other = (run_cli(*args, "--params", spelling, "--format", "json")
+                  for spelling in spellings)
+    assert one.returncode == 0, one.stderr
+    assert (other.returncode, other.stdout) == (0, one.stdout)
+    assert echo in one.stdout
+
+
 def test_an_unknown_config_parameter_is_rejected_beside_flag_params(tmp_path):
     cfg = tmp_path / "ouro.cfg"
     cfg.write_text("params = c=3\n")
