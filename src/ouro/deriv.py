@@ -22,8 +22,8 @@ from typing import Mapping
 
 from ._record import Record
 from .expr import (
-    BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
-    Neg, UnboundVariableError, Var, _ValueSource, evaluate,
+    BINARY_RULES, BinOp, Call, Const, EvalDomainError, Expr, Neg,
+    UnboundVariableError, Var, _ValueSource, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -423,24 +423,6 @@ def _unit_seeds(n: int) -> tuple[Tangent, ...]:
                  for j in range(n))
 
 
-def _check_bindings(names: list[str], env: Mapping[str, float]) -> None:
-    for name in names:
-        if name not in env:
-            raise UnboundVariableError(name)
-        x = env[name]
-        if not math.isfinite(x):
-            raise EvaluationError(f"non-finite binding {name}={x!r}")
-
-
-def _walk(f: Expr, env: Mapping[str, float], seeds: tuple[Tangent, ...],
-          margin: float) -> tuple[float, Tangent]:
-    """(value, tangent) of f at env, variable f.program.names[j] carrying
-    seeds[j], whose components are 0.0 or 1.0; raises KinkPointError
-    within `margin` of a jump or corner."""
-    _check_bindings(f.program.names, env)
-    return f.program.generated(_TangentSource, seeds)(env, margin)
-
-
 def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
               kink_margin: float = 0.0) -> tuple[float, float]:
     """Value and exact partial d f / d x_i at `env` by forward mode.
@@ -454,7 +436,8 @@ def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     seeds = tuple([(1.0,) if j == i else (0.0,) for j in range(len(names))])
-    value, (deriv,) = _walk(f, env, seeds, kink_margin)
+    tangent = f.program.generated(_TangentSource, seeds)
+    value, (deriv,) = tangent(env, kink_margin)
     return value, deriv
 
 
@@ -491,8 +474,10 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
 
 
 def _gradient_walk(f: Expr, names: list[str], method: str):
-    """The function (env, margin) -> f's value and gradient at env, whose
-    bindings the caller checked; its tangent function is looked up once."""
+    """The function (env, margin) -> f's value and gradient at env by
+    `method`; its tangent function is looked up once."""
+    if method not in TOL_UNITY:
+        raise ValueError(f"unknown method {method!r}")
     if method == "dual":
         return f.program.generated(_TangentSource, _unit_seeds(len(names)))
     # Finite differencing cannot see kinks on its own: a width-0 walk
@@ -508,13 +493,7 @@ def _gradient_walk(f: Expr, names: list[str], method: str):
 def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
              kink_margin: float = 0.0) -> tuple[float, ...]:
     """All partials of f at `env` by the chosen method."""
-    if method not in TOL_UNITY:
-        raise ValueError(f"unknown method {method!r}")
-    names = f.program.names
-    if method == "dual" and not names:
-        return ()  # no coordinates to seed, so nothing is walked
-    _check_bindings(names, env)
-    return _gradient_walk(f, names, method)(env, kink_margin)[1]
+    return _gradient_walk(f, f.program.names, method)(env, kink_margin)[1]
 
 
 class UnityReport(Record):
@@ -553,16 +532,13 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
     KinkPointError if x itself sits on a kink of the outer gradient.  Both
     claims are compared at TOL_UNITY[method].
     """
-    if method not in TOL_UNITY:
-        raise ValueError(f"unknown method {method!r}")
-    tol = TOL_UNITY[method]
     names = f.program.names
+    walk = _gradient_walk(f, names, method)
+    tol = TOL_UNITY[method]
     n = len(names)
     if n == 0:
         raise ValueError("candidate has no free variables")
-    _check_bindings(names, env)
     margin = plan.kink_margin
-    walk = _gradient_walk(f, names, method)
     value, outer = walk(env, margin)
     zero_grad = max(map(abs, outer)) <= GRADIENT_FLOOR
 

@@ -409,9 +409,11 @@ class _ValueSource:
     Each builder appends the statements that compute its node into a new
     local and returns that local's name.  Every node's value is checked
     where it is made, in the tree walk's order, so the function raises what
-    the walk would.  No user text reaches the source except variable names,
-    which Var has validated, and only as repr string keys; constants, nodes
-    and rules are reached through the function's globals.
+    the walk would; a variable's binding is checked where it is first read.
+    No user text reaches the source except variable names, which Var has
+    validated, and only inside repr string literals: the keys and the
+    binding error's message.  Constants, nodes and rules are reached through
+    the function's globals.
     """
 
     params = "env"
@@ -420,6 +422,7 @@ class _ValueSource:
         self.lines: list[str] = []
         self.namespace = {"isfinite": math.isfinite, "Undefined": Undefined,
                           "EvalDomainError": EvalDomainError,
+                          "EvaluationError": EvaluationError,
                           "UnboundVariableError": UnboundVariableError}
         self.reads: dict[str, str] = {}
         self.locals = 0
@@ -439,13 +442,17 @@ class _ValueSource:
         return self.bind(node.value)
 
     def var(self, node: Var) -> str:
-        # read at its first use only, which is where a missing name raises
+        # read and checked at its first use only, which is where a missing
+        # or non-finite binding raises
         out = self.reads.get(node.name)
         if out is None:
             out = self.reads[node.name] = self.fresh()
+            message = f"non-finite binding {node.name}="
             self.lines += ["try:", f"    {out} = env[{node.name!r}]",
                            "except KeyError:",
-                           f"    raise UnboundVariableError({node.name!r}) from None"]
+                           f"    raise UnboundVariableError({node.name!r}) from None",
+                           f"if not isfinite({out}):",
+                           f"    raise EvaluationError({message!r} + repr({out}))"]
         return out
 
     def neg(self, node: Neg, operand: str) -> str:
@@ -504,7 +511,7 @@ class Program:
 
     names are its free variables in order of first appearance, the order
     in which the generated value function reads them.  value(env) is that
-    function: evaluate without the binding check.
+    function, which evaluate calls.
     """
 
     __slots__ = ("expr", "names", "value", "_generated")
@@ -528,14 +535,13 @@ class Program:
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     """Evaluate `expr` with variables bound by `env`.
 
-    Every bound value must be finite.  Raises UnboundVariableError for a
-    missing variable and EvalDomainError when arithmetic leaves the reals;
-    the error names the offending subexpression and its inputs.
+    Every variable `expr` reads must be bound to a finite number; keys it
+    does not read are ignored.  Raises UnboundVariableError for a missing
+    variable, EvaluationError for a non-finite one, and EvalDomainError,
+    naming the offending subexpression and its inputs, when arithmetic
+    leaves the reals.  Each is raised where the tree walk meets it, so a
+    node fault before a variable's first read comes first.
     """
-    if not all(map(math.isfinite, env.values())):
-        for name, value in env.items():
-            if not math.isfinite(value):
-                raise EvaluationError(f"non-finite binding {name}={value!r}")
     return expr.program.value(env)
 
 

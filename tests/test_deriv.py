@@ -10,12 +10,13 @@ from test_acceptance import _random_ast
 
 from ouro.deriv import (
     GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, _COMPONENT_RULES,
-    KinkPointError, Tangent, _TangentSource, _unit_seeds, _walk, check_unity,
+    KinkPointError, Tangent, _TangentSource, _unit_seeds, check_unity,
     dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
-    BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError, Neg,
-    UnboundVariableError, Undefined, Var, evaluate, free_variables, parse,
+    BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError,
+    EvaluationError, Neg, UnboundVariableError, Undefined, Var, evaluate,
+    free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status, check_iterated, check_membership
 
@@ -268,6 +269,14 @@ def _outcome(fn):
         return exc
 
 
+def _shown(outcome):
+    """An outcome as data that compares: a value, or an exception's class
+    and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome
+
+
 def test_vector_tangent_matches_per_coordinate_duals():
     # Differential test of the width-n walk against n width-1 walks and the
     # value against evaluate, on random trees, points and kink margins.
@@ -280,14 +289,15 @@ def test_vector_tangent_matches_per_coordinate_duals():
         env = {name: (rng.choice(pool) if rng.random() < 0.2
                       else rng.uniform(-4.0, 4.0)) for name in names}
         margin = rng.choice((0.0, 1e-7, 0.05))
-        walked = _outcome(
-            lambda: _walk(f, env, _unit_seeds(len(names)), margin))
+        walked = _outcome(lambda: f.program.generated(
+            _TangentSource, _unit_seeds(len(names)))(env, margin))
         grad = _outcome(lambda: gradient(f, env, kink_margin=margin))
         oracle = _outcome(lambda: tuple(
             dual_eval(f, env, i, kink_margin=margin)[1]
             for i in range(len(names))))
-        if not names:
-            assert grad == oracle == ()
+        if not names:  # no coordinate: both methods walk the value alone
+            fd = _outcome(lambda: gradient(f, env, "fd", kink_margin=margin))
+            assert _shown(grad) == _shown(fd), (f, margin, grad, fd)
             continue
         checked += 1
         assert isinstance(grad, Exception) == isinstance(oracle, Exception), \
@@ -446,13 +456,14 @@ def _bits(fn):
 
 
 def _walk_against_oracle(f, env, seeds, margin):
-    """_walk's outcome, asserted equal to the oracle's: the value and tangent
-    bits, or the exception's class, message and very node."""
+    """The tangent function's outcome, asserted equal to the oracle's: the
+    value and tangent bits, or the exception's class, message and very
+    node."""
     names = free_variables(f)
-    # with no variable there are no seeds, and _walk's zero is ()
+    # with no variable there are no seeds, and the zero tangent is ()
     zero = (0.0,) * len(seeds[0]) if seeds else ()
     bound = {name: (env[name], seed) for name, seed in zip(names, seeds)}
-    got = _bits(lambda: _walk(f, env, seeds, margin))
+    got = _bits(lambda: f.program.generated(_TangentSource, seeds)(env, margin))
     want = _bits(lambda: _tangent_oracle(f, bound, margin, zero))
     assert got == want, (f, env, seeds, margin)
     if isinstance(want[0], type):  # the very node, not an equal one
@@ -632,6 +643,33 @@ def test_unity_validation():
         check_unity(parse("x"), {"x": 1.0}, PLAN, method="symbolic")
     with pytest.raises(ValueError):
         check_unity(parse("x1 + x2"), {"x1": 1.0}, PLAN)
+
+
+_ENGINES = {
+    "evaluate": evaluate,
+    "program.value": lambda f, env: f.program.value(env),
+    "dual_eval": lambda f, env: dual_eval(f, env, 0),
+    "fd_partial": lambda f, env: fd_partial(f, env, 0),
+    "gradient-dual": lambda f, env: gradient(f, env, "dual"),
+    "gradient-fd": lambda f, env: gradient(f, env, "fd"),
+    "check_unity-dual": lambda f, env: check_unity(f, env, PLAN, "dual"),
+    "check_unity-fd": lambda f, env: check_unity(f, env, PLAN, "fd"),
+}
+
+
+@pytest.mark.parametrize("engine", _ENGINES.values(), ids=_ENGINES)
+def test_every_engine_keeps_one_binding_rule(engine):
+    # every variable read must be bound to a finite number; keys that are
+    # not read are ignored
+    f = parse("x^2")
+    alone = _hexed(engine(f, {"x": 1.5}))
+    for bad in (math.nan, math.inf):
+        assert _hexed(engine(f, {"x": 1.5, "y": bad})) == alone
+        with pytest.raises(EvaluationError) as info:
+            engine(f, {"x": bad, "y": 1.5})
+        assert str(info.value) == f"non-finite binding x={bad!r}"
+    with pytest.raises(UnboundVariableError, match="'x'"):
+        engine(f, {"y": 1.5})
 
 
 # --- sweeps ---------------------------------------------------------------------

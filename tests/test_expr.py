@@ -13,9 +13,9 @@ from test_acceptance import _random_ast
 
 from ouro.deriv import _TangentSource
 from ouro.expr import (
-    BINARY_RULES, BUILTIN_RULES, BinOp, Call, Const, EvalDomainError, Neg,
-    ParseError, UnboundVariableError, Undefined, Var, _fold, _ValueSource,
-    evaluate, format_expr, free_variables, parse,
+    BINARY_RULES, BUILTIN_RULES, BinOp, Call, Const, EvalDomainError,
+    EvaluationError, Neg, ParseError, UnboundVariableError, Undefined, Var,
+    _fold, _ValueSource, evaluate, format_expr, free_variables, parse,
 )
 
 
@@ -100,6 +100,12 @@ def test_evaluate_rejects_non_finite_bindings():
         evaluate(parse("x"), {"x": float("nan")})
     with pytest.raises(ValueError):
         evaluate(parse("x"), {"x": float("inf")})
+    # checked where the variable is first read, so a fault in a node
+    # evaluated earlier comes first
+    with pytest.raises(EvalDomainError, match="ln of a non-positive"):
+        evaluate(parse("ln(0) + x"), {"x": float("nan")})
+    with pytest.raises(EvaluationError, match="non-finite binding x=nan"):
+        evaluate(parse("x + ln(0)"), {"x": float("nan")})
 
 
 @pytest.mark.parametrize("source, env", [
@@ -176,9 +182,12 @@ def _oracle(node, env):
         return node.value
     if isinstance(node, Var):
         try:
-            return env[node.name]
+            v = env[node.name]
         except KeyError:
             raise UnboundVariableError(node.name) from None
+        if not math.isfinite(v):
+            raise EvaluationError(f"non-finite binding {node.name}={v!r}")
+        return v
     if isinstance(node, Neg):
         return -_oracle(node.operand, env)
     if isinstance(node, BinOp):
@@ -206,6 +215,8 @@ def _outcome(fn):
 def test_evaluate_matches_the_tree_walk_oracle():
     rng = random.Random(20261018)
     pool = (0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 700.0, -700.0)
+    # a second stream, so the trees and points drawn from rng stay as they were
+    spoil = random.Random(20261021)
     kinds = {}
     for _ in range(2500):
         f = _random_ast(rng, 5)
@@ -214,6 +225,9 @@ def test_evaluate_matches_the_tree_walk_oracle():
                for name in free_variables(f)}
         if env and rng.random() < 0.1:
             del env[rng.choice(sorted(env))]
+        if spoil.random() < 0.15:  # a variable read or not, non-finite
+            name = spoil.choice(("x", "x1", "x2", "y", "unread"))
+            env[name] = spoil.choice((math.nan, math.inf, -math.inf))
         got, want = _outcome(lambda: evaluate(f, env)), _outcome(lambda: _oracle(f, env))
         assert got == want, (format_expr(f), env)
         if isinstance(want, tuple):  # the very node, not an equal one
@@ -223,6 +237,7 @@ def test_evaluate_matches_the_tree_walk_oracle():
     assert kinds["value"] >= 1000
     assert kinds["EvalDomainError"] >= 300
     assert kinds["UnboundVariableError"] >= 50
+    assert kinds["EvaluationError"] >= 50
 
 
 def _renamed(node, names):
@@ -281,7 +296,7 @@ def test_inlined_operators_are_their_rules():
 def test_generated_source_holds_only_variable_names():
     # Constants, nodes, kink messages and rules reach the value and tangent
     # functions through their globals; the only user text in their source
-    # is a validated name.
+    # is a validated name.  x_1 is read twice but read and checked once.
     e = parse("x_1 * 12345.5 + ln(x_1) / 6789e-3")
     for emitter in (_ValueSource, _TangentSource,
                     lambda: _TangentSource(((1.0,),))):
@@ -291,6 +306,7 @@ def test_generated_source_holds_only_variable_names():
         assert "12345" not in text and "6789" not in text
         assert "'ln'" not in text
         assert text.count("'x_1'") == 2  # one read and the error it may raise
+        assert text.count("'non-finite binding x_1='") == 1
         assert 12345.5 in source.namespace.values()
     # a builtin's tangent rule is chosen when the source is written, so its
     # name does not reach the function at all
