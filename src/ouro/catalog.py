@@ -2,8 +2,9 @@
 
 Scalar entries come with a DSL expression so every engine (evaluation,
 membership sampling, dual/finite-difference derivatives) applies to them;
-vector entries carry a numpy callable and extend the membership check to
-vector-valued domains.  Flags are honest contract metadata:
+vector entries carry a plain-Python operator on tuples of floats and
+extend the membership check to vector-valued domains.  Flags are honest
+contract metadata:
 
     smooth             entry is C^1 on its recommended box, so derivative
                        cross-checks run on it (never set on vector entries,
@@ -21,15 +22,15 @@ box [0.1, 10] to stay clear of poles and branch points.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+import operator
+import sys
+from typing import Callable, Mapping, Sequence
 
 from ._record import Record
 from .expr import Expr, parse
 from .verify import DEFAULT_INTERVAL, DomainBox
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CatalogEntry", "ScalarInstance", "VectorInstance", "CatalogError",
@@ -71,19 +72,18 @@ class ScalarInstance(Record):
 class VectorInstance(Record):
     """A vector operator fn: R^dim -> R^dim.
 
-    fn also takes an array of shape (..., dim) and maps each row exactly as
-    it maps that row alone, as every catalog operator does, so verify
-    applies an instance to a chunk of samples in one call.  A plain callable
-    is checked one sample at a time instead.
+    fn maps one point, a sequence of dim floats, to a tuple of dim floats,
+    deterministically, so verify stops iterating an instance once an
+    iterate repeats bit for bit.
     """
 
     entry: CatalogEntry
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[[Sequence[float]], tuple[float, ...]]
     dim: int
     box: DomainBox
     params: dict
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: Sequence[float]) -> tuple[float, ...]:
         return self.fn(x)
 
     def _key(self) -> tuple:
@@ -217,90 +217,95 @@ def _b_weighted_mean(p):
 
 
 # --- vector builders -------------------------------------------------------
-# Each imports numpy itself, so scalar entries never load it.  Each operator
-# takes a point or a stack of points, an array of shape (..., d), and maps
-# every row as it maps that row alone, bit for bit: verify applies it to
-# whole chunks of samples at once.
+# Each operator maps one point, a sequence of d floats, to a tuple of d
+# floats, in plain Python.
+
+_ROOT_MAX = math.sqrt(sys.float_info.max)  # beyond it, x . x overflows
+_UNIT = 2.0 ** 64
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x . y along the last axis, each row's value as np.dot gives it for
-    that row alone: a stack of 1 x d by d x 1 matrix products, which numpy
-    computes one dot per row (x @ y with a 2-D x would not)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    """x . y, correctly rounded from the rounded products (math.fsum), so
+    it does not depend on summation order.  Where a product or a partial
+    sum overflows, the products are summed again in units of 2**64, which
+    is exact but for products that underflow; the result is then inf only
+    where x . y exceeds the largest double, and nan where even that fails."""
+    try:
+        return math.fsum(map(operator.mul, x, y))
+    except (OverflowError, ValueError):
+        pass
+    try:
+        return math.fsum(v / _UNIT * w for v, w in zip(x, y)) * _UNIT
+    except (OverflowError, ValueError):
+        return math.nan
+
 
 def _v_box_clamp(p):
-    import numpy as np
     lo, hi = p["lo"], p["hi"]
     d = _int_n(p, "d", minimum=1)
     if not lo < hi:
         raise CatalogError("box_clamp needs lo < hi")
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        return np.clip(x, lo, hi)
+    def fn(x):
+        # an entry equal to an edge is kept, with its own sign of zero
+        return tuple([lo if v < lo else hi if v > hi else v for v in x])
 
     return fn, d
 
 
 def _v_l2_ball(p):
-    import numpy as np
     r = p["r"]
     d = _int_n(p, "d", minimum=1)
     if r <= 0.0:
         raise CatalogError("l2_ball_projection needs r > 0")
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            huge = np.isinf(_rowdot(x, x))
-        # A row whose x.x overflows is scaled by its largest entry before
-        # its norm is taken; every other row is divided by 1.0, which keeps
-        # its bits.  Rows inside the ball are returned as they are, and
-        # divide by 1.0 too, so a zero row never computes 0/0.
-        s = np.where(huge, np.max(np.abs(x), axis=-1), 1.0)[..., None]
-        u = x / s
-        norm = np.sqrt(_rowdot(u, u))[..., None]
-        inside = norm <= r / s
-        return np.where(inside, x, u * r / np.where(inside, 1.0, norm))
+    def fn(x):
+        norm = math.hypot(*x)
+        if norm <= r:
+            return tuple(x)
+        if norm > _ROOT_MAX:
+            # x is divided by its largest entry first, so v * r stays finite
+            s = max(map(abs, x))
+            x = [v / s for v in x]
+            norm = math.hypot(*x)
+        return tuple([v * r / norm for v in x])
 
     return fn, d
 
 
 def _v_hyperplane(p):
-    import numpy as np
-    a = np.asarray(p["a"], dtype=float)
-    b = p["b"]
-    if a.size == 0:
+    a, b = p["a"], p["b"]
+    if not a:
         raise CatalogError("a must be a non-empty vector")
-    denom = float(a @ a)
+    denom = _dot(a, a)
     if denom == 0.0:
         raise CatalogError("a must be non-zero")
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        return x - ((_rowdot(x, a) - b) / denom)[..., None] * a
+    def fn(x):
+        lam = (_dot(x, a) - b) / denom
+        return tuple([v - lam * w for v, w in zip(x, a)])
 
-    return fn, int(a.size)
+    return fn, len(a)
 
 
 def _v_simplex(p):
-    import numpy as np
     d = _int_n(p, "d", minimum=1)
 
-    ks = np.arange(1, d + 1)
-
-    def fn(x: np.ndarray) -> np.ndarray:
+    def fn(x):
         # Euclidean projection onto {y >= 0, sum y = 1} by sorting and
-        # thresholding: find the largest k keeping all shifted entries
-        # positive, then subtract the matching threshold and clip.
-        u = np.sort(np.asarray(x, dtype=float), axis=-1)[..., ::-1]
-        css = np.cumsum(u, axis=-1)
-        positive = u * ks > css - 1.0
-        if not positive.any(axis=-1).all():
+        # thresholding: the largest k whose shifted entry stays positive
+        # gives the threshold, which is subtracted before clipping at 0.
+        u = sorted(x, reverse=True)
+        theta = None
+        for k, (v, css) in enumerate(zip(u, itertools.accumulate(u)), 1):
+            if v * k > css - 1.0:
+                theta = (css - 1.0) / k
+        if theta is None:
             # k = 1 always qualifies unless u_1 - 1 rounds to u_1
             raise ValueError("entries too large to threshold onto the simplex")
-        rho = (d - 1 - np.argmax(positive[..., ::-1], axis=-1))[..., None]
-        theta = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1.0)
-        return np.maximum(x - theta, 0.0)
+        # v > theta exactly where v - theta > 0.0, and every other entry
+        # is +0.0, even where v - theta is -0.0
+        return tuple([v - theta if v > theta else 0.0 for v in x])
 
     return fn, d
 

@@ -457,6 +457,8 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
     if name not in env:
         raise UnboundVariableError(name)
     x = env[name]
+    if not math.isfinite(x):
+        evaluate(f, env)  # raises the binding error for x as bound
     h = 1e-6 * max(1.0, abs(x))
     probe, ends, errors = dict(env), [], []
     for step in (h, -h):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -111,21 +112,6 @@ class DomainBox(Record):
             z = (z + _GOLDEN) & _M64
         return tuple(out)
 
-    def sample_rows(self, seed: int, start: int, stop: int) -> np.ndarray:
-        """sample_point(seed, i) for i in range(start, stop), bit for bit,
-        as the rows of one array: splitmix64 over uint64 counters, whose
-        arithmetic wraps modulo 2**64 as unit_uniform's masks do."""
-        import numpy as np
-        u64, n = np.uint64, self.n
-        z = (np.arange(start * n + 1, stop * n + 1, dtype=u64) * u64(_GOLDEN)
-             + u64(seed & _M64))
-        z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
-        z ^= z >> u64(31)
-        u = (z >> u64(11)).astype(float).reshape(-1, n) * 2.0 ** -53
-        lo, hi = np.array(self.intervals).T
-        return lo + u * (hi - lo)
-
     def signed_escape(self, j: int, value: float, slack: float) -> float:
         """Signed distance by which `value` leaves interval j, 0.0 inside.
         `slack` widens the interval to absorb harmless rounding at the
@@ -215,43 +201,68 @@ def _expr_names(f: Expr, domain: DomainBox) -> tuple[str, ...]:
     return names
 
 
-# numpy is imported only where a vector operator is applied, so scalar
-# targets never load it.
+# A target is a DSL expression, a catalog VectorInstance, or any other
+# callable on numpy arrays; numpy is imported only to apply the last kind,
+# so no catalog or DSL target loads it.
 VectorFn = Callable[["np.ndarray"], "np.ndarray"]
-Target = Union[Expr, VectorFn]
+Target = Union[Expr, "VectorInstance", VectorFn]
 
 
-def _call_operator(op: VectorFn, x: np.ndarray) -> np.ndarray:
-    """op(x) as a float array of x's shape.  A raising call, a wrong shape
-    or a non-finite value becomes an EvaluationError, so an operator fault
-    is reported like a DSL one."""
+def _numpy_operator(op: VectorFn):
+    """op on tuples: it is given each point as a float array, and its output
+    comes back as a tuple when it has the point's shape and is finite, and
+    as the array itself otherwise, for _call_operator to report."""
     import numpy as np
+
+    def call(x: tuple[float, ...]):
+        y = np.asarray(op(np.asarray(x, dtype=float)), dtype=float)
+        if y.shape != (len(x),) or not np.all(np.isfinite(y)):
+            return y
+        return tuple(y.tolist())
+
+    return call
+
+
+def _call_operator(call, x: tuple[float, ...]) -> tuple[float, ...]:
+    """call(x) as a tuple of len(x) finite floats.  A raising call, a wrong
+    shape or a non-finite value becomes an EvaluationError, so an operator
+    fault is reported like a DSL one."""
     try:
-        y = np.asarray(op(x), dtype=float)
+        y = call(x)
     except (ValueError, ArithmeticError) as exc:
         raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
-    if y.shape != x.shape or not np.all(np.isfinite(y)):
+    if (not isinstance(y, tuple) or len(y) != len(x)
+            or not all(map(math.isfinite, y))):
         raise EvaluationError(f"operator produced {y!r}")
     return y
 
 
+def _max_norm(y: tuple[float, ...], y1: tuple[float, ...]) -> float:
+    return max(map(abs, map(operator.sub, y, y1)))
+
+
 def _target_kind(f: Target, domain: DomainBox):
     """How a target is applied and measured, as the tuple (first, again,
-    distance, scale, form, residual_detail): f at a sample point, f fed its
+    distance, scale, residual_detail, bits): f at a sample point, f fed its
     own output, the drift of t_k from t_1 (signed, or the max norm for
-    operators), the magnitude the tolerance scales with, the witness form
-    of an output, and the detail of a RESIDUAL witness."""
+    operators), the magnitude the tolerance scales with, the detail of a
+    RESIDUAL witness, and the bytes of an iterate's floats, by which the
+    iteration stops once an iterate repeats, or None where it must not
+    stop.  Only a VectorInstance stops early: catalog operators are
+    deterministic, while any other callable is user code that may not be."""
     if isinstance(f, Expr):
         names = _expr_names(f, domain)
         return (lambda point: evaluate(f, dict(zip(names, point))),
                 lambda t: evaluate(f, dict.fromkeys(names, t)),
-                operator.sub, abs, lambda t: t, "")
-    import numpy as np
-    return (lambda point: _call_operator(f, np.asarray(point, dtype=float)),
-            lambda y: _call_operator(f, y),
-            lambda y, y1: float(np.max(np.abs(y - y1))),
-            lambda y: float(np.max(np.abs(y))),
-            lambda y: tuple(y.tolist()), "max-norm residual")
+                operator.sub, abs, "", None)
+    from .catalog import VectorInstance  # catalog imports this module
+    if isinstance(f, VectorInstance):
+        call, bits = f, struct.Struct(f"{domain.n}d").pack
+    else:
+        call, bits = _numpy_operator(f), None
+    apply = lambda x: _call_operator(call, x)
+    return (apply, apply, _max_norm, lambda y: max(map(abs, y)),
+            "max-norm residual", bits)
 
 
 def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
@@ -262,43 +273,23 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     failing at the first k with |t_k - t_1| > atol + rtol*|t_1|.
     Membership is depth 2 plus range containment of t_1 (DSL targets only);
     the iterated check runs to k_max and keeps the largest drift seen.  A
-    VectorInstance is checked in chunks; every other target sample by
-    sample.
+    VectorInstance's iteration stops once t_k repeats t_{k-1} bit for bit,
+    sign of zero included: every later t_k would be the same, so no verdict
+    or drift can change.
     """
-    kind = _target_kind(f, domain)
-    max_drift = None if membership else 0.0
-    chunked = False
-    if not isinstance(f, Expr):  # a DSL target leaves catalog unloaded
-        from .catalog import VectorInstance  # catalog imports this module
-        chunked = isinstance(f, VectorInstance)
-    if chunked:
-        verdict, max_drift = _scan_operator(f, kind, domain, plan, membership,
-                                            max_drift)
-    else:
-        verdict, max_drift = _sweep(f, kind, domain, plan, membership,
-                                    range(plan.sample_count), max_drift)
-    if verdict is None:
-        verdict = Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
-    return verdict
-
-
-def _sweep(f: Target, kind, domain: DomainBox, plan: SamplePlan,
-           membership: bool, indices: range, max_drift: float | None):
-    """The per-sample check of the samples at `indices`, in order: the
-    verdict at the first one that fails or faults (None if none does) and
-    the running max_drift."""
-    first, again, distance, scale, form, residual_detail = kind
+    first, again, distance, scale, residual_detail, bits = \
+        _target_kind(f, domain)
     # The witness detail is detail.format(k); a RESIDUAL detail has no
     # field, so format leaves it as it is.
     if membership:
-        depth, reason, detail = 2, "RESIDUAL", residual_detail
+        depth, reason, detail, max_drift = 2, "RESIDUAL", residual_detail, None
     else:
-        depth, reason, detail = plan.k_max, "DRIFT", "k={}"
+        depth, reason, detail, max_drift = plan.k_max, "DRIFT", "k={}", 0.0
     contain = membership and isinstance(f, Expr)
     if contain:
         lo, hi = domain.interval
         slack = plan.tol(max(abs(lo), abs(hi)))
-    for i in indices:
+    for i in range(plan.sample_count):
         point = domain.sample_point(plan.seed, i)
         try:
             t1 = first(point)
@@ -307,95 +298,24 @@ def _sweep(f: Target, kind, domain: DomainBox, plan: SamplePlan,
                 if escape != 0.0:
                     witness = Witness(point, t1, None, escape, "RANGE_ESCAPE",
                                       f"f(x) left [{lo}, {hi}]")
-                    return _fail(witness, i, plan), max_drift
+                    return _fail(witness, i, plan)
             tol = plan.tol(scale(t1))
             t = t1
             for k in range(2, depth + 1):
-                t = again(t)
+                prev, t = t, again(t)
                 drift = distance(t, t1)
                 size = abs(drift)
                 if max_drift is not None and size > max_drift:
                     max_drift = size
                 if size > tol:
-                    witness = Witness(point, form(t1), form(t), drift, reason,
+                    witness = Witness(point, t1, t, drift, reason,
                                       detail.format(k))
-                    return _fail(witness, i, plan, max_drift), max_drift
+                    return _fail(witness, i, plan, max_drift)
+                if bits is not None and bits(*t) == bits(*prev):
+                    break
         except EvaluationError as exc:
-            return _fault(point, exc, i, plan, max_drift), max_drift
-    return None, max_drift
-
-
-_CHUNK = 256  # rows of an instance's scan that share one call per step
-
-
-def _scan_operator(f: VectorInstance, kind, domain: DomainBox,
-                   plan: SamplePlan, membership: bool,
-                   max_drift: float | None):
-    """_sweep's result for a VectorInstance, computed a chunk at a time.
-
-    Each chunk of samples is screened by _first_event, in one operator call
-    per step and with no numpy warning, and _sweep replays the chunk from
-    the row it names, so the verdict, witness and fault text are the
-    per-sample check's own.
-    """
-    import numpy as np
-
-    def apply(x):
-        try:
-            y = np.asarray(f(x), dtype=float)
-        except Exception:  # the replay from row 0 finds the row that raised
-            return None
-        return y if y.shape == x.shape else None
-
-    depth = 2 if membership else plan.k_max
-    for start in range(0, plan.sample_count, _CHUNK):
-        stop = min(start + _CHUNK, plan.sample_count)
-        with np.errstate(all="ignore"):
-            event, peak = _first_event(
-                apply, domain.sample_rows(plan.seed, start, stop), plan, depth)
-        if max_drift is not None and peak is not None:
-            max_drift = max(max_drift, peak)
-        if event is not None:
-            verdict, max_drift = _sweep(f, kind, domain, plan, membership,
-                                        range(start + event, stop), max_drift)
-            if verdict is not None:
-                return verdict, max_drift
-    return None, max_drift
-
-
-def _first_event(apply, x: np.ndarray, plan: SamplePlan, depth: int):
-    """Screen the sample rows x: the index of the first row whose check
-    fails or faults (None if none does), and the largest drift of the rows
-    before it (None if there are none).
-
-    apply maps all rows at once, or returns None when the call raises or
-    gives the wrong shape; the answer is then row 0.
-    A row is no longer applied after its first event, and neither is any
-    later row, so the index found is the smallest, at its earliest k.
-    """
-    import numpy as np
-    t1 = apply(x)
-    if t1 is None:
-        return 0, None
-    finite = np.isfinite(t1).all(axis=1)
-    end = len(x) if finite.all() else int(np.argmin(finite))
-    t1 = t1[:end]
-    tol = plan.tol(np.max(np.abs(t1), axis=1))
-    peak = np.zeros(end)
-    t = t1
-    for _ in range(2, depth + 1):
-        if end == 0:
-            break
-        t = apply(t)
-        if t is None:
-            return 0, None
-        drift = np.max(np.abs(t - t1), axis=1)
-        peak = np.maximum(peak, drift)
-        within = drift <= tol  # False where t is not finite
-        if not within.all():
-            end = int(np.argmin(within))
-            t1, t, tol, peak = t1[:end], t[:end], tol[:end], peak[:end]
-    return (None if end == len(x) else end), (float(peak.max()) if end else None)
+            return _fault(point, exc, i, plan, max_drift)
+    return Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
 
 
 def check_membership(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:

@@ -5,7 +5,6 @@ import math
 import random
 import re
 import statistics
-import warnings
 
 import numpy as np
 import pytest
@@ -207,7 +206,7 @@ def test_one_number_is_a_one_element_vector_parameter():
     for a in (2, 2.0):
         inst = instantiate("hyperplane_projection", a=a)
         assert inst.params["a"] == (2.0,) and inst.dim == 1
-        assert inst(np.array([5.0])).tolist() == [0.5]  # onto 2x = 1
+        assert inst((5.0,)) == (0.5,)  # onto 2x = 1
     with pytest.raises(CatalogError, match="needs at least two weights"):
         instantiate("weighted_mean", w=1)
 
@@ -271,96 +270,180 @@ def test_exact_fixed_point_entries_return_their_output_unchanged():
                 assert again == t, entry.name
         else:
             for _ in range(50):
-                x = np.array([rng.uniform(lo, hi) for _ in range(inst.dim)])
-                y = inst(x)
-                z = inst(y)
-                assert np.array_equal(z, y), entry.name
+                y = inst(tuple(rng.uniform(lo, hi) for _ in range(inst.dim)))
+                assert _hexed(inst(y)) == _hexed(y), entry.name
 
 
 # --- vector operators ------------------------------------------------------------
 
+def _hexed(point):
+    return tuple(map(float.hex, point))
+
+
 def test_box_clamp_matches_numpy_clip():
     inst = instantiate("box_clamp", lo=-1.0, hi=2.0, d=4)
     assert inst.dim == 4
-    x = np.array([-5.0, 0.5, 2.0, 7.0])
-    assert np.array_equal(inst(x), np.clip(x, -1.0, 2.0))
+    x = (-5.0, 0.5, 2.0, 7.0)
+    assert inst(x) == tuple(np.clip(x, -1.0, 2.0).tolist())
 
 
 def test_l2_ball_projection_values():
     inst = instantiate("l2_ball_projection", r=1.0, d=2)
-    inside = np.array([0.3, -0.4])
-    assert np.array_equal(inst(inside), inside)
-    outside = np.array([3.0, 4.0])
-    assert np.array_equal(inst(outside), np.array([0.6, 0.8]))
+    inside = (0.3, -0.4)
+    assert inst(inside) == inside
+    outside = (3.0, 4.0)
+    assert inst(outside) == (0.6, 0.8)
     # the projected point sits on the sphere, re-projection is a no-op
     y = inst(outside)
-    assert float(np.linalg.norm(y)) <= 1.0 + 1e-12
+    assert math.hypot(*y) <= 1.0 + 1e-12
     with pytest.raises(CatalogError):
         instantiate("l2_ball_projection", r=0.0)
 
 
 def test_l2_ball_projection_survives_overflowing_squares():
     inst = instantiate("l2_ball_projection", r=1.0, d=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.array_equal(inst(np.array([3e200, 4e200])), [0.6, 0.8])
-        rows = np.array([[3e200, 4e200], [0.3, -0.4], [-3e200, 0.0], [3.0, 4.0]])
-        assert np.array_equal(inst(rows), [[0.6, 0.8], [0.3, -0.4],
-                                           [-1.0, 0.0], [0.6, 0.8]])
+    assert inst((3e200, 4e200)) == (0.6, 0.8)
+    assert inst((-3e200, 0.0)) == (-1.0, 0.0)
+    # the norm itself exceeds the largest double
+    assert inst((-1.7e308, -1.7e308)) == (-1.0 / math.sqrt(2.0),) * 2
 
 
 def test_simplex_projection_rejects_entries_too_large_to_threshold():
     inst = instantiate("simplex_projection", d=3)
-    with pytest.raises(ValueError):
-        inst(np.array([1e17, 2e17, 3e17]))
-    with pytest.raises(ValueError):
-        inst(np.array([[0.1, 0.2, 0.3], [1e17, 2e17, 3e17]]))
+    with pytest.raises(ValueError, match="^entries too large to threshold "
+                                         "onto the simplex$"):
+        inst((1e17, 2e17, 3e17))
 
 
-# Today's catalog formulas for one point, kept as the reference the
-# operators' batched forms must match row by row, bit for bit.
+# The operators as they were written on numpy arrays, kept unchanged as the
+# slow reference for the plain-Python ones: box_clamp and simplex must match
+# them bit for bit, l2 and hyperplane within a few ulps (their numpy dot
+# products sum in the order the BLAS library picks).
 
-def _l2_ball_1d(x, r):
-    norm = float(np.linalg.norm(x))
-    if norm <= r:
-        return np.array(x, dtype=float)
-    return np.asarray(x, dtype=float) * r / norm
-
-
-def _hyperplane_1d(x, a, b):
-    a = np.asarray(a, dtype=float)
-    return x - ((float(a @ x) - b) / float(a @ a)) * a
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y along the last axis, each row's value as np.dot gives it for
+    that row alone: a stack of 1 x d by d x 1 matrix products, which numpy
+    computes one dot per row (x @ y with a 2-D x would not)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _simplex_1d(x, d):
-    u = np.sort(np.asarray(x, dtype=float))[::-1]
-    css = np.cumsum(u)
+def _numpy_box_clamp(p):
+    lo, hi = p["lo"], p["hi"]
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        return np.clip(x, lo, hi)
+
+    return fn
+
+
+def _numpy_l2_ball(p):
+    r = p["r"]
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            huge = np.isinf(_rowdot(x, x))
+        # A row whose x.x overflows is scaled by its largest entry before
+        # its norm is taken; every other row is divided by 1.0, which keeps
+        # its bits.  Rows inside the ball are returned as they are, and
+        # divide by 1.0 too, so a zero row never computes 0/0.
+        s = np.where(huge, np.max(np.abs(x), axis=-1), 1.0)[..., None]
+        u = x / s
+        norm = np.sqrt(_rowdot(u, u))[..., None]
+        inside = norm <= r / s
+        return np.where(inside, x, u * r / np.where(inside, 1.0, norm))
+
+    return fn
+
+
+def _numpy_hyperplane(p):
+    a = np.asarray(p["a"], dtype=float)
+    b = p["b"]
+    denom = float(a @ a)
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        return x - ((_rowdot(x, a) - b) / denom)[..., None] * a
+
+    return fn
+
+
+def _numpy_simplex(p):
+    d = p["d"]
     ks = np.arange(1, d + 1)
-    rho = int(np.nonzero(u * ks > css - 1.0)[0][-1])
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(x - theta, 0.0)
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        # Euclidean projection onto {y >= 0, sum y = 1} by sorting and
+        # thresholding: find the largest k keeping all shifted entries
+        # positive, then subtract the matching threshold and clip.
+        u = np.sort(np.asarray(x, dtype=float), axis=-1)[..., ::-1]
+        css = np.cumsum(u, axis=-1)
+        positive = u * ks > css - 1.0
+        if not positive.any(axis=-1).all():
+            # k = 1 always qualifies unless u_1 - 1 rounds to u_1
+            raise ValueError("entries too large to threshold onto the simplex")
+        rho = (d - 1 - np.argmax(positive[..., ::-1], axis=-1))[..., None]
+        theta = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1.0)
+        return np.maximum(x - theta, 0.0)
+
+    return fn
+
+
+def _reference_points(rng, d):
+    """Random points inside, on and outside the boxes, the ball and the
+    simplex, with ties, box edges, signed zeros and points whose x . x
+    overflows."""
+    points = [tuple(rng.uniform(lo, hi) for _ in range(d))
+              for lo, hi, count in ((-4.0, 4.0, 300), (-0.3, 0.3, 100))
+              for _ in range(count)]
+    points += [tuple(float(rng.randint(-2, 2)) for _ in range(d))
+               for _ in range(50)]
+    specials = (-1.0, 2.0, 0.0, -0.0, 0.5, 1.0, 1.0 / d, 1e-300, 1e200, -3e307)
+    points += [tuple(rng.choice(specials) for _ in range(d)) for _ in range(100)]
+    # the simplex threshold is +0.0 at the last one, so -0.0 - theta is -0.0
+    points += [(0.0,) * d, (-0.0,) * d, (1.0 / d,) * d, (1.5e154,) * d,
+               (1.0,) + (-0.0,) * (d - 1)]
+    return points
+
+
+def _within_ulps(got, want, ulps, scale):
+    return all(abs(g - w) <= ulps * math.ulp(scale) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("d", [1, 3, 8, 17, 64])
-def test_vector_operators_map_stacked_rows_as_single_points(d):
-    rng = np.random.default_rng(d)
-    a = rng.uniform(-3.0, 3.0, d)
-    cases = [
-        (instantiate("box_clamp", lo=-1.0, hi=2.0, d=d), lambda x: np.clip(x, -1.0, 2.0)),
-        (instantiate("l2_ball_projection", r=1.5, d=d), lambda x: _l2_ball_1d(x, 1.5)),
-        (instantiate("hyperplane_projection", a=tuple(a), b=0.5),
-         lambda x: _hyperplane_1d(x, a, 0.5)),
-        (instantiate("simplex_projection", d=d), lambda x: _simplex_1d(x, d)),
-    ]
-    # points inside, on and outside the ball and the box, with ties
-    rows = np.concatenate([rng.uniform(-4.0, 4.0, (300, d)),
-                           rng.uniform(-0.3, 0.3, (100, d)),
-                           rng.integers(-2, 3, (50, d)).astype(float)])
-    for inst, oracle in cases:
-        want = np.array([oracle(x) for x in rows])
-        assert inst(rows).tobytes() == want.tobytes(), inst.entry.name
-        for x, y in zip(rows[:50], want):
-            assert inst(x).tobytes() == y.tobytes(), inst.entry.name
+def test_vector_operators_match_the_numpy_reference(d):
+    rng = random.Random(d)
+    a = tuple(rng.uniform(-3.0, 3.0) for _ in range(d))
+    cases = [(instantiate("box_clamp", lo=-1.0, hi=2.0, d=d), _numpy_box_clamp),
+             (instantiate("box_clamp", lo=0.0, hi=2.0, d=d), _numpy_box_clamp),
+             (instantiate("simplex_projection", d=d), _numpy_simplex),
+             (instantiate("l2_ball_projection", r=1.5, d=d), _numpy_l2_ball),
+             (instantiate("hyperplane_projection", a=a, b=0.5), _numpy_hyperplane)]
+    compared = 0
+    for inst, numpy_form in cases:
+        reference = numpy_form(inst.params)
+        for x in _reference_points(rng, d):
+            try:
+                with np.errstate(all="ignore"):
+                    want = tuple(reference(np.array(x)).tolist())
+            except ValueError as exc:  # simplex: no threshold exists
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    inst(x)
+                continue
+            got = inst(x)
+            name = inst.entry.name
+            if name in ("box_clamp", "simplex_projection"):
+                assert _hexed(got) == _hexed(want), (name, x)
+            elif name == "l2_ball_projection":
+                # each entry to a few ulps of itself
+                assert all(_within_ulps((g,), (w,), 4, abs(w))
+                           for g, w in zip(got, want)), (name, x)
+            elif all(map(math.isfinite, want)):
+                # x - lam * a cancels, so entries agree to a few ulps of
+                # the largest magnitude in play
+                scale = max(map(abs, x + want + a))
+                assert _within_ulps(got, want, 4, scale), (name, x)
+            compared += 1
+    assert compared >= 5 * 500
 
 
 def test_hyperplane_projection_analytics():
@@ -371,7 +454,7 @@ def test_hyperplane_projection_analytics():
     av = np.asarray(a)
     for _ in range(50):
         x = np.array([rng.uniform(-10.0, 10.0) for _ in range(3)])
-        y = inst(x)
+        y = np.array(inst(tuple(x.tolist())))
         # lands on the plane
         assert float(av @ y) == pytest.approx(3.0, abs=1e-9)
         # moves along the normal only
@@ -413,7 +496,7 @@ def test_simplex_projection_beats_every_grid_point(d):
     steps = 400 if d == 2 else 60
     for _ in range(20):
         x = np.array([rng.uniform(-1.0, 1.0) for _ in range(d)])
-        y = inst(x)
+        y = np.array(inst(tuple(x.tolist())))
         assert float(np.sum(y)) == pytest.approx(1.0, abs=1e-9)
         assert float(np.min(y)) >= -1e-15
         own = float(np.sum((y - x) ** 2))
@@ -427,7 +510,7 @@ def test_simplex_projection_kkt_certificate():
     rng = random.Random(43)
     for _ in range(100):
         x = np.array([rng.uniform(-1.0, 1.0) for _ in range(5)])
-        y = inst(x)
+        y = np.array(inst(tuple(x.tolist())))
         support = y > 0.0
         assert support.any()
         thetas = x[support] - y[support]
@@ -439,8 +522,8 @@ def test_simplex_projection_kkt_certificate():
 
 def test_simplex_projection_fixes_simplex_points():
     inst = instantiate("simplex_projection", d=3)
-    x = np.array([0.2, 0.3, 0.5])
-    assert np.array_equal(inst(x), x)
+    x = (0.2, 0.3, 0.5)
+    assert inst(x) == x
 
 
 def test_vector_dimension_overrides():

@@ -871,9 +871,12 @@ def test_usage_errors_exit_2():
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 from ouro.cli import main
-for argv in json.loads(sys.argv[1]):
+for line in json.loads(sys.argv[1]):
+    if isinstance(line, str):  # a library call
+        exec(line)
+        continue
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
+        assert main(line) == 0, line
 print("numpy" in sys.modules)
 """
 
@@ -882,10 +885,18 @@ print("numpy" in sys.modules)
     ([["check", "--expr", "abs(x)"],
       ["derive", "--expr", "(x1 + x2) / 2", "--point", "1,2"],
       ["enumerate", "--m", "3"],
-      ["catalog"]], False),
-    ([["check", "--catalog", "simplex_projection"]], True),
+      ["catalog"],
+      *(["check", "--catalog", name, "--samples", "16"]
+        for name in ("box_clamp", "l2_ball_projection", "hyperplane_projection",
+                     "simplex_projection"))], False),
+    # a callable that is not a catalog instance is applied to numpy arrays
+    ([["check", "--catalog", "simplex_projection"],
+      "from ouro import DomainBox, SamplePlan, check_iterated\n"
+      "check_iterated(lambda x: x, DomainBox.uniform(0.0, 1.0, 2), SamplePlan())"],
+     True),
 ])
 def test_only_vector_operators_load_numpy(lines, loads_numpy):
+    # no command loads numpy; the library does for a numpy callable
     r = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(lines)],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr

@@ -663,7 +663,7 @@ def test_every_engine_keeps_one_binding_rule(engine):
     # not read are ignored
     f = parse("x^2")
     alone = _hexed(engine(f, {"x": 1.5}))
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, -math.inf):
         assert _hexed(engine(f, {"x": 1.5, "y": bad})) == alone
         with pytest.raises(EvaluationError) as info:
             engine(f, {"x": bad, "y": 1.5})

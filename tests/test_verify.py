@@ -14,8 +14,8 @@ from ouro import verify
 from ouro.catalog import VectorInstance, get_entry, instantiate
 from ouro.expr import free_variables, parse
 from ouro.verify import (
-    DomainBox, SamplePlan, Status, Verdict, check_iterated, check_membership,
-    unit_uniform,
+    DomainBox, SamplePlan, Status, Verdict, Witness, check_iterated,
+    check_membership, unit_uniform,
 )
 
 BOX1 = DomainBox.uniform(-10.0, 10.0, 1)
@@ -60,6 +60,22 @@ def test_sample_points_stay_inside_the_box():
         assert 3.0 <= b <= 7.0
 
 
+def _sample_rows(box, seed, start, stop):
+    """sample_point(seed, i) for i in range(start, stop) as the rows of one
+    array: splitmix64 over numpy uint64 counters, whose arithmetic wraps
+    modulo 2**64 as unit_uniform's masks do.  A second statement of the
+    sample stream, kept as a reference for sample_point."""
+    u64, n = np.uint64, box.n
+    z = (np.arange(start * n + 1, stop * n + 1, dtype=u64) * u64(verify._GOLDEN)
+         + u64(seed & verify._M64))
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    u = (z >> u64(11)).astype(float).reshape(-1, n) * 2.0 ** -53
+    lo, hi = np.array(box.intervals).T
+    return lo + u * (hi - lo)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
 def test_sample_point_matches_unit_uniform_and_sample_rows(seed):
     # sample_point steps one splitmix64 state per coordinate inline; every
@@ -75,11 +91,8 @@ def test_sample_point_matches_unit_uniform_and_sample_rows(seed):
                         for j, (lo, hi) in enumerate(box.intervals)]
                 got = box.sample_point(seed, i)
                 assert list(map(float.hex, got)) == list(map(float.hex, want))
-                row = box.sample_rows(seed, i, i + 1)[0].tolist()
+                row = _sample_rows(box, seed, i, i + 1)[0].tolist()
                 assert list(map(float.hex, row)) == list(map(float.hex, want))
-
-
-CHUNK = verify._CHUNK
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
@@ -88,8 +101,8 @@ def test_sample_rows_match_sample_point(seed):
              DomainBox(((-2.0, -1.0), (3.0, 7.0), (0.0, 1e-300))),
              DomainBox(((-1e300, 1e300), (5.0, 6.0))))
     for box in boxes:
-        for start, stop in ((0, 1), (0, CHUNK + 1), (CHUNK - 1, 2 * CHUNK + 1)):
-            rows = box.sample_rows(seed, start, stop)
+        for start, stop in ((0, 1), (0, 257), (255, 513)):
+            rows = _sample_rows(box, seed, start, stop)
             assert rows.shape == (stop - start, box.n)
             got = [tuple(map(float.hex, row)) for row in rows.tolist()]
             want = [tuple(map(float.hex, box.sample_point(seed, i)))
@@ -419,16 +432,53 @@ def test_membership_is_containment_plus_depth_two_iteration():
                 check_membership(op, box, plan), check_iterated(op, box, plan))
 
 
-# --- chunked vector scan against the per-sample check ---------------------------
+# --- the fixed-point stop against a full-depth scan ------------------------------
 
-def _per_row(f, box, plan, membership):
-    """The verdict with every sample through the per-sample check, the code
-    the chunked scan replays."""
-    max_drift = None if membership else 0.0
-    verdict, max_drift = verify._sweep(
-        f, verify._target_kind(f, box), box, plan, membership,
-        range(plan.sample_count), max_drift)
-    return verdict or Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
+def _apply(f, x):
+    """f(x) as a tuple of floats, or the text of the fault it raises or
+    produces; a VectorInstance maps tuples, any other callable arrays."""
+    try:
+        if isinstance(f, VectorInstance):
+            y = f(x)
+        else:
+            y = np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if np.shape(y) != (len(x),) or not np.isfinite(y).all():
+        return f"operator produced {y!r}"
+    return tuple(map(float, y))
+
+
+def _full_depth(f, box, plan, membership):
+    """The verdict of an operator scan that applies f to the full depth at
+    every sample, 2 for membership and k_max for the iterated check, with
+    no fixed-point stop and the max norm taken by numpy."""
+    depth = 2 if membership else plan.k_max
+    peak = None if membership else 0.0
+    n = plan.sample_count
+    for i in range(n):
+        x = box.sample_point(plan.seed, i)
+        t1 = t = _apply(f, x)
+        if not isinstance(t1, str):
+            tol = plan.tol(float(np.max(np.abs(t1))))
+            for k in range(2, depth + 1):
+                t = _apply(f, t)
+                if isinstance(t, str):
+                    break
+                drift = float(np.max(np.abs(np.subtract(t, t1))))
+                if peak is not None and drift > peak:
+                    peak = drift
+                if drift > tol:
+                    reason, detail = (("RESIDUAL", "max-norm residual")
+                                      if membership else ("DRIFT", f"k={k}"))
+                    return Verdict(Status.FAIL,
+                                   Witness(x, t1, t, drift, reason, detail),
+                                   i + 1, n - i - 1, peak)
+        if isinstance(t, str):
+            return Verdict(Status.DOMAIN_ERROR,
+                           Witness(x, None, None, None, "EVAL_ERROR", t),
+                           i + 1, n - i - 1, peak)
+    return Verdict(Status.PASS, None, n, 0, peak)
 
 
 def _bits(v):
@@ -446,13 +496,13 @@ def _key(v):
                    _bits(w.residual), w.reason, w.detail))
 
 
-def _assert_chunked_scan_matches(f, box, plan):
+def _assert_matches_full_depth(f, box, plan):
     statuses = []
     for check, membership in ((check_membership, True), (check_iterated, False)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = check(f, box, plan)
-        want = _per_row(f, box, plan, membership)
+        want = _full_depth(f, box, plan, membership)
         assert _key(got) == _key(want), (check.__name__, box, plan)
         statuses.append(got.status)
     return statuses
@@ -463,10 +513,10 @@ def _as_instance(fn, d, box):
     return VectorInstance(get_entry("box_clamp"), fn, d, box, {})
 
 
-SAMPLE_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1)
+SAMPLE_COUNTS = (1, 7, 64)
 
 
-def test_chunked_scan_matches_per_sample_check_on_catalog_operators():
+def test_fixed_point_stop_matches_full_depth_scan_on_catalog_operators():
     rng = random.Random(20261018)
     seen = set()
     for count in SAMPLE_COUNTS:
@@ -478,68 +528,87 @@ def test_chunked_scan_matches_per_sample_check_on_catalog_operators():
             lo = rng.uniform(-5.0, 1.0)
             box = DomainBox.uniform(lo, lo + rng.uniform(0.5, 6.0), inst.dim)
             plan = SamplePlan(seed=rng.getrandbits(64), sample_count=count)
-            seen.update(_assert_chunked_scan_matches(inst, box, plan))
+            seen.update(_assert_matches_full_depth(inst, box, plan))
             # x / 2 and creeping drift fail, at k = 2 and at a later k
-            for fn in (lambda x: x / 2.0, lambda x: x + 0.9e-9):
-                statuses = _assert_chunked_scan_matches(
-                    _as_instance(fn, inst.dim, box), box, plan)
-                seen.update(statuses)
-    assert {Status.PASS, Status.FAIL} <= seen
+            for fn in (lambda x: tuple(v / 2.0 for v in x),
+                       lambda x: tuple(v + 0.9e-9 for v in x)):
+                seen.update(_assert_matches_full_depth(
+                    _as_instance(fn, inst.dim, box), box, plan))
+    # boxes where x . x overflows, or simplex thresholds cannot exist
+    for name, box in (("l2_ball_projection", DomainBox.uniform(-1e200, 1e200, 3)),
+                      ("l2_ball_projection", DomainBox.uniform(-1.7e308, 0.0, 3)),
+                      ("simplex_projection", DomainBox.uniform(1e17, 1e18, 3))):
+        inst = instantiate(name, d=3)
+        seen.update(_assert_matches_full_depth(inst, box, SamplePlan(sample_count=16)))
+    assert {Status.PASS, Status.FAIL, Status.DOMAIN_ERROR} <= seen
+
+
+AT = 40  # index of the sample where _faulting's operator faults
 
 
 def _faulting(kind, at):
-    """The l2 ball projection, except at the point `at`, where it returns
-    NaN, the wrong shape or raises."""
-    ball = instantiate("l2_ball_projection", r=2.0, d=3)
+    """x + 1e-12, which passes with a small drift, except at the point `at`,
+    where it returns NaN, the wrong length or raises."""
 
     def fn(x):
-        hit = np.all(x == at, axis=-1)
+        if tuple(x) != at:
+            return tuple(v + 1e-12 for v in x)
         if kind == "nan":
-            return np.where(hit[..., None], np.nan, ball(x))
-        if np.any(hit):
-            if kind == "shape":
-                return x[..., :-1]
-            raise ValueError("operator fault")
-        return ball(x)
+            return (math.nan,) * 3
+        if kind == "shape":
+            return tuple(x[:-1])
+        raise ValueError("operator fault")
 
     return fn
 
 
 @pytest.mark.parametrize("kind", ["nan", "shape", "raise"])
-def test_chunked_scan_matches_per_sample_check_on_faults(kind):
+def test_fixed_point_stop_matches_full_depth_scan_on_faults(kind):
     box = DomainBox.uniform(-3.0, 3.0, 3)
-    for count in SAMPLE_COUNTS:
+    for count in (1, AT, AT + 1, 64):
         plan = SamplePlan(seed=7, sample_count=count)
-        fn = _faulting(kind, np.array(box.sample_point(plan.seed, CHUNK)))
-        for f in (_as_instance(fn, 3, box), fn):  # chunked, and per sample
-            statuses = _assert_chunked_scan_matches(f, box, plan)
-            faulted = count > CHUNK
+        fn = _faulting(kind, box.sample_point(plan.seed, AT))
+        for f in (_as_instance(fn, 3, box), fn):  # on tuples, and on arrays
+            statuses = _assert_matches_full_depth(f, box, plan)
+            faulted = count > AT
             assert statuses == [Status.DOMAIN_ERROR if faulted else Status.PASS] * 2
             if faulted:
                 v = check_iterated(f, box, plan)
-                assert v.samples_evaluated == CHUNK + 1
+                assert v.samples_evaluated == AT + 1
                 assert v.max_drift > 0.0
 
 
-def test_only_batched_instances_are_applied_to_many_samples():
-    # fn halves one point but leaves a stack of points as it is, so it
-    # fails only when it is applied one sample at a time
-    shapes = []
-
-    def fn(x):
-        shapes.append(x.shape)
-        return x / 2.0 if x.ndim == 1 else x
-
+def test_only_catalog_instances_stop_at_a_repeated_iterate():
     box = DomainBox.uniform(-3.0, 3.0, 3)
-    plan = SamplePlan(seed=5, sample_count=CHUNK + 1)
-    # a plain callable is applied one sample at a time
-    for check in (check_membership, check_iterated):
-        assert check(fn, box, plan).status is Status.FAIL
-    assert set(shapes) == {(3,)}
-    # a VectorInstance maps a stack row by row by contract, so fn is taken
-    # at its word
-    assert check_iterated(_as_instance(fn, 3, box), box, plan).status is Status.PASS
-    assert (CHUNK, 3) in shapes
+    plan = SamplePlan(seed=5, sample_count=16)
+    clamp = instantiate("box_clamp", lo=-1.0, hi=1.0, d=3)
+    calls = []
+
+    def counted(fn):
+        def call(x):
+            calls.append(np.shape(x))
+            return fn(x)
+        return call
+
+    # P(P(x)) repeats P(x) bit for bit, so each sample takes two calls,
+    # each on one point, never on a stack
+    v = check_iterated(_as_instance(counted(clamp), 3, box), box, plan)
+    assert v.status is Status.PASS
+    assert len(calls) == 2 * plan.sample_count
+    assert set(calls) == {(3,)}
+    # a plain callable is user code and keeps the full k_max loop
+    calls.clear()
+    v = check_iterated(counted(lambda x: np.clip(x, -1.0, 1.0)), box, plan)
+    assert v.status is Status.PASS
+    assert len(calls) == plan.k_max * plan.sample_count
+    assert set(calls) == {(3,)}
+    # 0.0 and -0.0 are equal but differ in bits, so an instance that swaps
+    # them never repeats an iterate and runs to k_max too
+    calls.clear()
+    swap = lambda x: (-0.0 if str(x[0]) == "0.0" else 0.0,) * 3
+    v = check_iterated(_as_instance(counted(swap), 3, box), box, plan)
+    assert (v.status, v.max_drift) == (Status.PASS, 0.0)
+    assert len(calls) == plan.k_max * plan.sample_count
 
 
 def test_operator_that_raises_at_the_first_sample_is_called_once():
@@ -550,8 +619,7 @@ def test_operator_that_raises_at_the_first_sample_is_called_once():
         raise ValueError("operator fault")
 
     box = DomainBox.uniform(-1.0, 1.0, 2)
-    plan = SamplePlan(sample_count=CHUNK + 1)
-    assert check_iterated(fn, box, plan).status is Status.DOMAIN_ERROR
+    assert check_iterated(fn, box, PLAN).status is Status.DOMAIN_ERROR
     assert calls == [(2,)]
 
 
