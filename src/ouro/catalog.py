@@ -280,6 +280,9 @@ def _v_hyperplane(p):
     denom = _dot(a, a)
     if denom == 0.0:
         raise CatalogError("a must be non-zero")
+    if not math.isfinite(denom):
+        # a . a = inf would make every step lam = 0: the identity
+        raise CatalogError(f"a . a must be finite, got {denom}")
 
     def fn(x):
         lam = (_dot(x, a) - b) / denom

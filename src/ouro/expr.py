@@ -10,9 +10,17 @@ Grammar:
 
 NUMBER is an unsigned decimal literal with optional fraction and exponent
 ("2", "0.5", ".5", "1e-3").  IDENT is a letter followed by letters, digits
-or underscores; an IDENT directly followed by "(" is a builtin call, any
-other IDENT is a free variable.  "^" is right-associative; its base is an
-atom, so "-x^2" means -(x^2) while "x^-2" carries the sign in the exponent.
+or underscores.  An IDENT whose next token is "(" is a builtin call, with
+or without white space between them: "abs (x)" is abs(x), and "x (1)" is
+the error "unknown builtin 'x'".  Any other IDENT is a free variable.
+Spaces, tabs, carriage returns and newlines separate tokens.
+
+The table _BINARY states how each binary operator binds, and the
+tokenizer, the parser, format_expr and BinOp all read it.  "+ -" bind
+loosest, then "* /", then unary minus, then "^".  All are left-associative
+except "^", which is right-associative and takes an atom as its base, so
+"-x^2" means -(x^2) while "x^-2" carries the sign in the exponent.  No walk
+over an expression recurses, so nesting depth is bounded only by memory.
 
 Evaluation is plain float arithmetic and deterministic: the same expression
 and environment always produce the same bits.
@@ -44,8 +52,21 @@ BUILTIN_ARITY = {
     "clamp": 3,
 }
 
+# Binary operator -> (its level, the least level of its left operand, the
+# least level of its right operand, its spelling).  An operand of a lower
+# level is parenthesised.  Unary minus sits at _NEG, and so does its
+# operand's least level; numbers, names, calls and parenthesised groups
+# are atoms.
+_BINARY = {
+    "+": (1, 1, 2, " + "),
+    "-": (1, 1, 2, " - "),
+    "*": (2, 2, 3, " * "),
+    "/": (2, 2, 3, " / "),
+    "^": (4, 5, 3, "^"),
+}
+_NEG, _ATOM = 3, 5
+
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class ParseError(ValueError):
@@ -141,7 +162,7 @@ class BinOp(Expr):
     right: Expr
 
     def __post_init__(self):
-        if self.op not in ("+", "-", "*", "/", "^"):
+        if self.op not in _BINARY:
             raise ValueError(f"bad operator {self.op!r}")
 
     def children(self):
@@ -168,148 +189,120 @@ class Call(Expr):
 # ---------------------------------------------------------------------------
 # tokenizer
 
-class _Token(Record):
-    kind: str  # number ident op lparen rparen comma eof
-    text: str
-    line: int
-    col: int
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<number>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"|(?P<ident>{_IDENT_RE.pattern})"
+    rf"|(?P<op>[{re.escape(''.join(_BINARY))}])"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+    r"|(?P<bad>.)", re.DOTALL)
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _error(source: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the 1-based line and column of `offset`."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """Each token of `source` as (kind, text, offset), then ("eof", "end of
+    input", len(source)).  kind is number, ident, op, lparen, rparen or
+    comma."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("number", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, line, col))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, line, col))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, line, col))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, line, col))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _error(source, m.start(),
+                         f"unexpected character {m.group()!r}")
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "end of input", len(source)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        shown = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"{message} (at {shown!r})", tok.line, tok.col)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek().kind != "eof":
-            self.error("unexpected trailing input")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            e = BinOp(op, e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.next()
-            try:
-                return Const(tok.text)
-            except ValueError as exc:
-                raise ParseError(str(exc), tok.line, tok.col) from None
-        if tok.kind == "ident":
-            self.next()
-            if self.peek().kind == "lparen":
-                self.next()
-                args = [self.expr()]
-                while self.peek().kind == "comma":
-                    self.next()
-                    args.append(self.expr())
-                if self.peek().kind != "rparen":
-                    self.error("expected ')' or ','")
-                self.next()
-                try:
-                    return Call(tok.text, tuple(args))
-                except ValueError as exc:
-                    raise ParseError(str(exc), tok.line, tok.col) from None
-            return Var(tok.text)
-        if tok.kind == "lparen":
-            self.next()
-            e = self.expr()
-            if self.peek().kind != "rparen":
-                self.error("expected ')'")
-            self.next()
-            return e
-        self.error("expected a number, name or '('")
-
+# operator-precedence parser
 
 def parse(source: str) -> Expr:
     """Parse DSL source into an AST.  Raises ParseError with a 1-based
-    line/column on any malformed input."""
-    return _Parser(_tokenize(source)).parse()
+    line/column on any malformed input.
+
+    One loop reads the tokens with two explicit stacks, so nesting depth is
+    bounded only by memory.  `operands` holds finished subtrees.  `pending`
+    holds operators still waiting for their right operand and open groups,
+    innermost last: an operator as (least level of its right operand, op),
+    op None for unary minus, and a group as (0, call), call None for a
+    parenthesis and (name, offset, args) for a builtin call.  An incoming
+    operator of level L first builds every pending operator whose right
+    operand must bind tighter than L; a group's 0 stops it.
+    """
+    tokens = _tokenize(source)
+    operands: list[Expr] = []
+    pending: list[tuple] = []
+
+    def reduce(level: int) -> None:
+        while pending and pending[-1][0] > level:
+            op = pending.pop()[1]
+            right = operands.pop()
+            operands.append(BinOp(op, operands.pop(), right) if op else Neg(right))
+
+    def unexpected(message: str) -> ParseError:  # at the current token
+        return _error(source, at, f"{message} (at {text!r})")
+
+    want_operand = True
+    i = 0
+    while True:
+        kind, text, at = tokens[i]
+        i += 1
+        if want_operand:
+            if kind == "number":
+                try:
+                    operands.append(Const(text))
+                except ValueError as exc:
+                    raise _error(source, at, str(exc)) from None
+                want_operand = False
+            elif kind == "ident" and tokens[i][0] == "lparen":
+                pending.append((0, (text, at, [])))
+                i += 1
+            elif kind == "ident":
+                operands.append(Var(text))
+                want_operand = False
+            elif kind == "lparen":
+                pending.append((0, None))
+            elif text == "-":
+                pending.append((_NEG, None))
+            else:
+                raise unexpected("expected a number, name or '('")
+            continue
+        if kind == "op":
+            level, _, right, _ = _BINARY[text]
+            reduce(level)
+            pending.append((right, text))
+            want_operand = True
+            continue
+        reduce(0)
+        if not pending:
+            if kind == "eof":
+                return operands[0]
+            raise unexpected("unexpected trailing input")
+        call = pending[-1][1]
+        if call is None:
+            if kind != "rparen":
+                raise unexpected("expected ')'")
+            pending.pop()
+            continue
+        if kind not in ("comma", "rparen"):
+            raise unexpected("expected ')' or ','")
+        name, start, args = call
+        args.append(operands.pop())
+        if kind == "comma":
+            want_operand = True
+            continue
+        pending.pop()
+        try:
+            operands.append(Call(name, tuple(args)))
+        except ValueError as exc:
+            raise _error(source, start, str(exc)) from None
 
 
 def free_variables(expr: Expr) -> list[str]:
@@ -501,9 +494,28 @@ def _generate(expr: Expr, emitter: Callable[..., _ValueSource], *args
     return source.namespace["run"], tuple(source.reads)
 
 
-def _fold(node: Expr, rules: Mapping[type, Callable]):
-    kids = [_fold(child, rules) for child in node.children()]
-    return rules[type(node)](node, *kids)
+def _fold(root: Expr, rules: Mapping[type, Callable]):
+    """Apply rules[type(node)](node, *the results of its children) to each
+    node in post-order, left to right, and return the root's result.  The
+    walk keeps an explicit stack, so tree depth is bounded only by memory.
+    A node whose type has no rule raises TypeError."""
+    results: list = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        rule = rules.get(type(node))
+        if rule is None:
+            raise TypeError(f"not an Expr: {node!r}")
+        kids = node.children()
+        if kids and not ready:
+            stack.append((node, True))
+            stack += [(kid, False) for kid in reversed(kids)]
+            continue
+        cut = len(results) - len(kids)
+        args = results[cut:]
+        del results[cut:]
+        results.append(rule(node, *args))
+    return results[0]
 
 
 class Program:
@@ -548,26 +560,25 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
 # ---------------------------------------------------------------------------
 # formatting
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+def _wrap(operand: tuple[str, int], least: int) -> str:
+    text, level = operand
+    return f"({text})" if level < least else text
 
 
-def _level(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _LEVEL_ADD
-        if node.op in "*/":
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(node, Neg):
-        return _LEVEL_NEG
-    return _LEVEL_ATOM
+def _format_binop(node: BinOp, left, right) -> tuple[str, int]:
+    level, least_left, least_right, spelling = _BINARY[node.op]
+    return _wrap(left, least_left) + spelling + _wrap(right, least_right), level
 
 
-def _wrap(node: Expr, floor_level: int) -> str:
-    text = format_expr(node)
-    if _level(node) < floor_level:
-        return f"({text})"
-    return text
+# Node type -> rule(node, *formatted children) -> (text, level).
+_FORMAT = {
+    Const: lambda node: (node.literal, _ATOM),
+    Var: lambda node: (node.name, _ATOM),
+    Neg: lambda node, operand: ("-" + _wrap(operand, _NEG), _NEG),
+    BinOp: _format_binop,
+    Call: lambda node, *args: (
+        f"{node.func}({', '.join(text for text, _ in args)})", _ATOM),
+}
 
 
 def format_expr(node: Expr) -> str:
@@ -576,19 +587,4 @@ def format_expr(node: Expr) -> str:
     parse(format_expr(e)) is structurally equal to e, and formatting an
     already-canonical string is a fixed point.
     """
-    if isinstance(node, Const):
-        return node.literal
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.operand, _LEVEL_NEG)
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            return f"{_wrap(node.left, _LEVEL_ADD)} {node.op} {_wrap(node.right, _LEVEL_MUL)}"
-        if node.op in "*/":
-            return f"{_wrap(node.left, _LEVEL_MUL)} {node.op} {_wrap(node.right, _LEVEL_NEG)}"
-        return f"{_wrap(node.left, _LEVEL_ATOM)}^{_wrap(node.right, _LEVEL_NEG)}"
-    if isinstance(node, Call):
-        args = ", ".join(format_expr(a) for a in node.args)
-        return f"{node.func}({args})"
-    raise TypeError(f"not an Expr: {node!r}")
+    return _fold(node, _FORMAT)[0]

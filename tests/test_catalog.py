@@ -463,6 +463,8 @@ def test_hyperplane_projection_analytics():
         assert np.allclose(move, lam * av, atol=1e-12)
     with pytest.raises(CatalogError):
         instantiate("hyperplane_projection", a=(0.0, 0.0), b=1.0)
+    with pytest.raises(CatalogError, match=r"^a \. a must be finite, got inf$"):
+        instantiate("hyperplane_projection", a=1e200)
 
 
 def _grid_simplex_argmin(x: np.ndarray, steps: int) -> float:

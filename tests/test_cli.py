@@ -268,6 +268,19 @@ def test_check_sample_options():
     assert doc["membership"]["samples_evaluated"] == 16
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--catalog", "min_all", "--n", "1000", "--samples", "8"],
+    ["derive", "--catalog", "arith_mean", "--n", "1000", "--samples", "4"],
+])
+def test_deeply_nested_catalog_formulas_reach_a_verdict(argv):
+    # 999 nested min calls, and a sum of 1000 terms
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue().endswith("overall: PASS\n")
+
+
 # --- derive --------------------------------------------------------------------
 
 def test_derive_mean_passes():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
+from ouro.catalog import instantiate
 from ouro.deriv import (
     GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, _COMPONENT_RULES,
     KinkPointError, Tangent, _TangentSource, _unit_seeds, check_unity,
@@ -226,6 +227,15 @@ def test_gradient_both_methods():
     assert fd == pytest.approx((4.0, 3.0), abs=1e-6)
     with pytest.raises(ValueError):
         gradient(f, env, "newton")
+
+
+def test_gradient_of_a_deeply_nested_catalog_formula():
+    # min_all at n = 300 is 299 nested min calls
+    f = instantiate("min_all", n=300).expr
+    env = {f"x{i}": float(i) for i in range(1, 301)}
+    want = (1.0,) + (0.0,) * 299
+    assert gradient(f, env, "dual") == want
+    assert gradient(f, env, "fd") == pytest.approx(want, abs=1e-6)
 
 
 def test_fd_gradient_is_kink_guarded():

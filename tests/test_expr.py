@@ -5,17 +5,22 @@ import math
 import operator
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
+import ouro
+from ouro._record import Record
 from ouro.deriv import _TangentSource
 from ouro.expr import (
-    BINARY_RULES, BUILTIN_RULES, BinOp, Call, Const, EvalDomainError,
-    EvaluationError, Neg, ParseError, UnboundVariableError, Undefined, Var,
-    _fold, _ValueSource, evaluate, format_expr, free_variables, parse,
+    _BINARY, BINARY_RULES, BUILTIN_ARITY, BUILTIN_RULES, BinOp, Call, Const,
+    EvalDomainError, EvaluationError, Expr, Neg, ParseError,
+    UnboundVariableError, Undefined, Var, _IDENT_RE, _fold, _ValueSource,
+    evaluate, format_expr, free_variables, parse,
 )
 
 
@@ -58,6 +63,8 @@ def test_identifier_is_variable_unless_called():
     e = parse("min + 1")  # "min" not followed by "(" is a plain name
     assert free_variables(e) == ["min"]
     assert evaluate(e, {"min": 2.0}) == 3.0
+    # the next token decides, so white space may come before the "("
+    assert parse("abs (x)") == parse("abs\n(x)") == parse("abs(x)")
 
 
 def test_free_variables_first_appearance_order():
@@ -74,6 +81,7 @@ def test_free_variables_first_appearance_order():
     ("1 2", 1, 3),
     ("x @ y", 1, 3),
     ("max(1,)", 1, 7),
+    ("x (1)", 1, 1),           # a name followed by "(" is a call
 ])
 def test_parse_errors_carry_position(source, line, col):
     with pytest.raises(ParseError) as err:
@@ -293,6 +301,11 @@ def test_inlined_operators_are_their_rules():
     assert BINARY_RULES["*"] is operator.mul
 
 
+def test_every_operator_binds_and_computes():
+    # the binding table and the value table name the same operators
+    assert _BINARY.keys() == BINARY_RULES.keys()
+
+
 def test_generated_source_holds_only_variable_names():
     # Constants, nodes, kink messages and rules reach the value and tangent
     # functions through their globals; the only user text in their source
@@ -330,6 +343,13 @@ def test_generated_source_holds_only_variable_names():
 ])
 def test_format_canonicalizes(source, canonical):
     assert format_expr(parse(source)) == canonical
+
+
+@pytest.mark.parametrize("node", [1, "x", BinOp("+", Var("x"), 2.0),
+                                  Neg(None)])
+def test_format_rejects_what_is_not_an_expr(node):
+    with pytest.raises(TypeError, match="^not an Expr: "):
+        format_expr(node)
 
 
 # --- property tests ---------------------------------------------------------
@@ -394,3 +414,335 @@ def test_seeded_fuzz_corpus():
         except ParseError:
             continue
         assert parse(format_expr(e)) == e
+
+
+# --- the reference front end -------------------------------------------------
+#
+# The tokenizer, recursive-descent parser and formatter that parse and
+# format_expr replaced, kept as the slow reference.  They state operator
+# binding through their own methods and _LEVEL_* constants, apart from
+# _BINARY, so the comparisons below check the table-driven code rather
+# than repeat it.  They recurse, so they serve only shallow inputs.
+
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
+
+
+class _Token(Record):
+    kind: str  # number ident op lparen rparen comma eof
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        m = _NUMBER_RE.match(source, i)
+        if m:
+            tokens.append(_Token("number", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            tokens.append(_Token("ident", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        if ch in "+-*/^":
+            tokens.append(_Token("op", ch, line, col))
+        elif ch == "(":
+            tokens.append(_Token("lparen", ch, line, col))
+        elif ch == ")":
+            tokens.append(_Token("rparen", ch, line, col))
+        elif ch == ",":
+            tokens.append(_Token("comma", ch, line, col))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i += 1
+        col += 1
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# recursive-descent parser
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, message: str, tok: _Token | None = None):
+        tok = tok or self.peek()
+        shown = tok.text if tok.kind != "eof" else "end of input"
+        raise ParseError(f"{message} (at {shown!r})", tok.line, tok.col)
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        if self.peek().kind != "eof":
+            self.error("unexpected trailing input")
+        return e
+
+    def expr(self) -> Expr:
+        e = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.next().text
+            e = BinOp(op, e, self.term())
+        return e
+
+    def term(self) -> Expr:
+        e = self.factor()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.next().text
+            e = BinOp(op, e, self.factor())
+        return e
+
+    def factor(self) -> Expr:
+        if self.peek().kind == "op" and self.peek().text == "-":
+            self.next()
+            return Neg(self.factor())
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        if self.peek().kind == "op" and self.peek().text == "^":
+            self.next()
+            return BinOp("^", base, self.factor())
+        return base
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.next()
+            try:
+                return Const(tok.text)
+            except ValueError as exc:
+                raise ParseError(str(exc), tok.line, tok.col) from None
+        if tok.kind == "ident":
+            self.next()
+            if self.peek().kind == "lparen":
+                self.next()
+                args = [self.expr()]
+                while self.peek().kind == "comma":
+                    self.next()
+                    args.append(self.expr())
+                if self.peek().kind != "rparen":
+                    self.error("expected ')' or ','")
+                self.next()
+                try:
+                    return Call(tok.text, tuple(args))
+                except ValueError as exc:
+                    raise ParseError(str(exc), tok.line, tok.col) from None
+            return Var(tok.text)
+        if tok.kind == "lparen":
+            self.next()
+            e = self.expr()
+            if self.peek().kind != "rparen":
+                self.error("expected ')'")
+            self.next()
+            return e
+        self.error("expected a number, name or '('")
+
+
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+
+def _level(node: Expr) -> int:
+    if isinstance(node, BinOp):
+        if node.op in "+-":
+            return _LEVEL_ADD
+        if node.op in "*/":
+            return _LEVEL_MUL
+        return _LEVEL_POW
+    if isinstance(node, Neg):
+        return _LEVEL_NEG
+    return _LEVEL_ATOM
+
+
+def _wrap(node: Expr, floor_level: int) -> str:
+    text = _reference_format(node)
+    if _level(node) < floor_level:
+        return f"({text})"
+    return text
+
+
+def _reference_format(node: Expr) -> str:
+    """Render an AST back to canonical source with minimal parentheses.
+
+    parse(format_expr(e)) is structurally equal to e, and formatting an
+    already-canonical string is a fixed point.
+    """
+    if isinstance(node, Const):
+        return node.literal
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return "-" + _wrap(node.operand, _LEVEL_NEG)
+    if isinstance(node, BinOp):
+        if node.op in "+-":
+            return f"{_wrap(node.left, _LEVEL_ADD)} {node.op} {_wrap(node.right, _LEVEL_MUL)}"
+        if node.op in "*/":
+            return f"{_wrap(node.left, _LEVEL_MUL)} {node.op} {_wrap(node.right, _LEVEL_NEG)}"
+        return f"{_wrap(node.left, _LEVEL_ATOM)}^{_wrap(node.right, _LEVEL_NEG)}"
+    if isinstance(node, Call):
+        args = ", ".join(_reference_format(a) for a in node.args)
+        return f"{node.func}({args})"
+    raise TypeError(f"not an Expr: {node!r}")
+
+
+def _reference_parse(source: str) -> Expr:
+    return _Parser(_tokenize(source)).parse()
+
+
+def _front_end(parse_fn, format_fn, text):
+    """The tree and canonical text `text` gives, or the type, message and
+    position of what it raises."""
+    try:
+        tree = parse_fn(text)
+    except Exception as exc:  # compared below, so never swallowed
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "col", None))
+    return tree, format_fn(tree)
+
+
+def _compare_front_ends(texts):
+    """Assert that both front ends agree on every text; count the outcomes
+    by kind, a ParseError's kind being its message without the position
+    and quoted text."""
+    kinds = {}
+    for text in texts:
+        got = _front_end(parse, format_expr, text)
+        want = _front_end(_reference_parse, _reference_format, text)
+        assert got == want, repr(text)
+        if isinstance(want[0], Expr):
+            kind = "tree"
+        else:
+            kind = re.sub(r"^\d+:\d+: | \(at .*\)$|'.*?'", "", want[1])
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
+
+
+# Pieces of random source: every token kind, white space, characters the
+# tokenizer rejects, a literal that overflows and a non-ASCII digit.
+_PIECES = ("x", "x1", "y", "min", "max", "clamp", "abs", "sqrt", "foo",
+           "1", "2.5", ".5", "1e-3", "1e999", "٣", "e", "E2", ".",
+           "+", "-", "*", "/", "^", "-", "(", "(", ")", ")", ",",
+           " ", " ", "\n", "\t", "\r", "$", "\f", "@")
+
+
+def test_parse_matches_the_reference_on_random_token_strings():
+    rng = random.Random(20261019)
+    texts = ["".join(rng.choice(_PIECES) for _ in range(rng.randrange(0, 14)))
+             for _ in range(40000)]
+    kinds = _compare_front_ends(texts)
+    assert kinds["tree"] >= 500
+    for kind in ("unexpected character ", "expected a number, name or ",
+                 "expected ", "expected  or ", "unexpected trailing input",
+                 "literal  is not finite", "unknown builtin "):
+        assert kinds.get(kind, 0) >= 20, (kind, kinds)
+
+
+def _grammar_text(rng: random.Random, depth: int) -> str:
+    """Source drawn from the grammar, with random spacing, redundant
+    parentheses and, now and then, a call of the wrong arity or name."""
+    def space():
+        return rng.choice(("", "", "", " ", "  ", "\n", "\t", " \r"))
+
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(("x", "x1", "y_2", "min", "e5", "0", "1", "2.5",
+                           ".5", "1e-3", "2E+2", "٣", "1e999"))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "-" + space() + _grammar_text(rng, depth - 1)
+    if kind == 1:
+        return (_grammar_text(rng, depth - 1) + space() + rng.choice("+-*/^")
+                + space() + _grammar_text(rng, depth - 1))
+    if kind == 2:
+        return "(" + space() + _grammar_text(rng, depth - 1) + space() + ")"
+    func = rng.choice((*BUILTIN_ARITY, "foo"))
+    arity = max(1, BUILTIN_ARITY.get(func, 1) + rng.choice((0, 0, 0, 0, 0, 1, -1)))
+    args = ("," + space()).join(_grammar_text(rng, depth - 1)
+                                for _ in range(arity))
+    return func + space() + "(" + space() + args + space() + ")"
+
+
+def test_parse_matches_the_reference_on_grammar_strings():
+    rng = random.Random(20261020)
+    kinds = _compare_front_ends(_grammar_text(rng, 6) for _ in range(5000))
+    assert kinds["tree"] >= 2500
+    assert kinds["literal  is not finite"] >= 100
+    assert kinds["unknown builtin "] >= 100
+    assert sum(n for kind, n in kinds.items() if " takes " in kind) >= 200
+
+
+def _recursive_fold(node, rules):
+    kids = [_recursive_fold(child, rules) for child in node.children()]
+    return rules[type(node)](node, *kids)
+
+
+def test_fold_calls_builders_in_the_recursive_order():
+    rng = random.Random(20261022)
+    for _ in range(500):
+        f = _random_ast(rng, 7)
+        logs = []
+        for fold in (_fold, _recursive_fold):
+            log = []
+
+            def rule(node, *args):
+                log.append((id(node), args))
+                return len(log)
+
+            assert fold(f, dict.fromkeys((Const, Var, Neg, BinOp, Call), rule)) == len(log)
+            logs.append(log)
+        assert logs[0] == logs[1]
+
+
+# --- deep inputs ---------------------------------------------------------------
+
+_DEEP = [
+    # source, its canonical text, env, value
+    ("(" * 5000 + "x" + ")" * 5000, "x", {"x": 1.5}, 1.5),
+    ("-" * 5000 + "x", "-" * 5000 + "x", {"x": 1.5}, 1.5),
+    ("abs(" * 5000 + "x" + ")" * 5000, "abs(" * 5000 + "x" + ")" * 5000,
+     {"x": -1.5}, 1.5),
+    (" + ".join(f"x{i % 3}" for i in range(3000)),
+     " + ".join(f"x{i % 3}" for i in range(3000)),
+     {"x0": 1.0, "x1": 2.0, "x2": 4.0}, 7000.0),
+]
+
+
+@pytest.mark.parametrize("source, canonical, env, value", _DEEP,
+                         ids=["parentheses", "minus", "calls", "sum"])
+def test_deep_inputs_parse_format_and_evaluate(source, canonical, env, value):
+    # trees are compared by their text: Record equality itself recurses
+    tree = parse(source)
+    assert format_expr(tree) == canonical
+    assert format_expr(parse(canonical)) == canonical
+    assert evaluate(tree, env) == value
+
+
+def test_no_recursion_limit_is_raised_or_caught():
+    for path in Path(ouro.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "setrecursionlimit" not in text and "RecursionError" not in text

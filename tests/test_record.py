@@ -15,8 +15,7 @@ from ouro import catalog
 from ouro._record import Record
 from ouro.catalog import CatalogEntry, ScalarInstance, VectorInstance
 from ouro.deriv import UnityReport, UnitySweep, check_unity, unity_sweep
-from ouro.expr import (BinOp, Call, Const, Expr, Neg, Var, _Token, _tokenize,
-                       parse)
+from ouro.expr import BinOp, Call, Const, Expr, Neg, Var, parse
 from ouro.finite import FiniteEndofunction
 from ouro.verify import (DomainBox, SamplePlan, Status, Verdict, Witness,
                          check_membership)
@@ -31,7 +30,6 @@ FIELDS = {
     Neg: ("operand",),
     BinOp: ("op", "left", "right"),
     Call: ("func", "args"),
-    _Token: ("kind", "text", "line", "col"),
     DomainBox: ("intervals",),
     SamplePlan: ("seed", "sample_count", "atol", "rtol", "kink_margin",
                  "k_max"),
@@ -73,7 +71,6 @@ def _samples():
         stack.extend(node.children())
     return {
         **nodes,
-        _Token: _tokenize("x1 + 2.5"),
         DomainBox: [box, DomainBox.uniform(-1.0, 1.0, 1)],
         SamplePlan: [SamplePlan(), SamplePlan(seed=-1, sample_count=4)],
         Witness: [fail.witness, fault.witness,
