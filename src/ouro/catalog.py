@@ -73,8 +73,8 @@ class VectorInstance(Record):
     """A vector operator fn: R^dim -> R^dim.
 
     fn maps one point, a sequence of dim floats, to a tuple of dim floats,
-    deterministically, so verify stops iterating an instance once an
-    iterate repeats bit for bit.
+    deterministically.  verify applies an instance as it applies any other
+    operator, through __call__.
     """
 
     entry: CatalogEntry
@@ -277,12 +277,20 @@ def _v_hyperplane(p):
     a, b = p["a"], p["b"]
     if not a:
         raise CatalogError("a must be a non-empty vector")
-    denom = _dot(a, a)
-    if denom == 0.0:
+    top = max(map(abs, a))
+    if top == 0.0:
         raise CatalogError("a must be non-zero")
-    if not math.isfinite(denom):
-        # a . a = inf would make every step lam = 0: the identity
-        raise CatalogError(f"a . a must be finite, got {denom}")
+    # a and b scaled by 2**-e bring the largest |a_i| into [0.5, 1), so
+    # a . a neither underflows to 0 nor overflows; a power of two scales
+    # exactly, so no projection changes but where an entry turns subnormal
+    e = math.frexp(top)[1]
+    a = [math.ldexp(w, -e) for w in a]
+    try:
+        b = math.ldexp(b, -e)
+    except OverflowError:
+        raise CatalogError(f"b / max|a_i| must be finite, got b = {b}, "
+                           f"max|a_i| = {top}") from None
+    denom = _dot(a, a)
 
     def fn(x):
         lam = (_dot(x, a) - b) / denom

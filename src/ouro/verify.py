@@ -2,10 +2,11 @@
 
 A candidate is checked on a box domain A (one closed interval per
 coordinate).  Membership in the Ouroboros space additionally requires range
-containment, f(x) in A, so that self-application is legal.  All verdicts are
-deterministic: the i-th sample point depends only on (seed, i), never on
-scheduling, so the first violation is always the one with the smallest
-sample index.
+containment, f(x) in A, so that self-application is legal.  A candidate is
+a DSL expression or an operator, a callable that maps a tuple of d floats
+to a tuple of d floats.  All verdicts are deterministic: the i-th sample
+point depends only on (seed, i), never on scheduling, so the first violation
+is always the one with the smallest sample index.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ import math
 import operator
 import struct
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Union
+from typing import Callable, Union
 
 from ._record import Record
 from .expr import EvaluationError, Expr, evaluate
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .catalog import VectorInstance
 
 __all__ = [
     "Status", "DomainBox", "SamplePlan", "Witness", "Verdict",
@@ -201,40 +197,22 @@ def _expr_names(f: Expr, domain: DomainBox) -> tuple[str, ...]:
     return names
 
 
-# A target is a DSL expression, a catalog VectorInstance, or any other
-# callable on numpy arrays; numpy is imported only to apply the last kind,
-# so no catalog or DSL target loads it.
-VectorFn = Callable[["np.ndarray"], "np.ndarray"]
-Target = Union[Expr, "VectorInstance", VectorFn]
-
-
-def _numpy_operator(op: VectorFn):
-    """op on tuples: it is given each point as a float array, and its output
-    comes back as a tuple when it has the point's shape and is finite, and
-    as the array itself otherwise, for _call_operator to report."""
-    import numpy as np
-
-    def call(x: tuple[float, ...]):
-        y = np.asarray(op(np.asarray(x, dtype=float)), dtype=float)
-        if y.shape != (len(x),) or not np.all(np.isfinite(y)):
-            return y
-        return tuple(y.tolist())
-
-    return call
+Operator = Callable[[tuple[float, ...]], tuple[float, ...]]
+Target = Union[Expr, Operator]
 
 
 def _call_operator(call, x: tuple[float, ...]) -> tuple[float, ...]:
-    """call(x) as a tuple of len(x) finite floats.  A raising call, a wrong
-    shape or a non-finite value becomes an EvaluationError, so an operator
-    fault is reported like a DSL one."""
+    """call(x) as a tuple of len(x) finite numbers; any other result, or a
+    TypeError, ValueError or ArithmeticError, is an EvaluationError."""
     try:
         y = call(x)
-    except (ValueError, ArithmeticError) as exc:
+        # isfinite raises TypeError on a non-number, OverflowError on a huge int
+        if (isinstance(y, tuple) and len(y) == len(x)
+                and all(map(math.isfinite, y))):
+            return y
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise EvaluationError(f"{type(exc).__name__}: {exc}") from exc
-    if (not isinstance(y, tuple) or len(y) != len(x)
-            or not all(map(math.isfinite, y))):
-        raise EvaluationError(f"operator produced {y!r}")
-    return y
+    raise EvaluationError(f"operator produced {y!r}")
 
 
 def _max_norm(y: tuple[float, ...], y1: tuple[float, ...]) -> float:
@@ -246,23 +224,19 @@ def _target_kind(f: Target, domain: DomainBox):
     distance, scale, residual_detail, bits): f at a sample point, f fed its
     own output, the drift of t_k from t_1 (signed, or the max norm for
     operators), the magnitude the tolerance scales with, the detail of a
-    RESIDUAL witness, and the bytes of an iterate's floats, by which the
-    iteration stops once an iterate repeats, or None where it must not
-    stop.  Only a VectorInstance stops early: catalog operators are
-    deterministic, while any other callable is user code that may not be."""
+    RESIDUAL witness, and the bytes of an iterate's floats, by which an
+    operator's iteration stops once an iterate repeats (None for a DSL
+    target, which keeps the full loop)."""
     if isinstance(f, Expr):
         names = _expr_names(f, domain)
         return (lambda point: evaluate(f, dict(zip(names, point))),
                 lambda t: evaluate(f, dict.fromkeys(names, t)),
                 operator.sub, abs, "", None)
-    from .catalog import VectorInstance  # catalog imports this module
-    if isinstance(f, VectorInstance):
-        call, bits = f, struct.Struct(f"{domain.n}d").pack
-    else:
-        call, bits = _numpy_operator(f), None
-    apply = lambda x: _call_operator(call, x)
+    if not callable(f):
+        raise TypeError(f"a target is an Expr or an operator, got {f!r}")
+    apply = lambda x: _call_operator(f, x)
     return (apply, apply, _max_norm, lambda y: max(map(abs, y)),
-            "max-norm residual", bits)
+            "max-norm residual", struct.Struct(f"{domain.n}d").pack)
 
 
 def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
@@ -272,8 +246,8 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     At each sample x it computes t_1 = f(x) and feeds it back until t_depth,
     failing at the first k with |t_k - t_1| > atol + rtol*|t_1|.
     Membership is depth 2 plus range containment of t_1 (DSL targets only);
-    the iterated check runs to k_max and keeps the largest drift seen.  A
-    VectorInstance's iteration stops once t_k repeats t_{k-1} bit for bit,
+    the iterated check runs to k_max and keeps the largest drift seen.  An
+    operator's iteration stops once t_k repeats t_{k-1} bit for bit,
     sign of zero included: every later t_k would be the same, so no verdict
     or drift can change.
     """
@@ -326,6 +300,9 @@ def check_membership(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
     A vector operator P: R^d -> R^d is checked as P(P(x)) = P(x) in the
     max norm, within atol + rtol*max|P(x)|; its box only places the
     samples, and P(x) is not required to stay inside it.
+
+    f must be deterministic: the verdict must not depend on the order of
+    the samples, and a witness must reproduce bit for bit.
     """
     return _scan(f, domain, plan, membership=True)
 
@@ -337,5 +314,7 @@ def check_iterated(f: Target, domain: DomainBox, plan: SamplePlan) -> Verdict:
     (t_{k} = f(t_{k-1}) once, or on every argument).  For an exact member
     every t_k equals t_1; the verdict records the largest |t_k - t_1| seen
     and fails if any drift exceeds atol + rtol*|t_1|.
+
+    f must be deterministic, as for check_membership.
     """
     return _scan(f, domain, plan, membership=False)

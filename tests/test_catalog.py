@@ -9,6 +9,7 @@ import statistics
 import numpy as np
 import pytest
 
+from ouro import catalog
 from ouro.catalog import (
     CatalogError, POSITIVE_INTERVAL, ScalarInstance, VectorInstance,
     entry_names, get_entry, instantiate, list_entries,
@@ -461,10 +462,45 @@ def test_hyperplane_projection_analytics():
         move = y - x
         lam = float(move @ av) / float(av @ av)
         assert np.allclose(move, lam * av, atol=1e-12)
-    with pytest.raises(CatalogError):
+    with pytest.raises(CatalogError, match="^a must be non-zero$"):
         instantiate("hyperplane_projection", a=(0.0, 0.0), b=1.0)
-    with pytest.raises(CatalogError, match=r"^a \. a must be finite, got inf$"):
-        instantiate("hyperplane_projection", a=1e200)
+    # a . a overflows, underflows to 0 or makes the step overflow at these
+    # normals, but the operator works on a scaled by a power of two
+    for w in (1e200, 1e-155, 1e-200):
+        inst = instantiate("hyperplane_projection", a=w)
+        y = inst((0.0,))
+        assert y[0] == pytest.approx(1.0 / w, rel=1e-15)
+        assert inst(y)[0] == pytest.approx(y[0], rel=1e-15)
+    with pytest.raises(CatalogError, match="^b / max"):
+        instantiate("hyperplane_projection", a=1e-200, b=1e200)
+
+
+def _unscaled_hyperplane(p):
+    """x - ((x . a - b) / a . a) a on a and b as given, unscaled: the
+    reference for normals whose a . a is a normal double."""
+    a, b = p["a"], p["b"]
+    denom = catalog._dot(a, a)
+
+    def fn(x):
+        lam = (catalog._dot(x, a) - b) / denom
+        return tuple([v - lam * w for v, w in zip(x, a)])
+
+    return fn
+
+
+def test_scaled_hyperplane_projection_matches_the_unscaled_formula():
+    # scaling a and b by a power of two is exact, so the bits agree
+    rng = random.Random(24)
+    for _ in range(2000):
+        d = rng.randint(1, 8)
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        a = tuple(rng.uniform(-3.0, 3.0) * scale for _ in range(d))
+        inst = instantiate("hyperplane_projection", a=a,
+                           b=rng.uniform(-5.0, 5.0) * scale)
+        reference = _unscaled_hyperplane(inst.params)
+        for _ in range(5):
+            x = tuple(rng.uniform(-10.0, 10.0) for _ in range(d))
+            assert _hexed(inst(x)) == _hexed(reference(x)), (a, x)
 
 
 def _grid_simplex_argmin(x: np.ndarray, steps: int) -> float:

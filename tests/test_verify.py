@@ -269,15 +269,21 @@ def test_multivariate_shape_validation():
 
 # --- operator idempotence ------------------------------------------------------
 
+def _clip(x):
+    return tuple(min(max(v, 0.0), 1.0) for v in x)
+
+
+def _halve(x):
+    return tuple(v / 2.0 for v in x)
+
+
 def test_clip_operator_passes():
-    v = check_membership(lambda x: np.clip(x, 0.0, 1.0),
-                         DomainBox.uniform(-2.0, 2.0, 3), PLAN)
+    v = check_membership(_clip, DomainBox.uniform(-2.0, 2.0, 3), PLAN)
     assert v.status is Status.PASS
 
 
 def test_halving_operator_fails_in_max_norm():
-    v = check_membership(lambda x: x / 2.0,
-                         DomainBox.uniform(-2.0, 2.0, 3), PLAN)
+    v = check_membership(_halve, DomainBox.uniform(-2.0, 2.0, 3), PLAN)
     assert v.status is Status.FAIL
     w = v.witness
     assert w.reason == "RESIDUAL"
@@ -288,12 +294,15 @@ def test_halving_operator_fails_in_max_norm():
 
 
 def test_operator_shape_or_nan_is_a_fault():
-    bad_shape = lambda x: x[:2]
-    v = check_membership(bad_shape, DomainBox.uniform(0.0, 1.0, 3), PLAN)
-    assert v.status is Status.DOMAIN_ERROR
-    nan_op = lambda x: x * float("nan")
-    v = check_membership(nan_op, DomainBox.uniform(0.0, 1.0, 3), PLAN)
-    assert v.status is Status.DOMAIN_ERROR
+    for bad, detail in ((lambda x: x[:2], "operator produced "),
+                        (list, "operator produced "),
+                        (lambda x: tuple(v * math.nan for v in x),
+                         "operator produced "),
+                        (lambda x: ("a",) * 3, "TypeError: "),
+                        (lambda x: (10 ** 400,) * 3, "OverflowError: ")):
+        v = check_membership(bad, DomainBox.uniform(0.0, 1.0, 3), PLAN)
+        assert v.status is Status.DOMAIN_ERROR
+        assert v.witness.detail.startswith(detail)
 
 
 def _failing_operator(x):
@@ -301,13 +310,17 @@ def _failing_operator(x):
 
 
 def _overflowing_operator(x):
-    with np.errstate(over="raise"):
-        return x * 1e308 * 1e308
+    return tuple(math.exp(v * 1000.0) for v in x)
+
+
+def _array_operator(x):
+    return x / 2.0  # written for numpy arrays: a tuple raises TypeError
 
 
 @pytest.mark.parametrize("op, name", [
     (_failing_operator, "ValueError"),
-    (_overflowing_operator, "FloatingPointError"),
+    (_overflowing_operator, "OverflowError"),
+    (_array_operator, "TypeError"),
 ])
 @pytest.mark.parametrize("check", [check_membership, check_iterated])
 def test_raising_operator_is_a_fault(check, op, name):
@@ -324,9 +337,11 @@ def test_raising_operator_is_a_fault(check, op, name):
 def test_check_membership_dispatches():
     assert check_membership(parse("abs(x)"), BOX1, PLAN).status is Status.PASS
     assert check_membership(parse("min(x1, x2)"), BOX2, PLAN).status is Status.PASS
-    op = lambda x: np.clip(x, 0.0, 1.0)
     box = DomainBox.uniform(-1.0, 2.0, 2)
-    assert check_membership(op, box, PLAN).status is Status.PASS
+    assert check_membership(_clip, box, PLAN).status is Status.PASS
+    # a caller's mistake, not an operator fault
+    with pytest.raises(TypeError, match="^a target is an Expr or an operator"):
+        check_membership("abs(x)", BOX1, PLAN)
 
 
 # --- iterated self-application ---------------------------------------------------
@@ -362,7 +377,8 @@ def test_membership_alone_accepts_the_creeping_candidate():
 
 
 def test_operator_iteration_drift():
-    v = check_iterated(lambda x: x * 0.99, DomainBox.uniform(1.0, 2.0, 2), PLAN)
+    v = check_iterated(lambda x: tuple(v * 0.99 for v in x),
+                       DomainBox.uniform(1.0, 2.0, 2), PLAN)
     assert v.status is Status.FAIL
     assert v.witness.reason == "DRIFT"
     assert v.witness.detail == "k=2"
@@ -424,7 +440,7 @@ def test_membership_is_containment_plus_depth_two_iteration():
         escapes += escaped
         compared += not escaped
     assert compared >= 500 and escapes >= 100
-    for op in (lambda x: x / 2.0, lambda x: np.clip(x, 0.0, 1.0)):
+    for op in (_halve, _clip):
         for _ in range(20):
             box = DomainBox.uniform(-2.0, rng.uniform(0.5, 3.0), rng.randint(1, 4))
             plan = SamplePlan(**{**base._asdict(), "seed": rng.getrandbits(64)})
@@ -436,17 +452,14 @@ def test_membership_is_containment_plus_depth_two_iteration():
 
 def _apply(f, x):
     """f(x) as a tuple of floats, or the text of the fault it raises or
-    produces; a VectorInstance maps tuples, any other callable arrays."""
+    produces."""
     try:
-        if isinstance(f, VectorInstance):
-            y = f(x)
-        else:
-            y = np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
-    except (ValueError, ArithmeticError) as exc:
+        y = f(x)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    if np.shape(y) != (len(x),) or not np.isfinite(y).all():
+    if not (isinstance(y, tuple) and len(y) == len(x) and np.isfinite(y).all()):
         return f"operator produced {y!r}"
-    return tuple(map(float, y))
+    return y
 
 
 def _full_depth(f, box, plan, membership):
@@ -568,7 +581,7 @@ def test_fixed_point_stop_matches_full_depth_scan_on_faults(kind):
     for count in (1, AT, AT + 1, 64):
         plan = SamplePlan(seed=7, sample_count=count)
         fn = _faulting(kind, box.sample_point(plan.seed, AT))
-        for f in (_as_instance(fn, 3, box), fn):  # on tuples, and on arrays
+        for f in (_as_instance(fn, 3, box), fn):
             statuses = _assert_matches_full_depth(f, box, plan)
             faulted = count > AT
             assert statuses == [Status.DOMAIN_ERROR if faulted else Status.PASS] * 2
@@ -578,7 +591,7 @@ def test_fixed_point_stop_matches_full_depth_scan_on_faults(kind):
                 assert v.max_drift > 0.0
 
 
-def test_only_catalog_instances_stop_at_a_repeated_iterate():
+def test_every_operator_stops_at_a_repeated_iterate():
     box = DomainBox.uniform(-3.0, 3.0, 3)
     plan = SamplePlan(seed=5, sample_count=16)
     clamp = instantiate("box_clamp", lo=-1.0, hi=1.0, d=3)
@@ -586,41 +599,43 @@ def test_only_catalog_instances_stop_at_a_repeated_iterate():
 
     def counted(fn):
         def call(x):
-            calls.append(np.shape(x))
+            calls.append((type(x), len(x)))
             return fn(x)
         return call
 
     # P(P(x)) repeats P(x) bit for bit, so each sample takes two calls,
-    # each on one point, never on a stack
-    v = check_iterated(_as_instance(counted(clamp), 3, box), box, plan)
-    assert v.status is Status.PASS
-    assert len(calls) == 2 * plan.sample_count
-    assert set(calls) == {(3,)}
-    # a plain callable is user code and keeps the full k_max loop
-    calls.clear()
-    v = check_iterated(counted(lambda x: np.clip(x, -1.0, 1.0)), box, plan)
-    assert v.status is Status.PASS
-    assert len(calls) == plan.k_max * plan.sample_count
-    assert set(calls) == {(3,)}
-    # 0.0 and -0.0 are equal but differ in bits, so an instance that swaps
-    # them never repeats an iterate and runs to k_max too
-    calls.clear()
+    # each on one point as a tuple, for a catalog instance and a plain
+    # callable alike
+    for op in (_as_instance(counted(clamp), 3, box), counted(_clip)):
+        calls.clear()
+        v = check_iterated(op, box, plan)
+        assert v.status is Status.PASS
+        assert len(calls) == 2 * plan.sample_count
+        assert set(calls) == {(tuple, 3)}
+    # 0.0 and -0.0 are equal but differ in bits, so an operator that swaps
+    # them never repeats an iterate and runs to k_max
     swap = lambda x: (-0.0 if str(x[0]) == "0.0" else 0.0,) * 3
-    v = check_iterated(_as_instance(counted(swap), 3, box), box, plan)
-    assert (v.status, v.max_drift) == (Status.PASS, 0.0)
-    assert len(calls) == plan.k_max * plan.sample_count
+    for op in (_as_instance(counted(swap), 3, box), counted(swap)):
+        calls.clear()
+        v = check_iterated(op, box, plan)
+        assert (v.status, v.max_drift) == (Status.PASS, 0.0)
+        assert len(calls) == plan.k_max * plan.sample_count
 
 
 def test_operator_that_raises_at_the_first_sample_is_called_once():
-    calls = []
-
-    def fn(x):
-        calls.append(x.shape)
-        raise ValueError("operator fault")
-
     box = DomainBox.uniform(-1.0, 1.0, 2)
-    assert check_iterated(fn, box, PLAN).status is Status.DOMAIN_ERROR
-    assert calls == [(2,)]
+    for op, name in ((_failing_operator, "ValueError"),
+                     (_array_operator, "TypeError")):
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            return op(x)
+
+        v = check_iterated(fn, box, PLAN)
+        assert (v.status, v.samples_evaluated) == (Status.DOMAIN_ERROR, 1)
+        assert v.witness.detail.startswith(name + ": ")
+        assert calls == [2]
 
 
 def test_fail_verdict_requires_witness():
