@@ -365,22 +365,15 @@ _ROW_ARRAYS = ("reports", "maps")
 
 
 def _json(doc: dict) -> str:
-    """json.dumps(doc, indent=2), byte for byte.
-
-    indent selects json's pure-Python encoder, which is slow per value, so
-    the members of the document are written one at a time, and each
-    non-empty row array a row at a time through _json_row.  json is
-    imported here, for the writer's functions below, since text reports
-    never use it.
-    """
-    global json, encode_basestring_ascii
+    """json.dumps(doc, indent=2), byte for byte: json's encoder writes every
+    value.  indent selects its slow pure-Python encoder, so each member of
+    the document is written on its own, and each non-empty row array by
+    _json_rows.  Text reports never load json."""
     import json
-    from json.encoder import encode_basestring_ascii
     members = []
     for key, value in doc.items():
         if key in _ROW_ARRAYS and value:
-            rows = ",\n".join(map(_json_row, value))
-            members.append(f"  {encode_basestring_ascii(key)}: [\n{rows}\n  ]")
+            members.append(f"  {json.dumps(key)}: [\n{_json_rows(value)}\n  ]")
         else:
             members.append(json.dumps({key: value}, indent=2)[2:-2])
     return "{\n" + ",\n".join(members) + "\n}"
@@ -390,34 +383,43 @@ _ROW_TEMPLATES: dict = {}
 _SEQUENCES = frozenset((list, tuple))
 
 
-def _json_row(row) -> str:
-    """One element of a row array as json.dumps writes it there.
-
-    A row is a dict whose values are scalars or flat lists, or a flat list
-    of scalars.  Rows of one shape (keys and list lengths) share one
-    %-format template, and the row's scalars fill it in order.
-    """
-    if row.__class__ is dict:
-        leaves, shape = [], [*row]
-        for value in row.values():
-            if value.__class__ in _SEQUENCES:
-                leaves += value
-                shape.append(len(value))
-            else:
-                leaves.append(value)
-                shape.append(-1)
-        shape = tuple(shape)
-    else:
-        leaves, shape = row, len(row)
-    template = _ROW_TEMPLATES.get(shape)
-    if template is None:
-        template = _ROW_TEMPLATES[shape] = _row_template(row)
-    return template % tuple(map(_json_leaf, leaves))
+def _json_rows(rows) -> str:
+    """The rows of a row array as json.dumps writes them there.  A row is a
+    dict of scalars and flat lists, or a flat list of scalars; rows of one
+    shape (keys and list lengths) share one %-format template.  One call of
+    json's C encoder writes all the scalars, NUL between them (it writes a
+    NUL in a string as \\u0000), and they fill the templates in order."""
+    import json
+    templates, leaves = [], []
+    for row in rows:
+        if row.__class__ is dict:
+            shape = [*row]
+            for value in row.values():
+                if value.__class__ in _SEQUENCES:
+                    leaves += value
+                    shape.append(len(value))
+                else:
+                    leaves.append(value)
+                    shape.append(-1)
+            shape = tuple(shape)
+        else:
+            leaves += row
+            shape = len(row)
+        template = _ROW_TEMPLATES.get(shape)
+        if template is None:
+            template = _ROW_TEMPLATES[shape] = _row_template(row)
+        templates.append(template)
+    text = json.dumps(leaves, separators=("\0", ":"))
+    if text.startswith(("[[", "[{")) or "\0[" in text or "\0{" in text:
+        raise TypeError("a row holds only scalars and flat lists of scalars")
+    return ",\n".join(templates) % (
+        tuple(text[1:-1].split("\0")) if leaves else ())
 
 
 def _row_template(row) -> str:
     """json.dumps of `row` with %s for each scalar, indented as an element
     of a member of the document."""
+    import json
     mark = "\0"
 
     def hollow(value):
@@ -432,25 +434,6 @@ def _row_template(row) -> str:
     text = json.dumps(hollowed, indent=2)
     text = text.replace("%", "%%").replace(json.dumps(mark), "%s")
     return "    " + text.replace("\n", "\n    ")
-
-
-def _json_leaf(x):
-    """A scalar as json.dumps spells it, for %s: a finite float or an int
-    as itself (str of either is its repr, which json writes)."""
-    cls = x.__class__
-    if cls is float:
-        if x - x == 0.0:  # finite; inf - inf and nan - nan are nan
-            return x
-        return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
-    if cls is int:
-        return x
-    if x is None:
-        return "null"
-    if x is True or x is False:
-        return "true" if x else "false"
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 def _emit(command: str, body: dict, o: dict):

@@ -67,6 +67,7 @@ _BINARY = {
 _NEG, _ATOM = 3, 5
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class ParseError(ValueError):
@@ -132,10 +133,9 @@ class Const(Expr):
     literal: str
 
     def __post_init__(self):
-        try:
-            v = float(self.literal)
-        except ValueError:
-            raise ValueError(f"bad numeric literal {self.literal!r}") from None
+        if not _NUMBER_RE.fullmatch(self.literal):
+            raise ValueError(f"bad numeric literal {self.literal!r}")
+        v = float(self.literal)
         if not math.isfinite(v):
             raise ValueError(f"literal {self.literal!r} is not finite")
         self.__dict__["value"] = v
@@ -191,7 +191,7 @@ class Call(Expr):
 
 _TOKEN_RE = re.compile(
     r"(?P<space>[ \t\r\n]+)"
-    r"|(?P<number>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"|(?P<number>{_NUMBER_RE.pattern})"
     rf"|(?P<ident>{_IDENT_RE.pattern})"
     rf"|(?P<op>[{re.escape(''.join(_BINARY))}])"
     r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"

@@ -15,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ouro import cli
 from ouro.deriv import UnityReport
@@ -1139,3 +1141,59 @@ def test_json_rows_with_timestamp_and_out(tmp_path):
         doc = {"schema_version": cli.SCHEMA_VERSION, "command": command,
                "timestamp": json.loads(text)["timestamp"], **body}
         assert text == json.dumps(doc, indent=2) + "\n"
+
+
+class _FloatSub(float):
+    pass
+
+
+class _IntSub(int):
+    pass
+
+
+# Strings json escapes: NUL (the writer's separator), quote, backslash, %
+# (the templates' marker), non-ASCII and lone surrogates.
+_TEXTS = st.text(st.sampled_from("\0\"\\%s\n\té\u2028\U0001f600\ud800\udfff"),
+                 max_size=5)
+_SCALARS = st.one_of(
+    st.floats(), st.sampled_from(AWKWARD), st.integers(-2**80, 2**80),
+    st.booleans(), st.none(), _TEXTS,
+    st.floats().map(_FloatSub), st.integers(-2**80, 2**80).map(_IntSub))
+_FLAT = st.lists(_SCALARS, max_size=4)
+
+
+# Keys hold no NUL: a row template marks each scalar with json's spelling of
+# a NUL string, so a key spelled the same would be taken for a scalar.  The
+# program's keys are fixed names.
+_KEYS = _TEXTS.filter(lambda key: "\0" not in key)
+
+
+@st.composite
+def _awkward_documents(draw):
+    # Report rows share their keys, so some rows share a template.
+    keys = draw(st.lists(_KEYS, max_size=4, unique=True))
+    value = st.one_of(_SCALARS, _FLAT, _FLAT.map(tuple))
+    reports = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, value)),
+                            max_size=6))
+    maps = draw(st.lists(st.one_of(_FLAT, _FLAT.map(tuple)), max_size=6))
+    return {"command": draw(_TEXTS), "reports": reports, "maps": maps}
+
+
+@given(_awkward_documents())
+@settings(max_examples=300)
+def test_json_writes_awkward_rows_as_json_dumps_writes_them(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_row_array_with_no_scalars():
+    for doc in ({"maps": [[]]}, {"maps": [[], ()]}, {"reports": [{}]}):
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_refuses_what_json_refuses_and_nested_rows():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json({"reports": [{"x": 1.0, "y": object()}]})
+    # json would write these, but not in a row's template.
+    for doc in ({"maps": [[[1.0]]]}, {"reports": [{"x": 1.0, "y": {"z": 2}}]}):
+        with pytest.raises(TypeError, match="flat lists of scalars"):
+            cli._json(doc)

@@ -146,11 +146,14 @@ def test_dual_eval_validates_inputs():
        st.floats(-10, 10, allow_nan=False))
 @settings(max_examples=200)
 def test_dual_matches_hand_derivative_for_quadratics(a, b, c, x):
-    # a*x^2 + b*x + c, built directly as an AST
+    # a*x^2 + b*x + c, built directly as an AST; a literal is unsigned
+    def coef(k):
+        return Neg(Const(str(-k))) if k < 0 else Const(str(k))
+
     f = BinOp("+", BinOp("+",
-                         BinOp("*", Const(str(a)), BinOp("*", Var("x"), Var("x"))),
-                         BinOp("*", Const(str(b)), Var("x"))),
-              Const(str(c)))
+                         BinOp("*", coef(a), BinOp("*", Var("x"), Var("x"))),
+                         BinOp("*", coef(b), Var("x"))),
+              coef(c))
     value, deriv = dual_eval(f, {"x": x}, 0)
     assert value == evaluate(f, {"x": x})
     assert deriv == pytest.approx(2.0 * a * x + b, abs=1e-9)

@@ -30,6 +30,30 @@ def test_number_literals():
     assert evaluate(parse(".5"), {}) == 0.5
     assert evaluate(parse("1e-3"), {}) == 1e-3
     assert evaluate(parse("2.5E2"), {}) == 250.0
+    assert parse("١") == Const("١") and Const("١").value == 1.0
+
+
+@pytest.mark.parametrize("literal", ["-1", "+3", " 2", "1_0", "1.", "2 ", ""])
+def test_const_takes_only_the_dsl_number_literals(literal):
+    # Else BinOp("^", Const("-1"), Const("2")) would format as -1^2, which
+    # parses as -(1^2).
+    with pytest.raises(ValueError, match="bad numeric literal"):
+        Const(literal)
+
+
+@given(st.text(alphabet="0123456789١.eE+-_ \tx", max_size=8))
+@settings(max_examples=500)
+def test_const_accepts_what_parse_reads_as_one_literal(text):
+    try:
+        e = parse(text)
+    except ParseError:
+        e = None
+    try:
+        Const(text)
+    except ValueError:
+        assert not (isinstance(e, Const) and e.literal == text)
+    else:
+        assert isinstance(e, Const) and e.literal == text
 
 
 def test_precedence_and_associativity():
