@@ -418,7 +418,9 @@ def _json_rows(rows) -> str:
 
 def _row_template(row) -> str:
     """json.dumps of `row` with %s for each scalar, indented as an element
-    of a member of the document."""
+    of a member of the document.  A scalar's mark is json's spelling of a
+    NUL string; a dict key spelled the same way is followed by ":", so
+    only a mark no ":" follows is replaced."""
     import json
     mark = "\0"
 
@@ -432,7 +434,7 @@ def _row_template(row) -> str:
     else:
         hollowed = hollow(row)
     text = json.dumps(hollowed, indent=2)
-    text = text.replace("%", "%%").replace(json.dumps(mark), "%s")
+    text = re.sub(r'"\\u0000"(?!:)', "%s", text.replace("%", "%%"))
     return "    " + text.replace("\n", "\n    ")
 
 

@@ -524,6 +524,56 @@ class UnitySweep(Record):
     points_skipped: int
 
 
+def _unity_checker(f: Expr, plan: SamplePlan, method: str):
+    """check_unity's body as the function check(env, point) -> UnityReport,
+    with what every point shares looked up once: the gradient walk, the
+    tolerance, the kink margin and 1/n.  `point` is env's coordinates in
+    the order of f's names, or None to read them from env."""
+    names = f.program.names
+    walk = _gradient_walk(f, names, method)
+    tol = TOL_UNITY[method]
+    n = len(names)
+    if n == 0:
+        raise ValueError("candidate has no free variables")
+    margin = plan.kink_margin
+    target = 1.0 / n
+
+    def check(env: Mapping[str, float], point) -> UnityReport:
+        value, outer = walk(env, margin)
+        zero_grad = max(map(abs, outer)) <= GRADIENT_FLOOR
+
+        shares: tuple[float, ...] | None
+        try:  # value is finite, so the diagonal point binds every name
+            diag = dict.fromkeys(names, value)
+            shares = walk(diag, margin)[1]
+            share_sum = sum(shares)
+        except KinkPointError:
+            shares = None
+            share_sum = None
+
+        if zero_grad:
+            reason = "zero_gradient"
+        elif shares is None:
+            reason = "kink_diagonal"
+        else:
+            reason = None
+
+        if reason is not None:
+            sum_status = equal_status = Status.DEGENERATE
+        else:
+            sum_status = (Status.PASS if abs(share_sum - 1.0) <= tol
+                          else Status.FAIL)
+            worst = max([abs(s - target) for s in shares])
+            equal_status = Status.PASS if worst <= tol else Status.FAIL
+
+        if point is None:
+            point = tuple([env[name] for name in names])
+        return UnityReport(n, point, value, outer, shares, share_sum,
+                           sum_status, equal_status, method, tol, reason)
+
+    return check
+
+
 def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
                 method: str = "dual") -> UnityReport:
     """Evaluate both unity claims for f at one point.
@@ -534,43 +584,7 @@ def check_unity(f: Expr, env: Mapping[str, float], plan: SamplePlan,
     KinkPointError if x itself sits on a kink of the outer gradient.  Both
     claims are compared at TOL_UNITY[method].
     """
-    names = f.program.names
-    walk = _gradient_walk(f, names, method)
-    tol = TOL_UNITY[method]
-    n = len(names)
-    if n == 0:
-        raise ValueError("candidate has no free variables")
-    margin = plan.kink_margin
-    value, outer = walk(env, margin)
-    zero_grad = max(map(abs, outer)) <= GRADIENT_FLOOR
-
-    shares: tuple[float, ...] | None
-    try:  # value is finite, so the diagonal point binds every name
-        diag = dict.fromkeys(names, value)
-        shares = walk(diag, margin)[1]
-        share_sum = sum(shares)
-    except KinkPointError:
-        shares = None
-        share_sum = None
-
-    if zero_grad:
-        reason = "zero_gradient"
-    elif shares is None:
-        reason = "kink_diagonal"
-    else:
-        reason = None
-
-    if reason is not None:
-        sum_status = equal_status = Status.DEGENERATE
-    else:
-        sum_status = Status.PASS if abs(share_sum - 1.0) <= tol else Status.FAIL
-        target = 1.0 / n
-        worst = max([abs(s - target) for s in shares])
-        equal_status = Status.PASS if worst <= tol else Status.FAIL
-
-    point = tuple([env[name] for name in names])
-    return UnityReport(n, point, value, outer, shares, share_sum,
-                       sum_status, equal_status, method, tol, reason)
+    return _unity_checker(f, plan, method)(env, None)
 
 
 def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,
@@ -582,19 +596,20 @@ def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,
     sample is counted in points_skipped.  Results are independent of
     evaluation order: candidate j for sample i depends only on (seed, i, j).
     The box must fit f as verify's membership check requires: one interval
-    per variable, all of them the same.
+    per variable, all of them the same.  One checker serves every point.
     """
     names = _expr_names(f, domain)
+    check = _unity_checker(f, plan, method)
+    sample, seed = domain.sample_point, plan.seed
     reports = []
     skipped = 0
     stride = KINK_RETRY_LIMIT + 1
     for i in range(plan.sample_count):
         placed = False
         for r in range(stride):
-            point = domain.sample_point(plan.seed, i * stride + r)
-            env = dict(zip(names, point))
+            point = sample(seed, i * stride + r)
             try:
-                reports.append(check_unity(f, env, plan, method))
+                reports.append(check(dict(zip(names, point)), point))
                 placed = True
                 break
             except KinkPointError:

@@ -317,6 +317,7 @@ def free_variables(expr: Expr) -> list[str]:
 # computes.  The generated functions call them directly (writing the rules
 # of + - * inline as the operators they are).  A rule takes finite floats
 # and raises Undefined outside its domain; the caller names the node.
+# Every rule outside _UNBOUNDED_OPS returns a finite float or raises.
 
 class Undefined(Exception):
     """A rule's inputs lie outside its domain; the message says how."""
@@ -394,15 +395,23 @@ BUILTIN_RULES = {
 # a test pins that each one's rule is the matching function of `operator`.
 _INLINE_OPS = ("+", "-", "*")
 
+# The operators whose result can overflow on finite operands, so the value
+# source checks it; _pow checks its own, and _exp raises on overflow.  A
+# test pins that every other rule returns a finite float or raises.
+_UNBOUNDED_OPS = ("+", "-", "*", "/")
+
 
 class _ValueSource:
     """The source of one expression's value function, value(env) -> float,
     emitted node by node.
 
     Each builder appends the statements that compute its node into a new
-    local and returns that local's name.  Every node's value is checked
-    where it is made, in the tree walk's order, so the function raises what
-    the walk would; a variable's binding is checked where it is first read.
+    local and returns that local's name.  Every node's value is finite where
+    it is made, in the tree walk's order, so the function raises what the
+    walk would: a variable's binding is checked where it is first read, the
+    result of + - * / is checked where it is made, and "^" and the builtins
+    raise Undefined from their rules; a constant, and the negation of a
+    finite value, need no check.
     No user text reaches the source except variable names, which Var has
     validated, and only inside repr string literals: the keys and the
     binding error's message.  Constants, nodes and rules are reached through
@@ -472,9 +481,10 @@ class _ValueSource:
                 "try:", f"    {out} = {self.bind(rule)}({', '.join(args)})",
                 "except Undefined as exc:",
                 f"    raise EvalDomainError({here}, {inputs}, str(exc)) from None"]
-        self.lines += [
-            f"if not isfinite({out}):",
-            f"    raise EvalDomainError({here}, {inputs}, 'result is not finite')"]
+        if type(node) is BinOp and node.op in _UNBOUNDED_OPS:
+            self.lines += [
+                f"if not isfinite({out}):",
+                f"    raise EvalDomainError({here}, {inputs}, 'result is not finite')"]
         return out
 
     def returns(self, result: str) -> str:

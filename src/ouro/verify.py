@@ -77,6 +77,8 @@ class DomainBox(Record):
                 raise ValueError(f"interval [{lo}, {hi}] is wider than the "
                                  "largest double")
         object.__setattr__(self, "intervals", ivs)
+        # derived, neither compared nor shown: each interval's start and width
+        self.__dict__["spans"] = tuple((lo, hi - lo) for lo, hi in ivs)
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "DomainBox":
@@ -99,12 +101,13 @@ class DomainBox(Record):
     def sample_point(self, seed: int, index: int) -> tuple[float, ...]:
         """Coordinate j is lo + unit_uniform(seed, index * n + j) * (hi - lo),
         with the splitmix64 state stepped by _GOLDEN per coordinate."""
-        z = (seed + (index * len(self.intervals) + 1) * _GOLDEN) & _M64
+        spans = self.spans
+        z = (seed + (index * len(spans) + 1) * _GOLDEN) & _M64
         out = []
-        for lo, hi in self.intervals:
+        for lo, width in spans:
             x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
             x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            out.append(lo + ((x ^ (x >> 31)) >> 11) * 2.0 ** -53 * (hi - lo))
+            out.append(lo + ((x ^ (x >> 31)) >> 11) * 2.0 ** -53 * width)
             z = (z + _GOLDEN) & _M64
         return tuple(out)
 
@@ -226,12 +229,34 @@ def _target_kind(f: Target, domain: DomainBox):
     operators), the magnitude the tolerance scales with, the detail of a
     RESIDUAL witness, and the bytes of an iterate's floats, by which an
     operator's iteration stops once an iterate repeats (None for a DSL
-    target, which keeps the full loop)."""
+    target, which keeps the full loop).
+
+    A DSL target's first and again rebind one dict, made here for the one
+    scan that calls this, and evaluate in it: first binds the point, again
+    binds t to every name.  evaluate keeps no reference to its bindings."""
     if isinstance(f, Expr):
         names = _expr_names(f, domain)
-        return (lambda point: evaluate(f, dict(zip(names, point))),
-                lambda t: evaluate(f, dict.fromkeys(names, t)),
-                operator.sub, abs, "", None)
+        env: dict[str, float] = {}
+        if len(names) == 1:
+            (name,) = names
+
+            def first(point):
+                env[name], = point
+                return evaluate(f, env)
+
+            def again(t):
+                env[name] = t
+                return evaluate(f, env)
+        else:
+            def first(point):
+                env.update(zip(names, point))
+                return evaluate(f, env)
+
+            def again(t):
+                for name in names:
+                    env[name] = t
+                return evaluate(f, env)
+        return first, again, operator.sub, abs, "", None
     if not callable(f):
         raise TypeError(f"a target is an Expr or an operator, got {f!r}")
     apply = lambda x: _call_operator(f, x)
@@ -250,6 +275,11 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     operator's iteration stops once t_k repeats t_{k-1} bit for bit,
     sign of zero included: every later t_k would be the same, so no verdict
     or drift can change.
+
+    What every sample shares is bound before the loop.  t_1 is contained
+    where lo - slack <= t_1 <= hi + slack, where signed_escape is 0.0, so
+    that runs only for a RANGE_ESCAPE witness; atol + rtol*scale(t_1) is
+    plan.tol(scale(t_1)) float for float, as scale is never negative.
     """
     first, again, distance, scale, residual_detail, bits = \
         _target_kind(f, domain)
@@ -263,17 +293,18 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
     if contain:
         lo, hi = domain.interval
         slack = plan.tol(max(abs(lo), abs(hi)))
+        low, high = lo - slack, hi + slack
+    sample, seed, atol, rtol = domain.sample_point, plan.seed, plan.atol, plan.rtol
     for i in range(plan.sample_count):
-        point = domain.sample_point(plan.seed, i)
+        point = sample(seed, i)
         try:
             t1 = first(point)
-            if contain:
-                escape = domain.signed_escape(0, t1, slack)
-                if escape != 0.0:
-                    witness = Witness(point, t1, None, escape, "RANGE_ESCAPE",
-                                      f"f(x) left [{lo}, {hi}]")
-                    return _fail(witness, i, plan)
-            tol = plan.tol(scale(t1))
+            if contain and not low <= t1 <= high:
+                witness = Witness(point, t1, None,
+                                  domain.signed_escape(0, t1, slack),
+                                  "RANGE_ESCAPE", f"f(x) left [{lo}, {hi}]")
+                return _fail(witness, i, plan)
+            tol = atol + rtol * scale(t1)
             t = t1
             for k in range(2, depth + 1):
                 prev, t = t, again(t)

@@ -718,6 +718,28 @@ def test_sweep_is_deterministic():
     assert len(first.reports) + first.points_skipped == 32
 
 
+@pytest.mark.parametrize("name, params, method, margin", [
+    ("abs", {}, "dual", 0.05),
+    ("clamp", {"lo": -1.1, "hi": 4.84}, "dual", 0.05),
+    ("median", {"n": 3}, "dual", 1e-7),
+    ("power_mean", {"n": 3, "p": 3.0}, "dual", 1e-7),
+    ("weighted_mean", {"w": (0.625, 0.375)}, "dual", 1e-7),
+    ("arith_mean", {"n": 3}, "fd", 1e-7),
+    ("relu", {}, "fd", 0.05),
+])
+def test_sweep_reports_are_check_unity_at_their_points(name, params, method,
+                                                       margin):
+    # the sweep's one checker gives what check_unity gives at each point
+    inst = instantiate(name, **params)
+    plan = SamplePlan(seed=20261020, sample_count=48, kink_margin=margin)
+    sweep = unity_sweep(inst.expr, inst.box, plan, method)
+    assert sweep.reports
+    names = free_variables(inst.expr)
+    for r in sweep.reports:
+        env = dict(zip(names, r.point))
+        assert _hexed(r) == _hexed(check_unity(inst.expr, env, plan, method))
+
+
 def test_sweep_shape_validation():
     with pytest.raises(ValueError):
         unity_sweep(parse("x1 + x2"), DomainBox.uniform(0.0, 1.0, 1), PLAN)

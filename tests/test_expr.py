@@ -6,6 +6,7 @@ import operator
 import pickle
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,8 @@ from ouro.deriv import _TangentSource
 from ouro.expr import (
     _BINARY, BINARY_RULES, BUILTIN_ARITY, BUILTIN_RULES, BinOp, Call, Const,
     EvalDomainError, EvaluationError, Expr, Neg, ParseError,
-    UnboundVariableError, Undefined, Var, _IDENT_RE, _fold, _ValueSource,
-    evaluate, format_expr, free_variables, parse,
+    UnboundVariableError, Undefined, Var, _IDENT_RE, _UNBOUNDED_OPS, _fold,
+    _ValueSource, evaluate, format_expr, free_variables, parse,
 )
 
 
@@ -323,6 +324,37 @@ def test_inlined_operators_are_their_rules():
     assert BINARY_RULES["+"] is operator.add
     assert BINARY_RULES["-"] is operator.sub
     assert BINARY_RULES["*"] is operator.mul
+
+
+# Finite floats with the edges drawn often: the largest magnitude, the
+# smallest normal and subnormal magnitudes, and both zeros.
+_EDGES = (sys.float_info.max, sys.float_info.min, 5e-324, 0.0, 1.0, 0.5)
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGES + tuple(-x for x in _EDGES)))
+
+# The rules whose results the value function does not check.
+_SELF_CHECKED = {**BUILTIN_RULES, **{op: rule for op, rule in BINARY_RULES.items()
+                                     if op not in _UNBOUNDED_OPS}}
+
+
+@pytest.mark.parametrize("name", sorted(_SELF_CHECKED))
+@given(args=st.tuples(_FINITE, _FINITE, _FINITE))
+@settings(max_examples=300)
+def test_unchecked_rules_return_a_finite_float_or_raise_undefined(name, args):
+    # so a new builtin that can overflow fails here, not at a user's point
+    try:
+        r = _SELF_CHECKED[name](*args[:BUILTIN_ARITY.get(name, 2)])
+    except Undefined:
+        return
+    assert type(r) is float and math.isfinite(r), (name, args, r)
+
+
+def test_checked_operators_can_leave_the_reals():
+    big = sys.float_info.max
+    partner = {"+": big, "-": -big, "*": big, "/": 0.5}
+    assert partner.keys() == set(_UNBOUNDED_OPS)
+    for op, b in partner.items():
+        assert BINARY_RULES[op](big, b) == math.inf
 
 
 def test_every_operator_binds_and_computes():

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
 from ouro import verify
-from ouro.catalog import VectorInstance, get_entry, instantiate
-from ouro.expr import free_variables, parse
+from ouro.catalog import (
+    ScalarInstance, VectorInstance, entry_names, get_entry, instantiate,
+)
+from ouro.expr import (
+    BinOp, Const, EvaluationError, Neg, Var, evaluate, free_variables, parse,
+)
 from ouro.verify import (
     DomainBox, SamplePlan, Status, Verdict, Witness, check_iterated,
     check_membership, unit_uniform,
@@ -636,6 +640,100 @@ def test_operator_that_raises_at_the_first_sample_is_called_once():
         assert (v.status, v.samples_evaluated) == (Status.DOMAIN_ERROR, 1)
         assert v.witness.detail.startswith(name + ": ")
         assert calls == [2]
+
+
+# --- the scan against a reference that rebuilds everything per sample -----------
+
+def _reference_scan(f, box, plan, membership):
+    """The verdict of a DSL target's scan as first written: the point from
+    unit_uniform, new bindings for every application, plan.tol for every
+    tolerance and signed_escape for containment."""
+    names = free_variables(f)
+    depth, reason = (2, "RESIDUAL") if membership else (plan.k_max, "DRIFT")
+    peak = None if membership else 0.0
+    n = plan.sample_count
+    lo, hi = box.interval
+    slack = plan.tol(max(abs(lo), abs(hi)))
+    for i in range(n):
+        x = tuple(a + unit_uniform(plan.seed, i * box.n + j) * (b - a)
+                  for j, (a, b) in enumerate(box.intervals))
+        try:
+            t1 = evaluate(f, dict(zip(names, x)))
+            escape = box.signed_escape(0, t1, slack)
+            if membership and escape != 0.0:
+                witness = Witness(x, t1, None, escape, "RANGE_ESCAPE",
+                                  f"f(x) left [{lo}, {hi}]")
+                return Verdict(Status.FAIL, witness, i + 1, n - i - 1)
+            tol = plan.tol(t1)
+            for k in range(2, depth + 1):
+                t = evaluate(f, dict.fromkeys(names, t1 if k == 2 else t))
+                drift = t - t1
+                if peak is not None and abs(drift) > peak:
+                    peak = abs(drift)
+                if abs(drift) > tol:
+                    witness = Witness(x, t1, t, drift, reason,
+                                      "" if membership else f"k={k}")
+                    return Verdict(Status.FAIL, witness, i + 1, n - i - 1, peak)
+        except EvaluationError as exc:
+            witness = Witness(x, None, None, None, "EVAL_ERROR", str(exc))
+            return Verdict(Status.DOMAIN_ERROR, witness, i + 1, n - i - 1, peak)
+    return Verdict(Status.PASS, None, n, 0, peak)
+
+
+def _assert_scans_match_the_reference(f, box, plan):
+    outcomes = []
+    for check, membership in ((check_membership, True), (check_iterated, False)):
+        got, want = check(f, box, plan), _reference_scan(f, box, plan, membership)
+        assert _key(got) == _key(want), (check.__name__, f, box, plan)
+        outcomes.append((got.status, got.witness and got.witness.reason))
+    return outcomes
+
+
+def test_scan_matches_the_reference_scan():
+    rng = random.Random(20261020)
+    targets = [(inst.expr, inst.box) for inst in map(instantiate, entry_names())
+               if isinstance(inst, ScalarInstance)]
+    targets.append((parse("x + 0.9e-9"), BOX1))  # drifts past k = 2
+    while len(targets) < 1500:
+        f = _random_ast(rng, 4)
+        n = len(free_variables(f))
+        if n:
+            lo = rng.uniform(-10.0, 5.0)
+            targets.append((f, DomainBox.uniform(lo, lo + rng.uniform(0.1, 10.0), n)))
+    seen = set()
+    for f, box in targets:
+        plan = SamplePlan(seed=rng.getrandbits(64), k_max=rng.randint(2, 16),
+                          sample_count=rng.choice((1, 8, 32)))
+        seen.update(_assert_scans_match_the_reference(f, box, plan))
+    assert seen >= {(Status.PASS, None), (Status.FAIL, "RESIDUAL"),
+                    (Status.FAIL, "RANGE_ESCAPE"), (Status.FAIL, "DRIFT"),
+                    (Status.DOMAIN_ERROR, "EVAL_ERROR")}
+
+
+def _literal(c):
+    """A DSL expression whose value is exactly the float c."""
+    return Neg(Const(repr(-c))) if c < 0.0 else Const(repr(c))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_containment_is_closed_at_the_widened_edges(n):
+    # t_1 = c at every point, for c on each widened edge, one float outside
+    # it and one inside; only the one outside escapes
+    box = DomainBox.uniform(-2.0, 3.0, n)
+    plan = SamplePlan(sample_count=4, k_max=3)
+    slack = plan.tol(3.0)
+    zero = BinOp("*", Var("x1"), Const("0"))
+    if n == 2:
+        zero = BinOp("+", zero, BinOp("*", Var("x2"), Const("0")))
+    for edge, out in ((-2.0 - slack, -math.inf), (3.0 + slack, math.inf)):
+        for c, escapes in ((edge, False), (math.nextafter(edge, out), True),
+                           (math.nextafter(edge, -out), False)):
+            f = BinOp("+", zero, _literal(c))
+            assert evaluate(f, dict.fromkeys(free_variables(f), 1.5)) == c
+            member, iterated = _assert_scans_match_the_reference(f, box, plan)
+            assert member == ((Status.FAIL, "RANGE_ESCAPE") if escapes
+                              else (Status.PASS, None))
+            assert iterated == (Status.PASS, None)
 
 
 def test_fail_verdict_requires_witness():
