@@ -26,6 +26,7 @@ import itertools
 import math
 import operator
 import sys
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 from ._record import Record
@@ -187,21 +188,13 @@ def _b_median(p):
     raise CatalogError("median supports n = 3 or n = 5")
 
 
-def _fold(func: str, names: Sequence[str]) -> str:
-    out = names[0]
-    for name in names[1:]:
-        out = f"{func}({out}, {name})"
-    return out
+def _b_fold(func: str):
+    """The builder of func folded over n arguments, left to right."""
+    def build(p):
+        n = _int_n(p)
+        return parse(reduce(lambda a, b: f"{func}({a}, {b})", _names(n))), n
 
-
-def _b_min_all(p):
-    n = _int_n(p)
-    return parse(_fold("min", _names(n))), n
-
-
-def _b_max_all(p):
-    n = _int_n(p)
-    return parse(_fold("max", _names(n))), n
+    return build
 
 
 def _b_weighted_mean(p):
@@ -388,9 +381,9 @@ _scalar("power_mean", _M, "power mean ((sum x_i^p)/n)^(1/p) on a positive box",
 _scalar("median", _M, "middle order statistic (odd n keeps it single-valued)",
         "n in {3, 5}", (_N_PARAM,), _BOX, False, True, True, _b_median)
 _scalar("min_all", _M, "smallest argument", "n >= 2",
-        (_N_PARAM,), _BOX, False, True, True, _b_min_all)
+        (_N_PARAM,), _BOX, False, True, True, _b_fold("min"))
 _scalar("max_all", _M, "largest argument", "n >= 2",
-        (_N_PARAM,), _BOX, False, True, True, _b_max_all)
+        (_N_PARAM,), _BOX, False, True, True, _b_fold("max"))
 _scalar("weighted_mean", _M,
         "convex combination sum w_i x_i; idempotent but not symmetric",
         "n = len(w)", (("w", (0.3, 0.7), "non-negative weights summing to 1"),),
@@ -436,9 +429,8 @@ def instantiate(name: str, **overrides):
     VectorInstance.  Raises CatalogError for unknown names, unknown or
     invalid parameters.
     """
-    if name not in _REGISTRY:
-        raise CatalogError(f"no catalog entry named {name!r}")
-    entry, builder = _REGISTRY[name]
+    entry = get_entry(name)
+    builder = _REGISTRY[name][1]
     params = dict(entry.defaults)
     for key in overrides:
         if key not in params:

@@ -96,14 +96,14 @@ def _formats(command: str) -> tuple[str, ...]:
 _TARGET = ("check", "derive")
 _ALL = ("check", "derive", "enumerate", "catalog")
 _PLAN = SamplePlan()
-# deriv.TOL_UNITY's keys and finite.COUNT_LIMIT, written out because the
-# option table below is read whenever cli is imported; the tests pin both.
+# deriv.TOL_UNITY's keys, written out so that a derive line which stops
+# before any derivative never loads deriv; a test pins both.
 _METHODS = ("dual", "fd")
-_COUNT_LIMIT = 20
 
 # (dest, subcommands, default, argparse keywords).  The flag is the dest with
-# "_" spelled "-"; the order is the order of --help.  The parse helpers raise
-# UsageError, which argparse passes through to main.
+# "_" spelled "-"; the order is the order of --help.  A callable "choices" or
+# "help" is called with the command.  The parse helpers raise UsageError,
+# which argparse passes through to main.
 _OPTIONS = (
     ("expr", _TARGET, None, {"help": "candidate as a DSL expression"}),
     ("catalog", _TARGET, None, {"metavar": "NAME", "help": "catalog entry name"}),
@@ -129,7 +129,8 @@ _OPTIONS = (
     ("m", ("enumerate",), None, {"type": int, "help": "domain size"}),
     ("count_only", ("enumerate",), False,
      {"action": "store_true",
-      "help": f"print only the closed-form count (m up to {_COUNT_LIMIT})"}),
+      "help": lambda command: "print only the closed-form count "
+                              f"(m up to {_finite.COUNT_LIMIT})"}),
     ("format", _ALL, "text", {"choices": _formats, "help": "report format"}),
     ("out", _ALL, None, {"metavar": "PATH", "help": "write the report to a file"}),
     ("timestamp", _ALL, False,
@@ -154,25 +155,28 @@ def _rows(command: str) -> dict[str, tuple[object, dict]]:
     for dest, commands, default, kw in _OPTIONS:
         if command in commands:
             kw = dict(kw)
-            if callable(kw.get("choices")):
-                kw["choices"] = kw["choices"](command)
+            for key in ("choices", "help"):
+                if callable(kw.get(key)):
+                    kw[key] = kw[key](command)
             if default is not None and "action" not in kw:
                 kw["help"] += f" (default {default})"
             rows[dest] = default, kw
     return rows
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None, rows: dict) -> argparse.ArgumentParser:
+    """Every subcommand, and the options `rows` on `command`'s alone."""
     parser = argparse.ArgumentParser(
         prog="ouro",
         description="Verification workbench for Ouroboros (idempotent) functions.")
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in _HANDLERS.items():
-        p = sub.add_parser(command, help=handler.__doc__,
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__,
                            argument_default=argparse.SUPPRESS)
-        for dest, (_, kw) in _rows(command).items():
-            p.add_argument("--" + dest.replace("_", "-"), **kw)
+        if name == command:
+            for dest, (_, kw) in rows.items():
+                p.add_argument("--" + dest.replace("_", "-"), **kw)
     return parser
 
 
@@ -188,8 +192,7 @@ def _config_value(kw: dict, text: str):
     return value
 
 
-def _load_config(path: str, command: str) -> dict:
-    rows = _rows(command)
+def _load_config(path: str, rows: dict) -> dict:
     out = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -217,11 +220,11 @@ def _load_config(path: str, command: str) -> dict:
     return out
 
 
-def _effective_options(ns: argparse.Namespace) -> dict:
-    options = {dest: default for dest, (default, _) in _rows(ns.command).items()}
+def _effective_options(ns: argparse.Namespace, rows: dict) -> dict:
+    options = {dest: default for dest, (default, _) in rows.items()}
     provided = {k: v for k, v in vars(ns).items() if k != "command"}
     if provided.get("config"):
-        options.update(_load_config(provided["config"], ns.command))
+        options.update(_load_config(provided["config"], rows))
         # --params adds to the file's params, so a key in both is given
         # twice; every other flag replaces its config value
         if "params" in provided:
@@ -675,18 +678,19 @@ _HANDLERS = {"check": cmd_check, "derive": cmd_derive,
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first entry naming a subcommand is it: only -h may precede it
+    command = next((arg for arg in argv if arg in _HANDLERS), None)
     try:
-        ns = _build_parser().parse_args(argv)
-        return _HANDLERS[ns.command](_effective_options(ns))
+        rows = {} if command is None else _rows(command)
+        ns = _build_parser(command, rows).parse_args(argv)
+        return _HANDLERS[ns.command](_effective_options(ns, rows))
     except SystemExit as exc:  # argparse: 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
     except (UsageError, OSError) as exc:
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 2
-    except EvaluationError as exc:
-        print(f"ouro: error: {exc}", file=sys.stderr)
-        return 3
-    except _deriv.KinkPointError as exc:  # read, loading deriv, only here
+    except EvaluationError as exc:  # deriv's KinkPointError among them
         print(f"ouro: error: {exc}", file=sys.stderr)
         return 3
 

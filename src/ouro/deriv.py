@@ -22,8 +22,8 @@ from typing import Mapping
 
 from ._record import Record
 from .expr import (
-    BINARY_RULES, BinOp, Call, Const, EvalDomainError, Expr, Neg,
-    UnboundVariableError, Var, _ValueSource, evaluate,
+    BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
+    Neg, UnboundVariableError, Var, _ValueSource, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -47,7 +47,7 @@ GRADIENT_FLOOR = 1e-8
 KINK_RETRY_LIMIT = 16
 
 
-class KinkPointError(ValueError):
+class KinkPointError(EvaluationError):
     """Evaluation touched a non-differentiable locus (jump or corner)."""
 
     def __init__(self, site: str):

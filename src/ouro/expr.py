@@ -105,8 +105,8 @@ class Expr(Record):
     """Base class for AST nodes.  Nodes are immutable records (see
     `_record.Record`): they compare and hash structurally by their fields,
     and `_asdict()` gives the fields by name.  The compiled `program` is
-    kept in the instance __dict__ beside the fields, and is neither compared
-    nor pickled."""
+    kept in the instance __dict__ beside the fields and is not compared; a
+    copy or a pickle is the canonical text, parsed back at any depth."""
 
     __slots__ = ()
 
@@ -118,12 +118,8 @@ class Expr(Record):
         """This expression compiled, built on first use and kept."""
         return Program(self)
 
-    def __getstate__(self):
-        # the program is derived, and its generated functions neither pickle
-        # nor copy: a copy compiles its own
-        state = dict(self.__dict__)
-        state.pop("program", None)
-        return state
+    def __reduce__(self):
+        return parse, (format_expr(self),)
 
 
 class Const(Expr):

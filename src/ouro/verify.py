@@ -32,22 +32,6 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
-    return z ^ (z >> 31)
-
-
-def unit_uniform(seed: int, counter: int) -> float:
-    """Uniform double in [0, 1) from pure counter mixing (splitmix64).
-
-    Sample i never depends on samples j < i, so verification can be
-    reordered or parallelised without changing any verdict.
-    """
-    z = (seed + (counter + 1) * _GOLDEN) & _M64
-    return (_mix64(z) >> 11) * 2.0 ** -53
-
-
 class Status(str, Enum):
     PASS = "PASS"
     FAIL = "FAIL"
@@ -99,8 +83,11 @@ class DomainBox(Record):
         return self.intervals[0]
 
     def sample_point(self, seed: int, index: int) -> tuple[float, ...]:
-        """Coordinate j is lo + unit_uniform(seed, index * n + j) * (hi - lo),
-        with the splitmix64 state stepped by _GOLDEN per coordinate."""
+        """Coordinate j is lo + u * (hi - lo), where u in [0, 1) is draw
+        c = index * n + j of a counter-based splitmix64 stream: the top 53
+        bits of its finaliser at seed + (c + 1) * _GOLDEN mod 2**64, times
+        2**-53.  Sample i never depends on samples j < i, so verification
+        can be reordered or parallelised without changing any verdict."""
         spans = self.spans
         z = (seed + (index * len(spans) + 1) * _GOLDEN) & _M64
         out = []
@@ -121,6 +108,14 @@ class DomainBox(Record):
         if value > hi + slack:
             return value - hi
         return 0.0
+
+
+_UNIT = DomainBox(((0.0, 1.0),))
+
+
+def unit_uniform(seed: int, counter: int) -> float:
+    """Draw `counter` of sample_point's stream: uniform in [0, 1)."""
+    return _UNIT.sample_point(seed, counter)[0]
 
 
 class SamplePlan(Record):
@@ -172,14 +167,9 @@ class Verdict(Record):
             raise ValueError("FAIL verdicts must carry a witness")
 
 
-def _fail(witness: Witness, index: int, plan: SamplePlan, max_drift=None) -> Verdict:
-    return Verdict(Status.FAIL, witness, index + 1,
-                   plan.sample_count - index - 1, max_drift)
-
-
-def _fault(point, exc, index, plan, max_drift=None) -> Verdict:
-    witness = Witness(point, None, None, None, "EVAL_ERROR", str(exc))
-    return Verdict(Status.DOMAIN_ERROR, witness, index + 1,
+def _stop(status: Status, witness: Witness, index: int, plan: SamplePlan,
+          max_drift=None) -> Verdict:
+    return Verdict(status, witness, index + 1,
                    plan.sample_count - index - 1, max_drift)
 
 
@@ -303,7 +293,7 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
                 witness = Witness(point, t1, None,
                                   domain.signed_escape(0, t1, slack),
                                   "RANGE_ESCAPE", f"f(x) left [{lo}, {hi}]")
-                return _fail(witness, i, plan)
+                return _stop(Status.FAIL, witness, i, plan)
             tol = atol + rtol * scale(t1)
             t = t1
             for k in range(2, depth + 1):
@@ -315,11 +305,12 @@ def _scan(f: Target, domain: DomainBox, plan: SamplePlan,
                 if size > tol:
                     witness = Witness(point, t1, t, drift, reason,
                                       detail.format(k))
-                    return _fail(witness, i, plan, max_drift)
+                    return _stop(Status.FAIL, witness, i, plan, max_drift)
                 if bits is not None and bits(*t) == bits(*prev):
                     break
         except EvaluationError as exc:
-            return _fault(point, exc, i, plan, max_drift)
+            witness = Witness(point, None, None, None, "EVAL_ERROR", str(exc))
+            return _stop(Status.DOMAIN_ERROR, witness, i, plan, max_drift)
     return Verdict(Status.PASS, None, plan.sample_count, 0, max_drift)
 
 

@@ -746,11 +746,12 @@ def test_config_line_and_flag_give_the_same_options(tmp_path, command, dest):
     cfg = tmp_path / "ouro.cfg"
     cfg.write_text(f"{dest} = {'true' if value is None else value}\n")
     flag = ["--" + dest.replace("_", "-")] + ([] if value is None else [value])
-    parser = cli._build_parser()
+    rows = cli._rows(command)
+    parser = cli._build_parser(command, rows)
     from_config = cli._effective_options(
-        parser.parse_args([command, "--config", str(cfg)]))
-    from_flag = cli._effective_options(parser.parse_args([command, *flag]))
-    defaults = cli._effective_options(parser.parse_args([command]))
+        parser.parse_args([command, "--config", str(cfg)]), rows)
+    from_flag = cli._effective_options(parser.parse_args([command, *flag]), rows)
+    defaults = cli._effective_options(parser.parse_args([command]), rows)
     assert from_config.pop("config") == str(cfg)
     assert from_flag.pop("config") is None
     assert from_config == from_flag
@@ -765,6 +766,24 @@ def test_help_lists_each_option_once(command):
     expected = ["--" + dest.replace("_", "-")
                 for dest, commands, _, _ in cli._OPTIONS if command in commands]
     assert sorted(listed) == sorted(expected)
+
+
+def test_options_are_built_for_the_chosen_command_alone(monkeypatch, capsys):
+    calls = []
+    rows = cli._rows
+
+    def recorder(command):
+        calls.append(command)
+        return rows(command)
+
+    monkeypatch.setattr(cli, "_rows", recorder)
+    assert cli.main(["check", "--expr", "abs(x)", "--samples", "4"]) == 0
+    assert calls == ["check"]
+    calls.clear()
+    assert cli.main(["--help"]) == 0
+    assert calls == []
+    listed = capsys.readouterr().out
+    assert all(command in listed for command in cli._HANDLERS)
 
 
 # For every (command, dest) of cli._OPTIONS except config: an argv without

@@ -123,6 +123,12 @@ def test_exact_kinks_always_raise(source, env):
         dual_eval(parse(source), env, 0)
 
 
+def test_a_kink_is_an_evaluation_error():
+    assert issubclass(KinkPointError, EvaluationError)
+    with pytest.raises(EvaluationError, match="abs at its corner 0"):
+        check_unity(parse("abs(x)"), {"x": 0.0}, SamplePlan())
+
+
 def test_kink_margin_widens_the_guard():
     f = parse("abs(x)")
     assert dual_eval(f, {"x": 1e-6}, 0, kink_margin=1e-7) == (1e-6, 1.0)

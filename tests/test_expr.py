@@ -208,6 +208,15 @@ def test_compiled_expression_pickles_and_copies():
         assert twin.program is not e.program
 
 
+def test_deep_expression_pickles_and_copies_as_its_text():
+    e = parse("-" * 2000 + "x")
+    text = format_expr(e)
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert twin is not e
+        assert format_expr(twin) == text
+        assert evaluate(twin, {"x": 1.5}) == evaluate(e, {"x": 1.5}) == 1.5
+
+
 def _oracle(node, env):
     """The recursive tree walk evaluate replaced, kept as the slow
     reference: it reads BINARY_RULES / BUILTIN_RULES directly."""
