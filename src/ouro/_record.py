@@ -3,7 +3,7 @@
 A subclass of Record lists its fields as class annotations; they follow the
 fields of its bases, in order, and a class attribute of the same name is a
 field's default.  Every method is shared and generic, so declaring a record
-builds no code, and importing this module loads nothing else.
+builds no code, and importing this module loads nothing but `operator`.
 
     class Point(Record):
         x: float
@@ -23,9 +23,23 @@ unhashable.
 
 from __future__ import annotations
 
-__all__ = ["Record"]
+from operator import index
+
+__all__ = ["Record", "integer"]
 
 _MISSING = object()
+
+
+def integer(name: str, value) -> int:
+    """value as an int, by operator.index.  A bool, a float, a string or
+    anything else without __index__ raises ValueError, its message starting
+    with `name`."""
+    if value.__class__ is not bool:
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class Record:

@@ -22,8 +22,8 @@ from typing import Mapping
 
 from ._record import Record
 from .expr import (
-    BINARY_RULES, BinOp, Call, Const, EvalDomainError, EvaluationError, Expr,
-    Neg, UnboundVariableError, Var, _ValueSource, evaluate,
+    BinOp, Call, Const, EvalDomainError, EvaluationError, Expr, Neg,
+    UnboundVariableError, Var, _ValueSource, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -71,7 +71,8 @@ class KinkPointError(EvaluationError):
 # ch. 3 and 7).
 #
 # Values come from the very statements evaluate's generated function runs,
-# so the value is bit-identical to evaluate(...) by construction.  Each
+# each value rule written inline from expr's one statement of it, so the
+# value is bit-identical to evaluate(...) by construction.  Each
 # component runs its rule's float operations in a fixed order, and a
 # component is known early only when its bits are, sign of zero included.
 # tests/test_deriv.py keeps the reference: the same rules written over
@@ -171,9 +172,9 @@ class _TangentSource(_ValueSource):
         self.unread = iter(seeds)  # the seeds of variables not read yet
         self.namespace.update(KinkPointError=KinkPointError,
                               floor=math.floor, log=math.log)
-        self.static: dict[str, float] = {}  # a constant's global -> value
         self.floats: dict[str, str] = {}  # float.hex -> its global
         self.tangents: dict[str, Tangent] = {}  # variable -> its seed
+        self.kinks: set[str] = set()  # the kink conditions written
         self.calls = {"abs": self.corner, "relu": self.corner,
                       "sign": self.corner, "floor": self.jump,
                       "ceil": self.jump, "exp": self.exp, "ln": self.ln,
@@ -221,7 +222,13 @@ class _TangentSource(_ValueSource):
         return tuple(out)
 
     def kink(self, cond: str, site: str, *args: str) -> None:
-        """Raise KinkPointError(site % args) where cond holds."""
+        """Raise KinkPointError(site % args) where cond holds.  A condition
+        already written is not written again: every local is final before a
+        kink check reads it, and the checks sit at top level, so it could
+        not hold here without having raised there."""
+        if cond in self.kinks:
+            return
+        self.kinks.add(cond)
         message = self.bind(site)
         if args:
             message += f" % ({', '.join(args)},)"
@@ -240,9 +247,7 @@ class _TangentSource(_ValueSource):
         return out
 
     def const(self, node: Const):
-        name = super().const(node)
-        self.static[name] = node.value
-        return name, (0.0,) * self.width
+        return super().const(node), (0.0,) * self.width
 
     def var(self, node: Var):
         value = super().var(node)
@@ -342,9 +347,10 @@ class _TangentSource(_ValueSource):
         (0.0 where a'_k or b is), else a^b * (b'_k * ln a + b * a'_k / a),
         which needs a positive base.  Each component takes the branch its
         exponent component selects, decided now where that component is
-        known.  The base a^(b-1) is computed where a component needs it;
-        the same inputs give the same bits and the same error, so it is
-        computed again unless every path has computed it already."""
+        known.  The base a^(b-1) is written from the "^" rule's own source
+        where a component needs it; the same inputs give the same bits and
+        the same error, so it is computed again unless every path has
+        computed it already."""
         here, inputs = self.bind(node), f"({a}, {b},)"
         B = self.operand(b)
         base = _Term(self, self.fresh(), True)
@@ -362,12 +368,7 @@ class _TangentSource(_ValueSource):
             if computed:
                 return []
             computed = not conditional
-            return ["try:",
-                    f"    {base.code} = {self.bind(BINARY_RULES['^'])}"
-                    f"({a}, {b} - 1.0)",
-                    "except Undefined as exc:",
-                    f"    raise EvalDomainError({here}, {inputs}, str(exc))"
-                    " from None"]
+            return self.spell("^", (a, f"({b} - 1.0)"), base.code, here, inputs)
 
         def constant_exponent(da, out: str) -> list[str]:
             """Statements setting `out` to b * base * da, or to 0.0 where

@@ -29,7 +29,6 @@ and environment always produce the same bits.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from functools import cached_property
 from typing import Callable, Mapping
@@ -42,15 +41,6 @@ __all__ = [
     "UnboundVariableError", "EvalDomainError",
     "parse", "evaluate", "format_expr", "free_variables",
 ]
-
-# Builtin name -> required argument count.  "^" covers exponentiation; there
-# is deliberately no variadic min/max at the expression level.
-BUILTIN_ARITY = {
-    "abs": 1, "floor": 1, "ceil": 1, "sign": 1, "relu": 1,
-    "exp": 1, "ln": 1, "sqrt": 1,
-    "min": 2, "max": 2,
-    "clamp": 3,
-}
 
 # Binary operator -> (its level, the least level of its left operand, the
 # least level of its right operand, its spelling).  An operand of a lower
@@ -309,72 +299,125 @@ def free_variables(expr: Expr) -> list[str]:
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The two tables below are the only statement of what an operator or builtin
-# computes.  The generated functions call them directly (writing the rules
-# of + - * inline as the operators they are).  A rule takes finite floats
-# and raises Undefined outside its domain; the caller names the node.
-# Every rule outside _UNBOUNDED_OPS returns a finite float or raises.
+# _RULES is the only statement of what an operator or builtin computes: its
+# parameters, then its Python source, statements whose last line is the
+# result, with r as its one temporary local.  A rule takes finite floats and
+# raises Undefined(message) outside its domain.  _spell writes the source
+# over given arguments: the generated functions write it inline, and
+# BINARY_RULES and BUILTIN_RULES (see __getattr__) are the same source
+# compiled into functions.  min and max keep the builtins' choice between
+# tied values, so between 0.0 and -0.0 too; abs stays the builtin, since
+# "-a if a < 0.0 else a" would keep -0.0.
 
 class Undefined(Exception):
     """A rule's inputs lie outside its domain; the message says how."""
 
 
-def _div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise Undefined("division by zero")
-    return a / b
-
-
-def _pow(a: float, b: float) -> float:
-    try:
-        r = math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise Undefined(f"invalid power ({exc})") from None
-    if not math.isfinite(r):
-        raise Undefined("power overflows")
-    return r
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise Undefined("exp overflows") from None
-
-
-def _ln(v: float) -> float:
-    if v <= 0.0:
-        raise Undefined("ln of a non-positive number")
-    return math.log(v)
-
-
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise Undefined("sqrt of a negative number")
-    return math.sqrt(v)
-
-
-BINARY_RULES = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "^": _pow,
+_RULES = {
+    "+": ("a", "b", "a + b"),
+    "-": ("a", "b", "a - b"),
+    "*": ("a", "b", "a * b"),
+    "/": ("a", "b", """
+        if b == 0.0:
+            raise Undefined('division by zero')
+        a / b"""),
+    "^": ("a", "b", """
+        try:
+            r = math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise Undefined(f'invalid power ({exc})')
+        if not math.isfinite(r):
+            raise Undefined('power overflows')
+        r"""),
+    "abs": ("a", "abs(a)"),
+    "floor": ("a", "float(math.floor(a))"),
+    "ceil": ("a", "float(math.ceil(a))"),
+    "sign": ("a", "0.0 if a == 0.0 else (1.0 if a > 0.0 else -1.0)"),
+    "relu": ("a", "a if a > 0.0 else 0.0"),
+    "exp": ("a", """
+        try:
+            r = math.exp(a)
+        except OverflowError:
+            raise Undefined('exp overflows')
+        r"""),
+    "ln": ("a", """
+        if a <= 0.0:
+            raise Undefined('ln of a non-positive number')
+        math.log(a)"""),
+    "sqrt": ("a", """
+        if a < 0.0:
+            raise Undefined('sqrt of a negative number')
+        math.sqrt(a)"""),
+    "min": ("a", "b", "b if b < a else a"),
+    "max": ("a", "b", "b if b > a else a"),
+    "clamp": ("a", "lo", "hi", """
+        r = lo if lo > a else a
+        hi if hi < r else r"""),
 }
 
-BUILTIN_RULES = {
-    "abs": abs,
-    "floor": lambda v: float(math.floor(v)),
-    "ceil": lambda v: float(math.ceil(v)),
-    "sign": lambda v: 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0),
-    "relu": lambda v: v if v > 0.0 else 0.0,
-    "exp": _exp,
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "min": min,
-    "max": max,
-    "clamp": lambda v, lo, hi: min(max(v, lo), hi),
-}
+# Builtin name -> required argument count.  "^" covers exponentiation; there
+# is deliberately no variadic min/max at the expression level.
+BUILTIN_ARITY = {name: len(rule) - 1 for name, rule in _RULES.items()
+                 if name not in _BINARY}
+
+# A string literal, the start of a domain error, or a name; compiled by re
+# on first use, since only a command that evaluates an expression needs it.
+_WORD = r"'[^']*'|Undefined\(|[A-Za-z_]\w*"
+
+
+def _spell(name: str, args: tuple[str, ...], out: str | None, fault: str,
+           static: Mapping[str, float]) -> list[str]:
+    """The statements of rule `name` over the expressions `args`: each
+    parameter renamed to its argument, the result assigned to `out`
+    (returned where `out` is None), and each `raise Undefined(m)` written
+    `raise <fault>m) from None`.  r is renamed to `out` where it is the
+    result, else to `out` + "r", so each local is assigned once.  A test
+    that reads only parameters whose arguments are constants, the keys of
+    `static`, is decided now and written only where it holds."""
+    *params, source = _RULES[name]
+    lines = source.strip("\n").splitlines()
+    indent = len(lines[0]) - len(lines[0].lstrip())
+    lines = [line[indent:] for line in lines]
+    temp = "r" if out is None else out if lines[-1] == "r" else out + "r"
+    names = {**dict(zip(params, args)), "r": temp, "Undefined(": fault}
+    known = {p: static[a] for p, a in zip(params, args) if a in static}
+    lines = iter(lines)
+    spelt = []
+    for line in lines:
+        test = line[3:-1] if line.startswith("if ") else ""
+        if test and set(re.findall(_WORD, test)) <= known.keys() and not eval(
+                test, {}, known):
+            next(lines)  # the raise it guards
+            continue
+        line = re.sub(_WORD, lambda m: names.get(m[0], m[0]), line)
+        raise_ = line.lstrip().startswith("raise ")
+        spelt.append(line + " from None" if raise_ else line)
+    result = spelt.pop()
+    if out is None:
+        spelt.append(f"return {result}")
+    elif result != out:
+        spelt.append(f"{out} = {result}")
+    return spelt
+
+
+def __getattr__(name: str):
+    """BINARY_RULES and BUILTIN_RULES: the rules of the operators and of
+    the builtins as functions, compiled from their source on first use and
+    kept.  No command calls them, so start-up does not compile them."""
+    if name not in ("BINARY_RULES", "BUILTIN_RULES"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = _BINARY if name == "BINARY_RULES" else BUILTIN_ARITY
+    source = ""
+    for i, rule in enumerate(names):
+        params = _RULES[rule][:-1]
+        source += f"def rule{i}({', '.join(params)}):\n" + "".join(
+            f"    {line}\n"
+            for line in _spell(rule, params, None, "Undefined(", {}))
+    namespace = {"math": math, "Undefined": Undefined}
+    exec(compile(source, "<ouro.expr rules>", "exec"), namespace)
+    rules = globals()[name] = {rule: namespace[f"rule{i}"]
+                               for i, rule in enumerate(names)}
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +430,9 @@ BUILTIN_RULES = {
 # source into one function.  _ValueSource emits evaluate's function;
 # deriv._TangentSource extends it, so both run the same value statements.
 
-# Operators the value source writes inline instead of calling their rule;
-# a test pins that each one's rule is the matching function of `operator`.
-_INLINE_OPS = ("+", "-", "*")
-
 # The operators whose result can overflow on finite operands, so the value
-# source checks it; _pow checks its own, and _exp raises on overflow.  A
-# test pins that every other rule returns a finite float or raises.
+# source checks it after their rule; the rules of "^" and exp check their
+# own.  A test pins that every other rule returns a finite float or raises.
 _UNBOUNDED_OPS = ("+", "-", "*", "/")
 
 
@@ -405,24 +444,26 @@ class _ValueSource:
     local and returns that local's name.  Every node's value is finite where
     it is made, in the tree walk's order, so the function raises what the
     walk would: a variable's binding is checked where it is first read, the
-    result of + - * / is checked where it is made, and "^" and the builtins
-    raise Undefined from their rules; a constant, and the negation of a
+    result of + - * / is checked where it is made, and each operator and
+    builtin writes its rule inline (see _spell), raising EvalDomainError
+    where the rule raises Undefined; a constant, and the negation of a
     finite value, need no check.
     No user text reaches the source except variable names, which Var has
     validated, and only inside repr string literals: the keys and the
-    binding error's message.  Constants, nodes and rules are reached through
-    the function's globals.
+    binding error's message.  Constants and nodes are reached through the
+    function's globals; it calls no rule function.
     """
 
     params = "env"
 
     def __init__(self):
         self.lines: list[str] = []
-        self.namespace = {"isfinite": math.isfinite, "Undefined": Undefined,
+        self.namespace = {"isfinite": math.isfinite, "math": math,
                           "EvalDomainError": EvalDomainError,
                           "EvaluationError": EvaluationError,
                           "UnboundVariableError": UnboundVariableError}
         self.reads: dict[str, str] = {}
+        self.static: dict[str, float] = {}  # a constant's global -> value
         self.locals = 0
         self.table = {Const: self.const, Var: self.var, Neg: self.neg,
                       BinOp: self.binop, Call: self.call}
@@ -437,7 +478,9 @@ class _ValueSource:
         return f"v{self.locals}"
 
     def const(self, node: Const) -> str:
-        return self.bind(node.value)
+        name = self.bind(node.value)
+        self.static[name] = node.value
+        return name
 
     def var(self, node: Var) -> str:
         # read and checked at its first use only, which is where a missing
@@ -459,29 +502,27 @@ class _ValueSource:
         return out
 
     def binop(self, node: BinOp, left: str, right: str) -> str:
-        if node.op in _INLINE_OPS:
-            return self.checked(node, (left, right), f"{left} {node.op} {right}")
-        return self.checked(node, (left, right), rule=BINARY_RULES[node.op])
+        return self.checked(node, node.op, (left, right))
 
     def call(self, node: Call, *args: str) -> str:
-        return self.checked(node, args, rule=BUILTIN_RULES[node.func])
+        return self.checked(node, node.func, args)
 
-    def checked(self, node: Expr, args: tuple[str, ...], infix: str = "",
-                rule: Callable | None = None) -> str:
+    def checked(self, node: Expr, rule: str, args: tuple[str, ...]) -> str:
         out, here = self.fresh(), self.bind(node)
         inputs = f"({', '.join(args)},)"
-        if rule is None:
-            self.lines.append(f"{out} = {infix}")
-        else:
-            self.lines += [
-                "try:", f"    {out} = {self.bind(rule)}({', '.join(args)})",
-                "except Undefined as exc:",
-                f"    raise EvalDomainError({here}, {inputs}, str(exc)) from None"]
-        if type(node) is BinOp and node.op in _UNBOUNDED_OPS:
+        self.lines += self.spell(rule, args, out, here, inputs)
+        if rule in _UNBOUNDED_OPS:
             self.lines += [
                 f"if not isfinite({out}):",
                 f"    raise EvalDomainError({here}, {inputs}, 'result is not finite')"]
         return out
+
+    def spell(self, rule: str, args: tuple[str, ...], out: str, here: str,
+              inputs: str) -> list[str]:
+        """Rule `rule`'s statements setting `out`, raising
+        EvalDomainError(here, inputs, message) outside its domain."""
+        return _spell(rule, args, out, f"EvalDomainError({here}, {inputs}, ",
+                      self.static)
 
     def returns(self, result: str) -> str:
         """The expression the function returns, given the root's result."""

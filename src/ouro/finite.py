@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from ._record import Record
+from ._record import Record, integer
 
 __all__ = [
     "FiniteEndofunction", "is_idempotent", "image_fixing_holds", "iterate",
@@ -36,7 +36,7 @@ class FiniteEndofunction(Record):
     table: tuple[int, ...]
 
     def __post_init__(self):
-        table = tuple(int(v) for v in self.table)
+        table = tuple(map(integer, itertools.repeat("table value"), self.table))
         m = len(table)
         if m == 0:
             raise ValueError("domain must be non-empty")

@@ -17,7 +17,7 @@ import struct
 from enum import Enum
 from typing import Callable, Union
 
-from ._record import Record
+from ._record import Record, integer
 from .expr import EvaluationError, Expr, evaluate
 
 __all__ = [
@@ -129,6 +129,8 @@ class SamplePlan(Record):
     k_max: int = 16
 
     def __post_init__(self):
+        for name in ("seed", "sample_count", "k_max"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
         # NaN fails every comparison and inf passes all of them, so either
@@ -138,7 +140,7 @@ class SamplePlan(Record):
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.k_max < 2:
             raise ValueError("k_max must be at least 2")
-        object.__setattr__(self, "seed", int(self.seed) & _M64)
+        object.__setattr__(self, "seed", self.seed & _M64)
 
     def tol(self, ref: float) -> float:
         return self.atol + self.rtol * abs(ref)

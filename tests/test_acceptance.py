@@ -254,25 +254,35 @@ def _brute_idempotent(m: int) -> list:
 
 
 def _random_ast(rng: random.Random, depth: int):
+    """A random tree.  Its leaves include -0, and a node of two or three
+    operands now and then repeats one, so the value rules meet signed
+    zeros and ties."""
     leaf_pool = ("x", "x1", "x2", "y")
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return Const(rng.choice(("0", "1", "2", "0.5", "3.25", "1e-3", ".75")))
+            literal = rng.choice(("0", "1", "2", "0.5", "3.25", "1e-3", ".75", "-0"))
+            return Neg(Const("0")) if literal == "-0" else Const(literal)
         return Var(rng.choice(leaf_pool))
+
+    def operands(count):
+        kids = [_random_ast(rng, depth - 1) for _ in range(count)]
+        if rng.random() < 0.2:
+            kids[-1] = rng.choice(kids[:-1])
+        return kids
+
     kind = rng.randrange(4)
     if kind == 0:
         return Neg(_random_ast(rng, depth - 1))
     if kind == 1:
         op = rng.choice(("+", "-", "*", "/", "^"))
-        return BinOp(op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        return BinOp(op, *operands(2))
     if kind == 2:
         func = rng.choice(("abs", "floor", "ceil", "sign", "relu",
                            "exp", "ln", "sqrt"))
         return Call(func, (_random_ast(rng, depth - 1),))
     if rng.random() < 0.5:
-        return Call(rng.choice(("min", "max")),
-                    (_random_ast(rng, depth - 1), _random_ast(rng, depth - 1)))
-    return Call("clamp", tuple(_random_ast(rng, depth - 1) for _ in range(3)))
+        return Call(rng.choice(("min", "max")), tuple(operands(2)))
+    return Call("clamp", tuple(operands(3)))
 
 
 @criterion(9, "parser round-trip, format idempotence and fuzz safety")

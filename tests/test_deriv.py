@@ -16,8 +16,8 @@ from ouro.deriv import (
 )
 from ouro.expr import (
     BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError,
-    EvaluationError, Neg, UnboundVariableError, Undefined, Var, evaluate,
-    free_variables, parse,
+    EvaluationError, Neg, UnboundVariableError, Undefined, Var, _fold,
+    evaluate, free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status, check_iterated, check_membership
 
@@ -581,6 +581,20 @@ def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
 def test_every_operator_has_a_tangent_rule():
     assert _COMPONENT_RULES.keys() | {"^"} == BINARY_RULES.keys()
     assert _TangentSource().calls.keys() == BUILTIN_RULES.keys()
+
+
+def test_each_kink_test_is_written_once():
+    # median n3 is max(min(x1, x2), min(max(x1, x2), x3)): min(x1, x2) and
+    # max(x1, x2) share one tie test, which raises with min's message
+    f = instantiate("median", n=3).target
+    for seeds in ((), _unit_seeds(3)):
+        source = _TangentSource(seeds)
+        _fold(f, source.table)
+        ties = [line for line in source.lines if line.startswith("if abs(")]
+        assert len(ties) == len(set(ties)) == 3
+        assert ties.count(f"if abs({source.reads['x1']} - {source.reads['x2']}) <= margin:") == 1
+    with pytest.raises(KinkPointError, match="min tie at 0.5"):
+        dual_eval(f, {"x1": 0.5, "x2": 0.5, "x3": 0.0}, 0)
 
 
 # --- unity checks ------------------------------------------------------------------

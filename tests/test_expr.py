@@ -1,6 +1,7 @@
 """Parser, evaluator and formatter tests for the expression DSL."""
 
 import copy
+import itertools
 import math
 import operator
 import pickle
@@ -16,7 +17,7 @@ from test_acceptance import _random_ast
 
 import ouro
 from ouro._record import Record
-from ouro.deriv import _TangentSource
+from ouro.deriv import _TangentSource, _unit_seeds
 from ouro.expr import (
     _BINARY, BINARY_RULES, BUILTIN_ARITY, BUILTIN_RULES, BinOp, Call, Const,
     EvalDomainError, EvaluationError, Expr, Neg, ParseError,
@@ -217,9 +218,71 @@ def test_deep_expression_pickles_and_copies_as_its_text():
         assert evaluate(twin, {"x": 1.5}) == evaluate(e, {"x": 1.5}) == 1.5
 
 
+# --- the reference rules ---------------------------------------------------------
+#
+# The functions the generated value functions called before expr stated
+# each rule once, as source that they write inline.  They are the oracle:
+# every rule, called from BINARY_RULES / BUILTIN_RULES and inlined, is
+# pinned to them below.
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise Undefined("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    try:
+        r = math.pow(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise Undefined(f"invalid power ({exc})") from None
+    if not math.isfinite(r):
+        raise Undefined("power overflows")
+    return r
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise Undefined("exp overflows") from None
+
+
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise Undefined("ln of a non-positive number")
+    return math.log(v)
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise Undefined("sqrt of a negative number")
+    return math.sqrt(v)
+
+
+_REFERENCE_RULES = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "^": _pow,
+    "abs": abs,
+    "floor": lambda v: float(math.floor(v)),
+    "ceil": lambda v: float(math.ceil(v)),
+    "sign": lambda v: 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0),
+    "relu": lambda v: v if v > 0.0 else 0.0,
+    "exp": _exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "min": min,
+    "max": max,
+    "clamp": lambda v, lo, hi: min(max(v, lo), hi),
+}
+
+
 def _oracle(node, env):
     """The recursive tree walk evaluate replaced, kept as the slow
-    reference: it reads BINARY_RULES / BUILTIN_RULES directly."""
+    reference: it calls the reference rules above."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -234,10 +297,10 @@ def _oracle(node, env):
         return -_oracle(node.operand, env)
     if isinstance(node, BinOp):
         inputs = (_oracle(node.left, env), _oracle(node.right, env))
-        rule = BINARY_RULES[node.op]
+        rule = _REFERENCE_RULES[node.op]
     else:
         inputs = tuple([_oracle(arg, env) for arg in node.args])
-        rule = BUILTIN_RULES[node.func]
+        rule = _REFERENCE_RULES[node.func]
     try:
         r = rule(*inputs)
     except Undefined as exc:
@@ -274,9 +337,10 @@ def test_evaluate_matches_the_tree_walk_oracle():
         assert got == want, (format_expr(f), env)
         if isinstance(want, tuple):  # the very node, not an equal one
             assert got[2] is want[2]
-        kind = want[0].__name__ if isinstance(want, tuple) else "value"
+        kind = want[0].__name__ if isinstance(want, tuple) else (
+            "-0.0" if want == "-0x0.0p+0" else "value")
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert kinds["value"] >= 1000
+    assert kinds["value"] >= 1000 and kinds["-0.0"] >= 50
     assert kinds["EvalDomainError"] >= 300
     assert kinds["UnboundVariableError"] >= 50
     assert kinds["EvaluationError"] >= 50
@@ -327,12 +391,112 @@ def test_generated_programs_match_the_oracle_on_deep_trees_and_awkward_names():
     assert deep >= 100 and repeated >= 200 and faults >= 50
 
 
+# Arguments for the rule pins: both zeros, values that tie, divisors of
+# either sign of zero, and operands that overflow + - * / ^ exp or leave
+# the domain of ln, sqrt and ^.
+_PIN_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 710.0, 1e200, -1e308,
+               5e-324, sys.float_info.max)
+
+
+def _called(rule, args):
+    """A rule function's result by its bits, or its error's type and text."""
+    try:
+        return rule(*args).hex()
+    except Undefined as exc:
+        return type(exc), str(exc)
+
+
+def _node(name, args, as_constant):
+    """The node applying rule `name` to `args`, each a variable or a
+    literal, and the bindings of its variables.  A negative literal, -0
+    among them, is a negated constant."""
+    env, kids = {}, []
+    for i, value in enumerate(args):
+        if as_constant:
+            kid = Const(repr(abs(value)))
+            kids.append(Neg(kid) if math.copysign(1.0, value) < 0.0 else kid)
+        else:
+            kids.append(Var(f"x{i}"))
+            env[f"x{i}"] = value
+    if name in _BINARY:
+        return BinOp(name, *kids), env
+    return Call(name, tuple(kids)), env
+
+
+def _pin_rule(name):
+    """Assert that rule `name`, called and inlined over variables and over
+    constants, gives the reference rule's bits or error on every tuple of
+    _PIN_VALUES."""
+    arity = BUILTIN_ARITY.get(name, 2)
+    called = BINARY_RULES.get(name) or BUILTIN_RULES[name]
+    for args in itertools.product(_PIN_VALUES, repeat=arity):
+        assert _called(called, args) == _called(_REFERENCE_RULES[name], args), args
+        for as_constant in (False, True):
+            f, env = _node(name, args, as_constant)
+            want = _outcome(lambda: _oracle(f, env))
+            assert _outcome(lambda: evaluate(f, env)) == want, (format_expr(f), args)
+
+
 def test_inlined_operators_are_their_rules():
-    # The generated value function writes + - * as Python operators, which
-    # is the table's rule only while that rule is the operator itself.
-    assert BINARY_RULES["+"] is operator.add
-    assert BINARY_RULES["-"] is operator.sub
-    assert BINARY_RULES["*"] is operator.mul
+    # The generated value function writes + - * as the Python operators
+    # they are; the pin is value by value against the operator functions.
+    for op in ("+", "-", "*"):
+        _pin_rule(op)
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_RULES.keys() - {"+", "-", "*"}))
+def test_every_rule_matches_its_reference_called_and_inlined(name):
+    _pin_rule(name)  # + - * are pinned above
+
+
+def test_rule_pins_meet_zeros_ties_overflow_and_domain_faults():
+    # the pins above see each kind of argument they exist for
+    outcomes = {name: {_called(_REFERENCE_RULES[name], args) for args in
+                       itertools.product(_PIN_VALUES, repeat=BUILTIN_ARITY.get(name, 2))}
+                for name in _REFERENCE_RULES}
+    for name, message in [("/", "division by zero"), ("ln", "ln of a non-positive number"),
+                          ("sqrt", "sqrt of a negative number"), ("exp", "exp overflows"),
+                          ("^", "invalid power (math range error)"),
+                          ("^", "invalid power (math domain error)")]:
+        assert (Undefined, message) in outcomes[name]
+    for op in _UNBOUNDED_OPS:
+        assert math.inf.hex() in outcomes[op] or (-math.inf).hex() in outcomes[op]
+    for name in ("min", "max", "clamp"):
+        assert {"0x0.0p+0", "-0x0.0p+0"} <= outcomes[name], name
+    # of tied arguments the first is kept, as the builtins keep it
+    assert BUILTIN_RULES["min"](0.0, -0.0).hex() == "0x0.0p+0"
+    assert BUILTIN_RULES["max"](-0.0, 0.0).hex() == "-0x0.0p+0"
+    assert evaluate(parse("clamp(-0, 0, 1)"), {}).hex() == "-0x0.0p+0"
+
+
+def _every_rule_tree():
+    """A tree applying every operator and builtin to variables."""
+    names = iter(f"x{i}" for i in range(100))
+    parts = [BinOp(op, Var(next(names)), Var(next(names))) for op in _BINARY]
+    parts += [Call(func, tuple(Var(next(names)) for _ in range(arity)))
+              for func, arity in BUILTIN_ARITY.items()]
+    tree = parts[0]
+    for part in parts[1:]:
+        tree = BinOp("+", tree, part)
+    return tree
+
+
+def test_generated_functions_call_no_rule_function():
+    # every rule is written inline: no rule function is among the globals
+    # of a value or tangent function, none is called, and neither is the
+    # builtin min or max; abs stays the builtin
+    f = _every_rule_tree()
+    rules = [*BINARY_RULES.values(), *BUILTIN_RULES.values(),
+             *_REFERENCE_RULES.values()]
+    seeds = _unit_seeds(len(free_variables(f)))
+    for emitter in (_ValueSource, _TangentSource, lambda: _TangentSource(seeds)):
+        source = emitter()
+        _fold(f, source.table)
+        text = "\n".join(source.lines)
+        assert not [g for g in source.namespace.values()
+                    if any(g is rule for rule in rules)]
+        assert not re.search(r"\bg\d+\(|\bmin\(|\bmax\(", text)
+        assert "abs(" in text
 
 
 # Finite floats with the edges drawn often: the largest magnitude, the
@@ -372,9 +536,10 @@ def test_every_operator_binds_and_computes():
 
 
 def test_generated_source_holds_only_variable_names():
-    # Constants, nodes, kink messages and rules reach the value and tangent
-    # functions through their globals; the only user text in their source
-    # is a validated name.  x_1 is read twice but read and checked once.
+    # Constants, nodes and kink messages reach the value and tangent
+    # functions through their globals, and rules are written inline; the
+    # only user text in their source is a validated name.  x_1 is read
+    # twice but read and checked once.
     e = parse("x_1 * 12345.5 + ln(x_1) / 6789e-3")
     for emitter in (_ValueSource, _TangentSource,
                     lambda: _TangentSource(((1.0,),))):

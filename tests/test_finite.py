@@ -23,6 +23,10 @@ def test_table_validation():
         FiniteEndofunction((0, 2))
     with pytest.raises(ValueError):
         FiniteEndofunction((-1,))
+    for bad in [(0, 1.5), (0, 1.0), ("1", "0"), (True, 0)]:
+        with pytest.raises(ValueError, match="^table value must be an integer"):
+            FiniteEndofunction(bad)
+    assert type(FiniteEndofunction([1, 1]).table) is tuple
     f = FiniteEndofunction((1, 1, 0))
     assert f.m == 3
     assert f(0) == 1

@@ -163,8 +163,27 @@ def test_sample_plan_validation():
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=name):
                 SamplePlan(**{name: bad})
+    # the integer fields take integers only, through operator.index
+    for name, bad in [("seed", 1.5), ("seed", True), ("seed", "1"),
+                      ("sample_count", 2.5), ("sample_count", True),
+                      ("k_max", 3.5), ("k_max", 3.0), ("k_max", False)]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SamplePlan(**{name: bad})
     assert SamplePlan(seed=-1).seed == 2**64 - 1
+    plan = SamplePlan(seed=_Index(3), sample_count=_Index(4), k_max=_Index(5))
+    assert (plan.seed, plan.sample_count, plan.k_max) == (3, 4, 5)
+    assert type(plan.seed) is type(plan.sample_count) is type(plan.k_max) is int
     assert SamplePlan().tol(10.0) == 1e-9 + 1e-8
+
+
+class _Index:
+    """An integer that is not an int, as numpy's integers are not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 # --- univariate membership ----------------------------------------------------
