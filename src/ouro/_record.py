@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from operator import index
 
-__all__ = ["Record", "integer"]
+__all__ = ["Record", "integer", "real"]
 
 _MISSING = object()
 
@@ -40,6 +40,15 @@ def integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def real(name: str, value) -> float:
+    """value as a plain float, by its __float__.  A bool, a string or
+    anything else without __float__ raises ValueError, its message starting
+    with `name`."""
+    if value.__class__ is not bool and hasattr(type(value), "__float__"):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 class Record:

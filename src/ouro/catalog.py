@@ -29,7 +29,7 @@ import sys
 from functools import reduce
 from typing import Callable, Mapping, Sequence
 
-from ._record import Record
+from ._record import Record, integer, real
 from .expr import Expr, parse
 from .verify import DEFAULT_INTERVAL, DomainBox
 
@@ -106,11 +106,12 @@ def _typed(key: str, default, value):
     if isinstance(default, tuple):
         values = (value,) if isinstance(value, (int, float)) else value
         return tuple(_typed(key, 0.0, v) for v in values)
-    if isinstance(default, int):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise CatalogError(f"{key} must be an integer, got {value!r}")
-        return value
-    v = float(value)
+    try:
+        if isinstance(default, int):
+            return integer(key, value)
+        v = real(key, value)
+    except ValueError as exc:
+        raise CatalogError(str(exc)) from None
     if not math.isfinite(v):
         raise CatalogError(f"{key} must be finite, got {value!r}")
     return v

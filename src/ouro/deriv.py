@@ -114,24 +114,25 @@ def _arith(x, op: str, y):
         return x
     if _is(x, 1.0) and op == "*" or _is(x, -0.0) and op == "+":
         return y
-    source = (x if isinstance(x, _Term) else y).source
-    return _Term(source, f"({source.code(x)} {op} {source.code(y)})")
+    return _Term(f"({x!r} {op} {y!r})")
 
 
 class _Term:
-    """A float the generated function computes when it runs: `code` is a
-    Python expression over its locals and globals.  `finite` says it is
-    known to be finite: a value, or a component already checked.  Float
-    arithmetic on terms writes larger expressions, so a rule written in
-    float arithmetic runs unchanged on them."""
+    """A float the generated function computes when it runs: `code`, its
+    repr, is a Python expression over its locals, globals and literals, as
+    a float's repr is its literal.  `finite` says it is known to be finite:
+    a value, or a component already checked.  Float arithmetic on terms
+    writes larger expressions, so a rule written in float arithmetic runs
+    unchanged on them."""
 
-    __slots__ = ("source", "code", "finite")
+    __slots__ = ("code", "finite")
 
-    def __init__(self, source: "_TangentSource", code: str,
-                 finite: bool = False):
-        self.source = source
+    def __init__(self, code: str, finite: bool = False):
         self.code = code
         self.finite = finite
+
+    def __repr__(self):
+        return self.code
 
     def __add__(self, y): return _arith(self, "+", y)
     def __radd__(self, x): return _arith(x, "+", self)
@@ -143,7 +144,7 @@ class _Term:
     def __rtruediv__(self, x): return _arith(x, "/", self)
 
     def __neg__(self):
-        return _Term(self.source, f"(-{self.code})", self.finite)
+        return _Term(f"(-{self.code})", self.finite)
 
 
 class _TangentSource(_ValueSource):
@@ -158,10 +159,11 @@ class _TangentSource(_ValueSource):
     tangent is zero.
 
     Each builder states its node's derivative rule.  It returns the node's
-    value, a local's name, and its tangent, a tuple of floats known now and
-    _Terms.  It emits the value and its check through _ValueSource's own
-    builder, then the rule's kink checks and errors, then one statement per
-    component not known now, then the check that those are finite.
+    value, a local's name or a constant's literal, and its tangent, a tuple
+    of floats known now, written as their literals, and _Terms.  It emits
+    the value and its check through _ValueSource's own builder, then the
+    rule's kink checks and errors, then one statement per component not
+    known now, then the check that those are finite.
     """
 
     params = "env, margin"
@@ -172,7 +174,6 @@ class _TangentSource(_ValueSource):
         self.unread = iter(seeds)  # the seeds of variables not read yet
         self.namespace.update(KinkPointError=KinkPointError,
                               floor=math.floor, log=math.log)
-        self.floats: dict[str, str] = {}  # float.hex -> its global
         self.tangents: dict[str, Tangent] = {}  # variable -> its seed
         self.kinks: set[str] = set()  # the kink conditions written
         self.calls = {"abs": self.corner, "relu": self.corner,
@@ -181,38 +182,29 @@ class _TangentSource(_ValueSource):
                       "sqrt": self.sqrt, "min": self.min_max,
                       "max": self.min_max, "clamp": self.clamp}
 
-    def code(self, x) -> str:
-        """Source for x: a term's expression, or a float's global."""
-        if isinstance(x, _Term):
-            return x.code
-        name = self.floats.get(x.hex())
-        if name is None:
-            name = self.floats[x.hex()] = self.bind(x)
-        return name
-
     def operand(self, name: str):
         """A value as a rule's operand: a constant's float, else a term."""
         if name in self.static:
             return self.static[name]
-        return _Term(self, name, True)
+        return _Term(name, True)
 
     def settle(self, comps, node: Expr | None = None,
                inputs: tuple[str, ...] = ()) -> Tangent:
         """comps, each term's expression assigned to a local; for a checked
         `node`, those not known finite are checked, so that the whole
-        tangent is."""
+        tangent is.  A component known now is finite: it is a seed's, a
+        zero, or their negations, sums and differences, an integer no
+        larger than the count of variable reads."""
         out, unchecked = [], []
         for d in comps:
-            if node is not None and type(d) is float and not math.isfinite(d):
-                d = _Term(self, self.code(d))  # known now; raises when run
             if isinstance(d, _Term):
                 if not d.code.isidentifier():
                     local = self.fresh()
                     self.lines.append(f"{local} = {d.code}")
-                    d = _Term(self, local, d.finite)
+                    d = _Term(local, d.finite)
                 if not d.finite and node is not None:
                     unchecked.append(d.code)
-                    d = _Term(self, d.code, True)
+                    d = _Term(d.code, True)
             out.append(d)
         if unchecked:
             self.lines += [
@@ -241,9 +233,8 @@ class _TangentSource(_ValueSource):
             if x is y or type(x) is type(y) is float and _same_bits(x, y):
                 out.append(x)
             else:
-                out.append(_Term(
-                    self, f"({self.code(x)} if {cond} else {self.code(y)})",
-                    _finite(x) and _finite(y)))
+                out.append(_Term(f"({x!r} if {cond} else {y!r})",
+                                 _finite(x) and _finite(y)))
         return out
 
     def const(self, node: Const):
@@ -279,7 +270,7 @@ class _TangentSource(_ValueSource):
 
     def returns(self, result) -> str:
         v, t = result
-        return f"{v}, ({''.join(self.code(d) + ', ' for d in t)})"
+        return f"{v}, ({''.join(f'{d!r}, ' for d in t)})"
 
     # -- the builtins, keyed like expr.BUILTIN_RULES
 
@@ -300,11 +291,11 @@ class _TangentSource(_ValueSource):
         return [0.0] * len(t)
 
     def exp(self, node: Call, v: str, arg):
-        V = _Term(self, v, True)
+        V = _Term(v, True)
         return [d * V for d in arg[1]]
 
     def ln(self, node: Call, v: str, arg):
-        A = _Term(self, arg[0], True)  # never folded: a constant may be 0
+        A = _Term(arg[0], True)  # never folded: a constant may be 0
         return [d / A for d in arg[1]]
 
     def sqrt(self, node: Call, v: str, arg):
@@ -319,7 +310,7 @@ class _TangentSource(_ValueSource):
                 f"if {cond}:",
                 f"    raise EvalDomainError({self.bind(node)}, ({a},), "
                 "'derivative of sqrt at zero')"]
-        V = _Term(self, v, True)
+        V = _Term(v, True)
         return self.select(f"{a} != 0.0", [d * 0.5 / V for d in t],
                            [0.0] * len(t))
 
@@ -347,15 +338,11 @@ class _TangentSource(_ValueSource):
         (0.0 where a'_k or b is), else a^b * (b'_k * ln a + b * a'_k / a),
         which needs a positive base.  Each component takes the branch its
         exponent component selects, decided now where that component is
-        known.  The base a^(b-1) is written from the "^" rule's own source
-        where a component needs it; the same inputs give the same bits and
-        the same error, so it is computed again unless every path has
-        computed it already."""
+        known.  Each component that needs a^(b-1) writes it from the "^"
+        rule's own source: the same inputs give the same bits and the same
+        error."""
         here, inputs = self.bind(node), f"({a}, {b},)"
         B = self.operand(b)
-        base = _Term(self, self.fresh(), True)
-        computed = False  # on every path to the statement being written
-        lines = self.lines
         positive = [f"if {a} <= 0.0:",
                     f"    raise EvalDomainError({here}, {inputs}, "
                     "'varying exponent needs a positive base')"]
@@ -363,52 +350,41 @@ class _TangentSource(_ValueSource):
         def indent(block: list[str]) -> list[str]:
             return ["    " + line for line in block]
 
-        def get_base(conditional: bool) -> list[str]:
-            nonlocal computed
-            if computed:
-                return []
-            computed = not conditional
-            return self.spell("^", (a, f"({b} - 1.0)"), base.code, here, inputs)
-
         def constant_exponent(da, out: str) -> list[str]:
-            """Statements setting `out` to b * base * da, or to 0.0 where
-            da or b is 0.0."""
+            """Statements setting `out` to b * a^(b-1) * da, or to 0.0
+            where da or b is 0.0."""
             if _is_zero(da) or _is_zero(B):
-                return [f"{out} = {self.code(0.0)}"]
-            conds = [f"{x.code} != 0.0" for x in (da, B) if isinstance(x, _Term)]
-            assign = f"{out} = {self.code(B * base * da)}"
+                return [f"{out} = 0.0"]
+            base = _Term(self.fresh(), True)
+            assign = [*self.spell("^", (a, f"({b} - 1.0)"), base.code, here,
+                                  inputs), f"{out} = {B * base * da!r}"]
+            conds = [f"{x!r} != 0.0" for x in (da, B) if isinstance(x, _Term)]
             if not conds:
-                return [*get_base(True), assign]
-            return [f"if {' and '.join(conds)}:",
-                    *indent([*get_base(True), assign]),
-                    "else:", f"    {out} = {self.code(0.0)}"]
+                return assign
+            return [f"if {' and '.join(conds)}:", *indent(assign),
+                    "else:", f"    {out} = 0.0"]
 
         def varying_exponent(da, db):
-            return (_Term(self, v, True)
-                    * (db * _Term(self, f"log({a})", True)
-                       + B * da / _Term(self, a, True)))
+            return (_Term(v, True) * (db * _Term(f"log({a})", True)
+                                      + B * da / _Term(a, True)))
 
         comps = []
         for da, db in zip(at, bt):
-            if isinstance(db, _Term):
-                out = self.fresh()
-                lines += [f"if {db.code} == 0.0:",
-                          *indent(constant_exponent(da, out)),
-                          "else:", *indent(positive),
-                          f"    {out} = {self.code(varying_exponent(da, db))}"]
-                comps.append(_Term(self, out))
-            elif db != 0.0:
-                lines += positive
-                comps.append(varying_exponent(da, db))
-            elif _is_zero(da) or _is_zero(B):
+            if _is_zero(db) and (_is_zero(da) or _is_zero(B)):
                 comps.append(0.0)
-            elif isinstance(da, _Term) or isinstance(B, _Term):
-                out = self.fresh()
-                lines += constant_exponent(da, out)
-                comps.append(_Term(self, out))
+            elif type(db) is float and db != 0.0:
+                self.lines += positive
+                comps.append(varying_exponent(da, db))
             else:
-                lines += get_base(False)
-                comps.append(B * base * da)
+                out = self.fresh()
+                if isinstance(db, _Term):
+                    self.lines += [f"if {db!r} == 0.0:",
+                                   *indent(constant_exponent(da, out)),
+                                   "else:", *indent(positive),
+                                   f"    {out} = {varying_exponent(da, db)!r}"]
+                else:
+                    self.lines += constant_exponent(da, out)
+                comps.append(_Term(out))
         return comps
 
 

@@ -303,11 +303,12 @@ def free_variables(expr: Expr) -> list[str]:
 # parameters, then its Python source, statements whose last line is the
 # result, with r as its one temporary local.  A rule takes finite floats and
 # raises Undefined(message) outside its domain.  _spell writes the source
-# over given arguments: the generated functions write it inline, and
-# BINARY_RULES and BUILTIN_RULES (see __getattr__) are the same source
-# compiled into functions.  min and max keep the builtins' choice between
-# tied values, so between 0.0 and -0.0 too; abs stays the builtin, since
-# "-a if a < 0.0 else a" would keep -0.0.
+# over given arguments, locals or constants' literals: the generated
+# functions write it inline, and BINARY_RULES and BUILTIN_RULES (see
+# __getattr__) are the same source compiled into functions.  math.pow
+# returns a finite float or raises, so "^" tests no result.  min and max
+# keep the builtins' choice between tied values, so between 0.0 and -0.0
+# too; abs stays the builtin, since "-a if a < 0.0 else a" would keep -0.0.
 
 class Undefined(Exception):
     """A rule's inputs lie outside its domain; the message says how."""
@@ -326,8 +327,6 @@ _RULES = {
             r = math.pow(a, b)
         except (ValueError, OverflowError) as exc:
             raise Undefined(f'invalid power ({exc})')
-        if not math.isfinite(r):
-            raise Undefined('power overflows')
         r"""),
     "abs": ("a", "abs(a)"),
     "floor": ("a", "float(math.floor(a))"),
@@ -447,11 +446,12 @@ class _ValueSource:
     result of + - * / is checked where it is made, and each operator and
     builtin writes its rule inline (see _spell), raising EvalDomainError
     where the rule raises Undefined; a constant, and the negation of a
-    finite value, need no check.
-    No user text reaches the source except variable names, which Var has
-    validated, and only inside repr string literals: the keys and the
-    binding error's message.  Constants and nodes are reached through the
-    function's globals; it calls no rule function.
+    finite value, need no check.  A constant, and so the negation of one,
+    is written as the repr of its float, which reads back to the same bits:
+    "x / -6" tests no divisor.  No other user text reaches the source but
+    variable names, which Var has validated, and only inside repr string
+    literals: the keys and the binding error's message.  Nodes are reached
+    through the function's globals; it calls no rule function.
     """
 
     params = "env"
@@ -463,7 +463,7 @@ class _ValueSource:
                           "EvaluationError": EvaluationError,
                           "UnboundVariableError": UnboundVariableError}
         self.reads: dict[str, str] = {}
-        self.static: dict[str, float] = {}  # a constant's global -> value
+        self.static: dict[str, float] = {}  # a constant's literal -> value
         self.locals = 0
         self.table = {Const: self.const, Var: self.var, Neg: self.neg,
                       BinOp: self.binop, Call: self.call}
@@ -478,9 +478,12 @@ class _ValueSource:
         return f"v{self.locals}"
 
     def const(self, node: Const) -> str:
-        name = self.bind(node.value)
-        self.static[name] = node.value
-        return name
+        return self.literal(node.value)
+
+    def literal(self, value: float) -> str:
+        text = repr(value)
+        self.static[text] = value
+        return text
 
     def var(self, node: Var) -> str:
         # read and checked at its first use only, which is where a missing
@@ -497,6 +500,8 @@ class _ValueSource:
         return out
 
     def neg(self, node: Neg, operand: str) -> str:
+        if operand in self.static:
+            return self.literal(-self.static[operand])
         out = self.fresh()
         self.lines.append(f"{out} = -{operand}")
         return out

@@ -70,6 +70,7 @@ def image_fixing_holds(f: FiniteEndofunction) -> bool:
 
 def iterate(f: FiniteEndofunction, k: int) -> FiniteEndofunction:
     """k-fold composition f o f o ... o f (k >= 1)."""
+    k = integer("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     cur = f.table
@@ -82,6 +83,7 @@ def iterate(f: FiniteEndofunction, k: int) -> FiniteEndofunction:
 def enumerate_idempotent(m: int) -> list[FiniteEndofunction]:
     """All idempotent self-maps of {0, ..., m-1} in lexicographic table order,
     built as exactly the maps that fix an image set pointwise."""
+    m = integer("m", m)
     if not 1 <= m <= ENUMERATION_LIMIT:
         raise ValueError(f"m must be in 1..{ENUMERATION_LIMIT}")
     tables = []
@@ -103,6 +105,7 @@ def enumerate_idempotent(m: int) -> list[FiniteEndofunction]:
 
 def count_idempotent(m: int) -> int:
     """Closed-form count: sum over image sizes k of C(m, k) * k^(m-k)."""
+    m = integer("m", m)
     if not 1 <= m <= COUNT_LIMIT:
         raise ValueError(f"m must be in 1..{COUNT_LIMIT}")
     return sum(math.comb(m, k) * k ** (m - k) for k in range(1, m + 1))

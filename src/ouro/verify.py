@@ -17,7 +17,7 @@ import struct
 from enum import Enum
 from typing import Callable, Union
 
-from ._record import Record, integer
+from ._record import Record, integer, real
 from .expr import EvaluationError, Expr, evaluate
 
 __all__ = [
@@ -48,7 +48,8 @@ class DomainBox(Record):
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        ivs = tuple((float(lo), float(hi)) for lo, hi in self.intervals)
+        ivs = tuple((real("box bound", lo), real("box bound", hi))
+                    for lo, hi in self.intervals)
         if not ivs:
             raise ValueError("a DomainBox needs at least one interval")
         for lo, hi in ivs:
@@ -136,6 +137,7 @@ class SamplePlan(Record):
         # NaN fails every comparison and inf passes all of them, so either
         # would make every check vacuous.
         for name in ("atol", "rtol", "kink_margin"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.k_max < 2:

@@ -58,6 +58,11 @@ def test_a_value_takes_the_type_of_its_default():
     params = instantiate("power_mean", p=2, n=4).params
     assert type(params["p"]) is float and type(params["n"]) is int
     assert instantiate("weighted_mean", w=[1, 0]).params["w"] == (1.0, 0.0)
+    # numpy's scalars are read through operator.index and __float__
+    n = instantiate("arith_mean", n=np.int64(3)).params["n"]
+    assert type(n) is int and n == 3
+    p = instantiate("power_mean", p=np.float32(2.5)).params["p"]
+    assert type(p) is float and p == 2.5
 
 
 @pytest.mark.parametrize("name, params, message", [
@@ -66,6 +71,11 @@ def test_a_value_takes_the_type_of_its_default():
     ("box_clamp", {"hi": -math.inf}, "hi must be finite, got -inf"),
     ("weighted_mean", {"w": (0.5, math.nan)}, "w must be finite, got nan"),
     ("hyperplane_projection", {"a": (1.0, math.inf)}, "a must be finite, got inf"),
+    ("arith_mean", {"n": 3.0}, "n must be an integer, got 3.0"),
+    ("arith_mean", {"n": "3"}, "n must be an integer, got '3'"),
+    ("power_mean", {"p": "2"}, "p must be a number, got '2'"),
+    ("constant", {"c": True}, "c must be a number, got True"),
+    ("weighted_mean", {"w": (0.5, False)}, "w must be a number, got False"),
 ])
 def test_typing_errors_name_the_key(name, params, message):
     with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):

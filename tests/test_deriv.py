@@ -520,6 +520,27 @@ def test_generated_tangent_matches_the_closure_walk_oracle():
         assert want[0] is EvalDomainError and want[1].startswith(detail)
 
 
+@pytest.mark.parametrize("source, env, raised", [
+    ("(x1 + x2)^3", {"x1": 0.75, "x2": -2.0}, None),
+    ("(x1 + x2)^-1", {"x1": 1.5, "x2": -1.5}, "invalid power (math domain error)"),
+    # d/dx1 needs 0^-0.5; d/dx2, whose da is x1 = 0.0, needs no base
+    ("(x1 * x2)^0.5", {"x1": 0.0, "x2": 3.0}, "invalid power (math domain error)"),
+    ("(x1 * x2)^0.5", {"x1": 0.0, "x2": 0.0}, None),
+])
+def test_power_components_that_need_the_base_match_the_oracle(source, env,
+                                                               raised):
+    # each component that needs a^(b-1) computes it, with the same bits
+    # and the same error
+    f = parse(source)
+    for seeds in (((1.0, 1.0), (1.0, 0.0)), ((0.0,), (1.0,)), ((), ())):
+        _walk_against_oracle(f, env, seeds, 0.0)
+    want = _walk_against_oracle(f, env, _unit_seeds(2), 0.0)
+    if raised is None:
+        assert not isinstance(want[0], type), want
+    else:
+        assert want[0] is EvalDomainError and want[1].startswith(raised)
+
+
 def test_value_checks_build_no_tangent_function():
     # Only derivative calls generate the tangent function, on first use.
     f = parse("(x1 + x2) / 2")

@@ -1,6 +1,7 @@
 """Parser, evaluator and formatter tests for the expression DSL."""
 
 import copy
+import io
 import itertools
 import math
 import operator
@@ -8,6 +9,7 @@ import pickle
 import random
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -536,24 +538,47 @@ def test_every_operator_binds_and_computes():
 
 
 def test_generated_source_holds_only_variable_names():
-    # Constants, nodes and kink messages reach the value and tangent
-    # functions through their globals, and rules are written inline; the
-    # only user text in their source is a validated name.  x_1 is read
-    # twice but read and checked once.
-    e = parse("x_1 * 12345.5 + ln(x_1) / 6789e-3")
+    # Rules are written inline, nodes and kink messages are reached through
+    # the globals, and a constant is written as the repr of its float, which
+    # reads back to the same bits.  So the only text in the value and
+    # tangent source that the emitter did not write is a validated name,
+    # read once, inside string literals, or a constant's repr: no builtin
+    # name, and no literal as the expression spells it.  x_1 is read twice
+    # but read and checked once.
+    e = parse("x_1 * 12345.5 + ln(x_1) / 6789e-3 - .5 * \u0663")
+    constants = {"12345.5", "6.789", "0.5", "3.0"}
     for emitter in (_ValueSource, _TangentSource,
                     lambda: _TangentSource(((1.0,),))):
         source = emitter()
         _fold(e, source.table)
         text = "\n".join(source.lines)
-        assert "12345" not in text and "6789" not in text
-        assert "'ln'" not in text
-        assert text.count("'x_1'") == 2  # one read and the error it may raise
-        assert text.count("'non-finite binding x_1='") == 1
-        assert 12345.5 in source.namespace.values()
-    # a builtin's tangent rule is chosen when the source is written, so its
-    # name does not reach the function at all
-    assert "ln" not in source.namespace.values()
+        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+        kinds = {kind: [t.string for t in tokens if t.type == kind]
+                 for kind in (tokenize.NUMBER, tokenize.NAME, tokenize.STRING)}
+        # the emitter's own numbers are 0.0 and 1.0
+        assert constants <= set(kinds[tokenize.NUMBER]) <= constants | {"0.0", "1.0"}
+        assert not {"6789e-3", ".5", "\u0663"} & set(kinds[tokenize.NUMBER])
+        assert not {"x_1", "ln"} & set(kinds[tokenize.NAME])
+        assert "'ln'" not in kinds[tokenize.STRING]
+        assert kinds[tokenize.STRING].count("'x_1'") == 2  # one read and the error it may raise
+        assert kinds[tokenize.STRING].count("'non-finite binding x_1='") == 1
+        assert not [g for g in source.namespace.values()
+                    if type(g) is float or g == "ln"]
+
+
+def test_a_negated_constant_is_a_constant():
+    # -2 is written as the literal -2.0, so the test of the divisor is
+    # decided when the source is written and nothing negates a constant
+    # when the function runs
+    for text in ("x / -2", "max(x, -3.5)", "clamp(x, -3.5, 2.0)"):
+        source = _ValueSource()
+        _fold(parse(text), source.table)
+        assert not [line for line in source.lines
+                    if re.fullmatch(r"v\d+ = -[A-Za-z_]\w*", line)
+                    or "== 0.0" in line], text
+    with pytest.raises(EvalDomainError, match="^" + re.escape(
+            "division by zero in 'x / -0' with arguments (1.0, -0.0)") + "$"):
+        evaluate(parse("x / -0"), {"x": 1.0})
 
 
 @pytest.mark.parametrize("source, canonical", [

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import re
 
 import pytest
 from test_acceptance import _brute_idempotent
+from test_verify import _Index
 
 from ouro.finite import (
     COUNT_LIMIT, ENUMERATION_LIMIT, FiniteEndofunction, count_idempotent,
@@ -50,6 +52,20 @@ def test_closed_form_counts():
         count_idempotent(0)
     with pytest.raises(ValueError):
         count_idempotent(COUNT_LIMIT + 1)
+
+
+def test_sizes_and_powers_take_integers_only():
+    # m and k are read through operator.index, as the table values are
+    swap = FiniteEndofunction((1, 0))
+    for call, name in [(count_idempotent, "m"), (enumerate_idempotent, "m"),
+                       (lambda k: iterate(swap, k), "k")]:
+        for bad in (True, 3.0, 2.5, "3"):
+            message = f"{name} must be an integer, got {bad!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(bad)
+    assert count_idempotent(_Index(4)) == 41
+    assert len(enumerate_idempotent(_Index(3))) == 10
+    assert iterate(swap, _Index(2)).table == (0, 1)
 
 
 def test_enumeration_counts_match_brute_force():

@@ -128,6 +128,13 @@ def test_domain_box_validation():
     # finite bounds whose width overflows would sample at infinity
     with pytest.raises(ValueError, match="wider than the largest double"):
         DomainBox(((-1e308, 1e308),))
+    # bounds are numbers, kept as plain floats
+    for bad in (("0", 1.0), (0.0, True), (0.0, b"1")):
+        with pytest.raises(ValueError, match="^box bound must be a number"):
+            DomainBox((bad,))
+    box = DomainBox(((0, np.float32(0.5)),))
+    assert box.intervals == ((0.0, 0.5),)
+    assert {type(bound) for bound in box.intervals[0]} == {float}
     widest = DomainBox(((-1.7e308, 0.0),))
     assert all(math.isfinite(widest.sample_point(0, i)[0]) for i in range(64))
 
@@ -169,6 +176,13 @@ def test_sample_plan_validation():
                       ("k_max", 3.5), ("k_max", 3.0), ("k_max", False)]:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             SamplePlan(**{name: bad})
+    # the tolerances are numbers, kept as plain floats
+    for name in ("atol", "rtol", "kink_margin"):
+        for bad in (True, "1", None):
+            with pytest.raises(ValueError, match=f"^{name} must be a number"):
+                SamplePlan(**{name: bad})
+        value = getattr(SamplePlan(**{name: np.float32(0.25)}), name)
+        assert type(value) is float and value == 0.25
     assert SamplePlan(seed=-1).seed == 2**64 - 1
     plan = SamplePlan(seed=_Index(3), sample_count=_Index(4), k_max=_Index(5))
     assert (plan.seed, plan.sample_count, plan.k_max) == (3, 4, 5)
