@@ -43,11 +43,14 @@ def integer(name: str, value) -> int:
 
 
 def real(name: str, value) -> float:
-    """value as a plain float, by its __float__.  A bool, a string or
-    anything else without __float__ raises ValueError, its message starting
-    with `name`."""
-    if value.__class__ is not bool and hasattr(type(value), "__float__"):
-        return float(value)
+    """value as a plain float, by float().  A bool, a string, bytes or
+    anything float() refuses raises ValueError, its message starting with
+    `name`."""
+    if not isinstance(value, (bool, str, bytes, bytearray)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 

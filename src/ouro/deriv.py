@@ -173,7 +173,7 @@ class _TangentSource(_ValueSource):
         self.width = len(seeds[0]) if seeds else 0
         self.unread = iter(seeds)  # the seeds of variables not read yet
         self.namespace.update(KinkPointError=KinkPointError,
-                              floor=math.floor, log=math.log)
+                              floor=math.floor, log=math.log, inf=math.inf)
         self.tangents: dict[str, Tangent] = {}  # variable -> its seed
         self.kinks: set[str] = set()  # the kink conditions written
         self.calls = {"abs": self.corner, "relu": self.corner,
@@ -184,17 +184,15 @@ class _TangentSource(_ValueSource):
 
     def operand(self, name: str):
         """A value as a rule's operand: a constant's float, else a term."""
-        if name in self.static:
-            return self.static[name]
-        return _Term(name, True)
+        return self.static[name] if name in self.static else _Term(name, True)
 
     def settle(self, comps, node: Expr | None = None,
                inputs: tuple[str, ...] = ()) -> Tangent:
         """comps, each term's expression assigned to a local; for a checked
         `node`, those not known finite are checked, so that the whole
-        tangent is.  A component known now is finite: it is a seed's, a
-        zero, or their negations, sums and differences, an integer no
-        larger than the count of variable reads."""
+        tangent is.  A component known now is a small integer, so finite,
+        but a float known now inside a term may not be: 2.0 * 1e308 is
+        written as its repr, inf, a global of the function."""
         out, unchecked = [], []
         for d in comps:
             if isinstance(d, _Term):
@@ -242,10 +240,9 @@ class _TangentSource(_ValueSource):
 
     def var(self, node: Var):
         value = super().var(node)
-        tangent = self.tangents.get(node.name)
-        if tangent is None:
-            tangent = self.tangents[node.name] = next(self.unread, ())
-        return value, tangent
+        if node.name not in self.tangents:
+            self.tangents[node.name] = next(self.unread, ())
+        return value, self.tangents[node.name]
 
     def neg(self, node: Neg, operand):
         a, at = operand
@@ -338,11 +335,12 @@ class _TangentSource(_ValueSource):
         (0.0 where a'_k or b is), else a^b * (b'_k * ln a + b * a'_k / a),
         which needs a positive base.  Each component takes the branch its
         exponent component selects, decided now where that component is
-        known.  Each component that needs a^(b-1) writes it from the "^"
-        rule's own source: the same inputs give the same bits and the same
-        error."""
+        known.  a^(b-1) is written from the "^" rule's source, so the same
+        inputs give the same bits and error: once where a component needs
+        it on every path, and in each branch needing it before that."""
         here, inputs = self.bind(node), f"({a}, {b},)"
         B = self.operand(b)
+        base = None  # the local holding a^(b-1) on every path from here
         positive = [f"if {a} <= 0.0:",
                     f"    raise EvalDomainError({here}, {inputs}, "
                     "'varying exponent needs a positive base')"]
@@ -350,15 +348,20 @@ class _TangentSource(_ValueSource):
         def indent(block: list[str]) -> list[str]:
             return ["    " + line for line in block]
 
-        def constant_exponent(da, out: str) -> list[str]:
+        def constant_exponent(da, out: str, branch: bool) -> list[str]:
             """Statements setting `out` to b * a^(b-1) * da, or to 0.0
-            where da or b is 0.0."""
+            where da or b is 0.0; `branch` says whether they run in a
+            branch."""
+            nonlocal base
             if _is_zero(da) or _is_zero(B):
                 return [f"{out} = 0.0"]
-            base = _Term(self.fresh(), True)
-            assign = [*self.spell("^", (a, f"({b} - 1.0)"), base.code, here,
-                                  inputs), f"{out} = {B * base * da!r}"]
             conds = [f"{x!r} != 0.0" for x in (da, B) if isinstance(x, _Term)]
+            local = base or self.fresh()
+            assign = [] if base else self.spell(
+                "^", (a, f"({b} - 1.0)"), local, here, inputs)
+            if not (branch or conds):
+                base = local
+            assign.append(f"{out} = {B * _Term(local, True) * da!r}")
             if not conds:
                 return assign
             return [f"if {' and '.join(conds)}:", *indent(assign),
@@ -379,11 +382,11 @@ class _TangentSource(_ValueSource):
                 out = self.fresh()
                 if isinstance(db, _Term):
                     self.lines += [f"if {db!r} == 0.0:",
-                                   *indent(constant_exponent(da, out)),
+                                   *indent(constant_exponent(da, out, True)),
                                    "else:", *indent(positive),
                                    f"    {out} = {varying_exponent(da, db)!r}"]
                 else:
-                    self.lines += constant_exponent(da, out)
+                    self.lines += constant_exponent(da, out, False)
                 comps.append(_Term(out))
         return comps
 

@@ -48,7 +48,7 @@ class DomainBox(Record):
     intervals: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        ivs = tuple((real("box bound", lo), real("box bound", hi))
+        ivs = tuple((real("intervals", lo), real("intervals", hi))
                     for lo, hi in self.intervals)
         if not ivs:
             raise ValueError("a DomainBox needs at least one interval")

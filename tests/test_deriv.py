@@ -515,7 +515,12 @@ def test_generated_tangent_matches_the_closure_walk_oracle():
             ("ln(x)", 1e-310, "derivative is not finite"),
             ("1 / x", 1e-310, "result is not finite"),
             ("sqrt(x)", 0.0, "derivative of sqrt at zero"),
-            ("x^x", -1.0, "varying exponent needs a positive base")]:
+            ("x^x", -1.0, "varying exponent needs a positive base"),
+            # a float known when the source is written overflows in a
+            # component: 2.0 * 1e308 is written as inf
+            ("(x + x) * 1e308", 0.5, "derivative is not finite"),
+            ("(x + x + x) * 6e307", 0.5, "derivative is not finite"),
+            ("(x + x) * -1e308", 0.5, "derivative is not finite")]:
         want = _walk_against_oracle(parse(source), {"x": x}, ((1.0,),), 0.0)
         assert want[0] is EvalDomainError and want[1].startswith(detail)
 
@@ -539,6 +544,20 @@ def test_power_components_that_need_the_base_match_the_oracle(source, env,
         assert not isinstance(want[0], type), want
     else:
         assert want[0] is EvalDomainError and want[1].startswith(raised)
+
+
+@pytest.mark.parametrize("source, seeds, calls", [
+    # the value, then a^(b-1) once for both components
+    ("(x1 + x2)^3", _unit_seeds(2), 2),
+    ("(x1 - x2)^2 + (x1 + x2 + x3)^3", _unit_seeds(3), 4),
+    # each component's base is behind its own test of a'_k
+    ("(x1 * x2)^0.5", _unit_seeds(2), 3),
+    ("x^3", ((1.0,),), 2),
+])
+def test_a_base_every_path_needs_is_computed_once(source, seeds, calls):
+    emitter = _TangentSource(seeds)
+    _fold(parse(source), emitter.table)
+    assert "\n".join(emitter.lines).count("math.pow(") == calls
 
 
 def test_value_checks_build_no_tangent_function():

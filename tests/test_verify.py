@@ -130,11 +130,12 @@ def test_domain_box_validation():
         DomainBox(((-1e308, 1e308),))
     # bounds are numbers, kept as plain floats
     for bad in (("0", 1.0), (0.0, True), (0.0, b"1")):
-        with pytest.raises(ValueError, match="^box bound must be a number"):
+        with pytest.raises(ValueError, match="^intervals must be a number"):
             DomainBox((bad,))
-    box = DomainBox(((0, np.float32(0.5)),))
-    assert box.intervals == ((0.0, 0.5),)
-    assert {type(bound) for bound in box.intervals[0]} == {float}
+    for bounds in ((0, np.float32(0.5)), (_Index(0), 0.5)):
+        box = DomainBox((bounds,))
+        assert box.intervals == ((0.0, 0.5),)
+        assert {type(bound) for bound in box.intervals[0]} == {float}
     widest = DomainBox(((-1.7e308, 0.0),))
     assert all(math.isfinite(widest.sample_point(0, i)[0]) for i in range(64))
 
@@ -183,6 +184,8 @@ def test_sample_plan_validation():
                 SamplePlan(**{name: bad})
         value = getattr(SamplePlan(**{name: np.float32(0.25)}), name)
         assert type(value) is float and value == 0.25
+        value = getattr(SamplePlan(**{name: _Index(1)}), name)
+        assert type(value) is float and value == 1.0
     assert SamplePlan(seed=-1).seed == 2**64 - 1
     plan = SamplePlan(seed=_Index(3), sample_count=_Index(4), k_max=_Index(5))
     assert (plan.seed, plan.sample_count, plan.k_max) == (3, 4, 5)
