@@ -355,14 +355,6 @@ def _verdict_doc(v: Verdict) -> dict:
             "witness": None if v.witness is None else v.witness._asdict()}
 
 
-def _unity_doc(r: _deriv.UnityReport) -> dict:
-    return {"n": r.n, "point": r.point, "value": r.value,
-            "outer_gradient": r.outer_gradient,
-            "shares": r.shares, "share_sum": r.share_sum,
-            "sum_to_one": r.sum_to_one, "equal_shares": r.equal_shares,
-            "degenerate_reason": r.degenerate_reason, "tol": r.tol}
-
-
 # The arrays that hold a document's rows, one per point or per map.
 _ROW_ARRAYS = ("reports", "maps")
 
@@ -634,7 +626,8 @@ def cmd_derive(o: dict) -> int:
                      "plan": plan_doc, "method": method,
                      "membership": (None if membership is None
                                     else _verdict_doc(membership)),
-                     "reports": [_unity_doc(r) for r in reports],
+                     # a report's fields are its row; no renderer mutates it
+                     "reports": [vars(r) for r in reports],
                      "points_skipped": skipped,
                      "overall": overall}, o)
     return _status_exit(overall, o["strict_degenerate"])

@@ -23,7 +23,7 @@ from typing import Mapping
 from ._record import Record
 from .expr import (
     BinOp, Call, Const, EvalDomainError, EvaluationError, Expr, Neg,
-    UnboundVariableError, Var, _ValueSource, evaluate,
+    UnboundVariableError, Var, _fold, _ValueSource, evaluate,
 )
 from .verify import DomainBox, SamplePlan, Status, _expr_names
 
@@ -78,6 +78,13 @@ class KinkPointError(EvaluationError):
 # tests/test_deriv.py keeps the reference: the same rules written over
 # whole tangents and run by a closure walk.  The generated functions match
 # its tangents, kink checks and errors, with their nodes, bit for bit.
+#
+# The unity check needs the gradient at x and at the diagonal point
+# (f(x), ..., f(x)).  In its diagonal mode (_UnitySource) the emitter folds
+# the tree a second time, reading every variable as the first fold's value,
+# so one generated call gives both; a kink on the diagonal returns no
+# shares there instead of raising.  tests/test_deriv.py keeps the two calls
+# of the tangent function as its reference.
 
 Tangent = tuple[float, ...]
 
@@ -164,6 +171,10 @@ class _TangentSource(_ValueSource):
     the value and its check through _ValueSource's own builder, then the
     rule's kink checks and errors, then one statement per component not
     known now, then the check that those are finite.
+
+    Its subclass _UnitySource is the diagonal mode: it folds the tree again
+    with every variable read as the point's value, and a kink check there
+    returns instead of raising (see kinked).
     """
 
     params = "env, margin"
@@ -219,10 +230,14 @@ class _TangentSource(_ValueSource):
         if cond in self.kinks:
             return
         self.kinks.add(cond)
+        self.lines += [f"if {cond}:", f"    {self.kinked(site, args)}"]
+
+    def kinked(self, site: str, args: tuple[str, ...]) -> str:
+        """The statement a kink check runs where its condition holds."""
         message = self.bind(site)
         if args:
             message += f" % ({', '.join(args)},)"
-        self.lines += [f"if {cond}:", f"    raise KinkPointError({message})"]
+        return f"raise KinkPointError({message})"
 
     def select(self, cond: str, xs, ys) -> list:
         """Per component, x where cond holds when the function runs, else y."""
@@ -265,9 +280,9 @@ class _TangentSource(_ValueSource):
         comps = self.calls[node.func](node, v, *args)
         return v, self.settle(comps, node, values)
 
-    def returns(self, result) -> str:
-        v, t = result
-        return f"{v}, ({''.join(f'{d!r}, ' for d in t)})"
+    def result(self, expr: Expr) -> str:
+        v, t = _fold(expr, self.table)
+        return f"{v}, {_spelt(t)}"
 
     # -- the builtins, keyed like expr.BUILTIN_RULES
 
@@ -391,6 +406,47 @@ class _TangentSource(_ValueSource):
         return comps
 
 
+class _UnitySource(_TangentSource):
+    """_TangentSource's diagonal mode: the source of one expression's unity
+    function for `seeds`, unity(env, margin) -> (value, tangent, shares),
+    kept in Program.generated under its seeds.
+
+    After the tangent function's statements it folds the same tree again
+    at the diagonal point (value, ..., value) with the same seeds.  There
+    every variable reads the point's value, a checked finite float, so no
+    binding is read or checked.  That half runs the statements the tangent
+    function runs on dict.fromkeys(names, value), raising its value and
+    derivative faults, and shares is its tangent; but where its kink test
+    holds, the function returns (value, tangent, None) instead.
+    """
+
+    def __init__(self, seeds: tuple[Tangent, ...]):
+        super().__init__(seeds)
+        self.diagonal: str | None = None  # the point's value, once folded
+        self.point = ""  # the first half's value and tangent, as returned
+
+    def var(self, node: Var):
+        if self.diagonal is None:
+            return super().var(node)
+        return self.diagonal, self.tangents[node.name]
+
+    def kinked(self, site: str, args: tuple[str, ...]) -> str:
+        if self.diagonal is None:
+            return super().kinked(site, args)
+        return f"return {self.point}, None"
+
+    def result(self, expr: Expr) -> str:
+        value, tangent = _fold(expr, self.table)
+        self.diagonal, self.point = value, f"{value}, {_spelt(tangent)}"
+        _, shares = _fold(expr, self.table)
+        return f"{self.point}, {_spelt(shares)}"
+
+
+def _spelt(t) -> str:
+    """A tangent as the source of a tuple."""
+    return f"({''.join(f'{d!r}, ' for d in t)})"
+
+
 def _is_zero(x) -> bool:
     """x is known now to be 0.0 or -0.0."""
     return type(x) is float and x == 0.0
@@ -479,7 +535,8 @@ def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
 
 
 class UnityReport(Record):
-    """Outcome of the derivative identity checks at one point.
+    """Outcome of the derivative identity checks at one point; its fields,
+    in order, are the row of a derive report.
 
     sum_to_one constrains the sum of the diagonal partials to 1;
     equal_shares additionally constrains every partial to 1/n.  The two are
@@ -494,9 +551,8 @@ class UnityReport(Record):
     share_sum: float | None
     sum_to_one: Status
     equal_shares: Status
-    method: str
+    degenerate_reason: str | None
     tol: float
-    degenerate_reason: str | None = None
 
 
 class UnitySweep(Record):
@@ -504,52 +560,61 @@ class UnitySweep(Record):
     points_skipped: int
 
 
+def _unity_walk(f: Expr, names: list[str], method: str):
+    """The function (env, margin) -> (value, outer, shares) by `method`:
+    f's value and gradient at env, and its gradient at the diagonal point
+    (value, ..., value), None where that point is a kink.  For dual it is
+    one generated call; fd walks both points."""
+    if method == "dual":
+        return f.program.generated(_UnitySource, _unit_seeds(len(names)))
+    walk = _gradient_walk(f, names, method)
+
+    def unity(env, margin):
+        value, outer = walk(env, margin)
+        try:  # value is finite, so the diagonal point binds every name
+            shares = walk(dict.fromkeys(names, value), margin)[1]
+        except KinkPointError:
+            shares = None
+        return value, outer, shares
+    return unity
+
+
 def _unity_checker(f: Expr, plan: SamplePlan, method: str):
     """check_unity's body as the function check(env, point) -> UnityReport,
-    with what every point shares looked up once: the gradient walk, the
+    with what every point shares looked up once: the unity walk, the
     tolerance, the kink margin and 1/n.  `point` is env's coordinates in
     the order of f's names, or None to read them from env."""
     names = f.program.names
-    walk = _gradient_walk(f, names, method)
+    unity = _unity_walk(f, names, method)
     tol = TOL_UNITY[method]
     n = len(names)
     if n == 0:
         raise ValueError("candidate has no free variables")
     margin = plan.kink_margin
     target = 1.0 / n
+    PASS, FAIL, DEGENERATE = Status.PASS, Status.FAIL, Status.DEGENERATE
 
     def check(env: Mapping[str, float], point) -> UnityReport:
-        value, outer = walk(env, margin)
-        zero_grad = max(map(abs, outer)) <= GRADIENT_FLOOR
-
-        shares: tuple[float, ...] | None
-        try:  # value is finite, so the diagonal point binds every name
-            diag = dict.fromkeys(names, value)
-            shares = walk(diag, margin)[1]
-            share_sum = sum(shares)
-        except KinkPointError:
-            shares = None
-            share_sum = None
-
-        if zero_grad:
+        value, outer, shares = unity(env, margin)
+        if max(map(abs, outer)) <= GRADIENT_FLOOR:
             reason = "zero_gradient"
         elif shares is None:
             reason = "kink_diagonal"
         else:
             reason = None
 
+        share_sum = None if shares is None else sum(shares)
         if reason is not None:
-            sum_status = equal_status = Status.DEGENERATE
+            sum_status = equal_status = DEGENERATE
         else:
-            sum_status = (Status.PASS if abs(share_sum - 1.0) <= tol
-                          else Status.FAIL)
+            sum_status = PASS if abs(share_sum - 1.0) <= tol else FAIL
             worst = max([abs(s - target) for s in shares])
-            equal_status = Status.PASS if worst <= tol else Status.FAIL
+            equal_status = PASS if worst <= tol else FAIL
 
         if point is None:
             point = tuple([env[name] for name in names])
         return UnityReport(n, point, value, outer, shares, share_sum,
-                           sum_status, equal_status, method, tol, reason)
+                           sum_status, equal_status, reason, tol)
 
     return check
 
@@ -576,24 +641,29 @@ def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,
     sample is counted in points_skipped.  Results are independent of
     evaluation order: candidate j for sample i depends only on (seed, i, j).
     The box must fit f as verify's membership check requires: one interval
-    per variable, all of them the same.  One checker serves every point.
+    per variable, all of them the same.  One checker serves every point,
+    and one dict, rebound at each candidate, binds it: no report keeps it.
     """
     names = _expr_names(f, domain)
     check = _unity_checker(f, plan, method)
     sample, seed = domain.sample_point, plan.seed
+    env: dict[str, float] = {}
+    name = names[0] if len(names) == 1 else None
     reports = []
     skipped = 0
     stride = KINK_RETRY_LIMIT + 1
     for i in range(plan.sample_count):
-        placed = False
         for r in range(stride):
             point = sample(seed, i * stride + r)
+            if name is None:
+                env.update(zip(names, point))
+            else:
+                env[name], = point
             try:
-                reports.append(check(dict(zip(names, point)), point))
-                placed = True
-                break
+                reports.append(check(env, point))
             except KinkPointError:
                 continue
-        if not placed:
+            break
+        else:
             skipped += 1
     return UnitySweep(tuple(reports), skipped)

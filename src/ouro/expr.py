@@ -464,13 +464,18 @@ class _ValueSource:
                           "UnboundVariableError": UnboundVariableError}
         self.reads: dict[str, str] = {}
         self.static: dict[str, float] = {}  # a constant's literal -> value
+        self.bound: dict[int, str] = {}  # id of an object bound -> its global
         self.locals = 0
         self.table = {Const: self.const, Var: self.var, Neg: self.neg,
                       BinOp: self.binop, Call: self.call}
 
     def bind(self, obj) -> str:
-        name = f"g{len(self.namespace)}"
-        self.namespace[name] = obj
+        """The global holding obj, added on its first bind.  The namespace
+        keeps obj alive, so its id names no other object meanwhile."""
+        name = self.bound.get(id(obj))
+        if name is None:
+            name = self.bound[id(obj)] = f"g{len(self.namespace)}"
+            self.namespace[name] = obj
         return name
 
     def fresh(self) -> str:
@@ -529,9 +534,9 @@ class _ValueSource:
         return _spell(rule, args, out, f"EvalDomainError({here}, {inputs}, ",
                       self.static)
 
-    def returns(self, result: str) -> str:
-        """The expression the function returns, given the root's result."""
-        return result
+    def result(self, expr: Expr) -> str:
+        """The expression the function returns: `expr` folded by the table."""
+        return _fold(expr, self.table)
 
 
 def _generate(expr: Expr, emitter: Callable[..., _ValueSource], *args
@@ -539,7 +544,7 @@ def _generate(expr: Expr, emitter: Callable[..., _ValueSource], *args
     """The function `emitter(*args)` generates from `expr`, taking its
     params, and the variable names it reads, in order of first read."""
     source = emitter(*args)
-    result = source.returns(_fold(expr, source.table))
+    result = source.result(expr)
     body = "".join(f"    {line}\n" for line in [*source.lines, f"return {result}"])
     exec(compile(f"def run({source.params}):\n{body}", "<ouro.expr program>",
                  "exec"), source.namespace)

@@ -222,6 +222,29 @@ def test_one_number_is_a_one_element_vector_parameter():
         instantiate("weighted_mean", w=1)
 
 
+@pytest.mark.parametrize("name, value, want", [
+    # numpy's scalars are one number, as for a scalar parameter
+    ("hyperplane_projection", np.float32(2.0), (2.0,)),
+    ("hyperplane_projection", np.int64(2), (2.0,)),
+    ("hyperplane_projection", np.float64(2.0), (2.0,)),
+    ("hyperplane_projection", np.array([1.0, 2.0]), (1.0, 2.0)),
+    ("weighted_mean", np.float32(0.5), "weighted_mean needs at least two weights"),
+    # what is neither one number nor a sequence is refused by its key
+    ("weighted_mean", True, "w must be a number, got True"),
+    ("weighted_mean", None, "w must be a number, got None"),
+    ("weighted_mean", np.array([[0.5, 0.5]]),
+     "w must be a number, got array([0.5, 0.5])"),
+])
+def test_a_numpy_scalar_is_a_one_element_vector_parameter(name, value, want):
+    key = "a" if name == "hyperplane_projection" else "w"
+    if isinstance(want, str):
+        with pytest.raises(CatalogError, match=f"^{re.escape(want)}$"):
+            instantiate(name, **{key: value})
+    else:
+        got = instantiate(name, **{key: value}).params[key]
+        assert got == want and all(type(v) is float for v in got)
+
+
 def test_positive_families_use_the_positive_box():
     for name in ("geo_mean", "harmonic_mean", "power_mean"):
         assert instantiate(name).box.interval == POSITIVE_INTERVAL

@@ -1121,12 +1121,13 @@ def _derive_body(rng, n: int, rows: int) -> dict:
         return tuple(leaf() for _ in range(n))
 
     statuses, reasons = list(Status), [None, "zero_gradient", "kink_diagonal"]
-    reports = [cli._unity_doc(UnityReport(
+    # a row is a report's own field dict, as cmd_derive hands it over
+    reports = [vars(UnityReport(
         n, leaves(), leaf(), leaves(),
         None if rng.random() < 0.3 else leaves(),
         None if rng.random() < 0.3 else leaf(),
-        rng.choice(statuses), rng.choice(statuses), rng.choice(["dual", "fd"]),
-        leaf(), rng.choice(reasons))) for _ in range(rows)]
+        rng.choice(statuses), rng.choice(statuses), rng.choice(reasons),
+        leaf())) for _ in range(rows)]
     return {"target": {"expr": "x % 2"}, "box": [(-1.0, 1.0)] * n,
             "plan": {"seed": 0, "sample_count": rows}, "method": "dual",
             "membership": None, "reports": reports,

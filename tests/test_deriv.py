@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _random_ast
 
-from ouro.catalog import instantiate
+from ouro.catalog import instantiate, list_entries
 from ouro.deriv import (
     GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, _COMPONENT_RULES,
-    KinkPointError, Tangent, _TangentSource, _unit_seeds, check_unity,
-    dual_eval, fd_partial, gradient, unity_sweep,
+    KinkPointError, Tangent, _TangentSource, _UnitySource, _unit_seeds,
+    check_unity, dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
     BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError,
@@ -560,6 +560,125 @@ def test_a_base_every_path_needs_is_computed_once(source, seeds, calls):
     assert "\n".join(emitter.lines).count("math.pow(") == calls
 
 
+def test_each_node_is_bound_once():
+    # checked, settle and power all name the "^" node, through one global,
+    # and the unity function's diagonal half reuses it
+    f = parse("(x1 + x2)^3")
+    for emitter in (_TangentSource, _UnitySource):
+        source = emitter(_unit_seeds(2))
+        source.result(f)
+        held = [name for name, obj in source.namespace.items() if obj is f]
+        assert len(held) == 1, (emitter, held)
+
+
+# --- the unity function ---------------------------------------------------------
+
+def _two_walks(f, env, margin):
+    """The unity function's reference: the tangent function at env, then
+    at the diagonal point dict.fromkeys(names, value), where a
+    KinkPointError means shares None."""
+    names = free_variables(f)
+    tangent = f.program.generated(_TangentSource, _unit_seeds(len(names)))
+    value, outer = tangent(env, margin)
+    try:
+        shares = tangent(dict.fromkeys(names, value), margin)[1]
+    except KinkPointError:
+        shares = None
+    return value, outer, shares
+
+
+def _unity_outcome(fn):
+    try:
+        return _hexed(fn())
+    except ValueError as exc:  # KinkPointError and EvalDomainError
+        return type(exc), str(exc), getattr(exc, "node", None)
+
+
+def _unity_against_two_walks(f, env, margin):
+    """The unity function's outcome, asserted equal to the two walks': the
+    value, outer gradient and shares by float.hex, or the exception's
+    class, message and very node."""
+    unity = f.program.generated(_UnitySource, _unit_seeds(len(env)))
+    got = _unity_outcome(lambda: unity(env, margin))
+    want = _unity_outcome(lambda: _two_walks(f, env, margin))
+    assert got == want, (f, env, margin)
+    if isinstance(want[0], type):
+        assert got[2] is want[2]
+    return want
+
+
+def _kind(outcome):
+    if isinstance(outcome[0], type):
+        return outcome[0].__name__
+    return "kink_diagonal" if outcome[2] is None else "shares"
+
+
+def test_unity_function_matches_the_two_walks_on_random_trees():
+    rng = random.Random(20261021)
+    pool = (0.0, 1.0, -1.0, 2.0, 0.5, -0.5)
+    kinds = {}
+    for _ in range(2000):
+        f = _random_ast(rng, 6)
+        names = free_variables(f)
+        if not names:
+            continue
+        env = {name: (rng.choice(pool) if rng.random() < 0.2
+                      else rng.uniform(-4.0, 4.0)) for name in names}
+        want = _unity_against_two_walks(f, env,
+                                        rng.choice((0.0, 1e-7, 0.05)))
+        kinds[_kind(want)] = kinds.get(_kind(want), 0) + 1
+    # a kink and a fault at the point, a kink and a fault at the diagonal
+    assert kinds["shares"] >= 500, kinds
+    assert kinds["kink_diagonal"] >= 100, kinds
+    assert kinds["KinkPointError"] >= 200, kinds
+    assert kinds["EvalDomainError"] >= 200, kinds
+
+
+def test_unity_function_matches_the_two_walks_on_the_catalog():
+    rng = random.Random(20261022)
+    for entry in list_entries():
+        if entry.kind == "vector-operator":
+            continue
+        inst = instantiate(entry.name)
+        names = free_variables(inst.expr)
+        for i in range(64):
+            point = inst.box.sample_point(rng.randrange(1 << 64), i)
+            if i % 8 == 0:  # on the diagonal itself
+                point = (point[0],) * len(point)
+            _unity_against_two_walks(inst.expr, dict(zip(names, point)),
+                                     rng.choice((0.0, 1e-7, 0.05)))
+
+
+def test_a_fault_only_the_diagonal_meets_raises_from_the_unity_function():
+    f = parse("x1 + 0 * ln(x2)")
+    want = _unity_against_two_walks(f, {"x1": -1.0, "x2": 2.0}, 1e-7)
+    assert want[:2] == (EvalDomainError, "ln of a non-positive number in "
+                        "'ln(x2)' with arguments (-1.0,)")
+    # at the point, the same fault raises from the first half
+    want = _unity_against_two_walks(f, {"x1": 2.0, "x2": -1.0}, 1e-7)
+    assert want[:2] == (EvalDomainError, "ln of a non-positive number in "
+                        "'ln(x2)' with arguments (-1.0,)")
+    # a kink at the point raises; one at the diagonal returns no shares
+    g = parse("abs(x1) + 0 * abs(x2 - 1)")
+    want = _unity_against_two_walks(g, {"x1": 0.0, "x2": 3.0}, 1e-7)
+    assert want[:2] == (KinkPointError, "derivative undefined: abs at its "
+                        "corner 0")
+    want = _unity_against_two_walks(g, {"x1": 1.0, "x2": 3.0}, 1e-7)
+    assert want[2] is None
+
+
+def test_check_unity_makes_one_generated_call_per_point(monkeypatch):
+    calls = []
+    f = parse("(x1 + x2) / 2")
+    unity = f.program.generated(_UnitySource, _unit_seeds(2))
+    f.program._generated[_UnitySource, _unit_seeds(2)] = (
+        lambda env, margin: calls.append(env) or unity(env, margin))
+    sweep = unity_sweep(f, DomainBox.uniform(-1.0, 1.0, 2),
+                        SamplePlan(sample_count=16))
+    assert len(sweep.reports) == len(calls) == 16
+    assert len(f.program._generated) == 1
+
+
 def test_value_checks_build_no_tangent_function():
     # Only derivative calls generate the tangent function, on first use.
     f = parse("(x1 + x2) / 2")
@@ -702,8 +821,7 @@ def test_unity_raises_on_an_outer_kink():
 def test_unity_fd_method():
     f = parse("0.3 * x1 + 0.7 * x2")
     r = check_unity(f, {"x1": 2.0, "x2": 9.0}, PLAN, method="fd")
-    assert r.method == "fd"
-    assert r.tol == 1e-4
+    assert r.tol == 1e-4  # the report names no method; the document does
     assert r.sum_to_one is Status.PASS
     assert r.equal_shares is Status.FAIL
     assert r.shares == pytest.approx((0.3, 0.7), abs=1e-8)

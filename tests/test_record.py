@@ -41,8 +41,8 @@ FIELDS = {
     ScalarInstance: ("entry", "expr", "arity", "box", "params"),
     VectorInstance: ("entry", "fn", "dim", "box", "params"),
     UnityReport: ("n", "point", "value", "outer_gradient", "shares",
-                  "share_sum", "sum_to_one", "equal_shares", "method", "tol",
-                  "degenerate_reason"),
+                  "share_sum", "sum_to_one", "equal_shares",
+                  "degenerate_reason", "tol"),
     UnitySweep: ("reports", "points_skipped"),
     FiniteEndofunction: ("table",),
 }
