@@ -102,16 +102,10 @@ def _names(n: int) -> list[str]:
 
 def _typed(key: str, default, value):
     """value in the type of its parameter's default: an int, a finite float,
-    or a tuple of finite floats, where one number, anything real() reads
-    as one (numpy's scalars too), is a one-element vector."""
+    or a tuple of finite floats, where a value whose type cannot be iterated
+    (one number, numpy's scalars too) is a one-element vector."""
     if isinstance(default, tuple):
-        try:
-            values = (real(key, value),)
-        except ValueError as exc:  # not one number: a sequence of them
-            try:
-                values = tuple(value)
-            except TypeError:
-                raise CatalogError(str(exc)) from None
+        values = value if hasattr(type(value), "__iter__") else (value,)
         return tuple(_typed(key, 0.0, v) for v in values)
     try:
         if isinstance(default, int):

@@ -592,7 +592,6 @@ def _unity_checker(f: Expr, plan: SamplePlan, method: str):
         raise ValueError("candidate has no free variables")
     margin = plan.kink_margin
     target = 1.0 / n
-    PASS, FAIL, DEGENERATE = Status.PASS, Status.FAIL, Status.DEGENERATE
 
     def check(env: Mapping[str, float], point) -> UnityReport:
         value, outer, shares = unity(env, margin)
@@ -605,11 +604,12 @@ def _unity_checker(f: Expr, plan: SamplePlan, method: str):
 
         share_sum = None if shares is None else sum(shares)
         if reason is not None:
-            sum_status = equal_status = DEGENERATE
+            sum_status = equal_status = Status.DEGENERATE
         else:
-            sum_status = PASS if abs(share_sum - 1.0) <= tol else FAIL
+            sum_status = (Status.PASS if abs(share_sum - 1.0) <= tol
+                          else Status.FAIL)
             worst = max([abs(s - target) for s in shares])
-            equal_status = PASS if worst <= tol else FAIL
+            equal_status = Status.PASS if worst <= tol else Status.FAIL
 
         if point is None:
             point = tuple([env[name] for name in names])
@@ -648,17 +648,13 @@ def unity_sweep(f: Expr, domain: DomainBox, plan: SamplePlan,
     check = _unity_checker(f, plan, method)
     sample, seed = domain.sample_point, plan.seed
     env: dict[str, float] = {}
-    name = names[0] if len(names) == 1 else None
     reports = []
     skipped = 0
     stride = KINK_RETRY_LIMIT + 1
     for i in range(plan.sample_count):
         for r in range(stride):
             point = sample(seed, i * stride + r)
-            if name is None:
-                env.update(zip(names, point))
-            else:
-                env[name], = point
+            env.update(zip(names, point))
             try:
                 reports.append(check(env, point))
             except KinkPointError:

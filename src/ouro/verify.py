@@ -88,15 +88,9 @@ class DomainBox(Record):
         c = index * n + j of a counter-based splitmix64 stream: the top 53
         bits of its finaliser at seed + (c + 1) * _GOLDEN mod 2**64, times
         2**-53.  Sample i never depends on samples j < i, so verification
-        can be reordered or parallelised without changing any verdict.  One
-        coordinate is computed straight-line, by the same operations."""
+        can be reordered or parallelised without changing any verdict."""
         spans = self.spans
         z = (seed + (index * len(spans) + 1) * _GOLDEN) & _M64
-        if len(spans) == 1:
-            (lo, width), = spans
-            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
-            return (lo + ((z ^ (z >> 31)) >> 11) * 2.0 ** -53 * width,)
         out = []
         for lo, width in spans:
             x = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64

@@ -228,6 +228,8 @@ def test_one_number_is_a_one_element_vector_parameter():
     ("hyperplane_projection", np.int64(2), (2.0,)),
     ("hyperplane_projection", np.float64(2.0), (2.0,)),
     ("hyperplane_projection", np.array([1.0, 2.0]), (1.0, 2.0)),
+    # an array is iterated, never read by float(), even with one element
+    ("hyperplane_projection", np.array([2.0]), (2.0,)),
     ("weighted_mean", np.float32(0.5), "weighted_mean needs at least two weights"),
     # what is neither one number nor a sequence is refused by its key
     ("weighted_mean", True, "w must be a number, got True"),
