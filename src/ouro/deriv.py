@@ -20,7 +20,7 @@ import math
 from functools import cache
 from typing import Mapping
 
-from ._record import Record
+from ._record import Record, integer
 from .expr import (
     BinOp, Call, Const, EvalDomainError, EvaluationError, Expr, Neg,
     UnboundVariableError, Var, _fold, _ValueSource, evaluate,
@@ -61,7 +61,7 @@ class KinkPointError(EvaluationError):
 # Vector forward mode: every node has a value and a tangent, a tuple of any
 # width holding one directional derivative per seed direction.
 # _TangentSource states each derivative rule once, as the source it emits:
-# one builder per node type and one per builtin of expr.BUILTIN_RULES.  It
+# one builder per node type and one per builtin of expr._RULES.  It
 # generates one function per expression and seeds.  The seeds are known
 # when the source is written, each component 0.0 or 1.0, so each rule is
 # written as one statement per tangent component not known then, and a
@@ -284,7 +284,7 @@ class _TangentSource(_ValueSource):
         v, t = _fold(expr, self.table)
         return f"{v}, {_spelt(t)}"
 
-    # -- the builtins, keyed like expr.BUILTIN_RULES
+    # -- the builtins, keyed like the builtins of expr._RULES
 
     def corner(self, node: Call, v: str, arg):
         (a, t), func = arg, node.func
@@ -469,6 +469,7 @@ def dual_eval(f: Expr, env: Mapping[str, float], i: int, *,
     its jump or corner (and always when exactly on it).
     """
     names = f.program.names
+    i = integer("i", i)
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     seeds = tuple([(1.0,) if j == i else (0.0,) for j in range(len(names))])
@@ -487,6 +488,7 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
     the caller's part (the step is not validated against the box).
     """
     names = f.program.names
+    i = integer("i", i)
     if not 0 <= i < len(names):
         raise ValueError(f"coordinate {i} out of range for {len(names)} variable(s)")
     name = names[i]

@@ -302,17 +302,14 @@ def free_variables(expr: Expr) -> list[str]:
 # _RULES is the only statement of what an operator or builtin computes: its
 # parameters, then its Python source, statements whose last line is the
 # result, with r as its one temporary local.  A rule takes finite floats and
-# raises Undefined(message) outside its domain.  _spell writes the source
-# over given arguments, locals or constants' literals: the generated
-# functions write it inline, and BINARY_RULES and BUILTIN_RULES (see
-# __getattr__) are the same source compiled into functions.  math.pow
-# returns a finite float or raises, so "^" tests no result.  min and max
-# keep the builtins' choice between tied values, so between 0.0 and -0.0
-# too; abs stays the builtin, since "-a if a < 0.0 else a" would keep -0.0.
-
-class Undefined(Exception):
-    """A rule's inputs lie outside its domain; the message says how."""
-
+# marks each input outside its domain with "raise Undefined(message)", a
+# spelling that names no class.  _ValueSource.spell is the source's only
+# reader: it writes a rule inline over given arguments, locals or constants'
+# literals, and spells each such raise as an EvalDomainError raise.
+# math.pow returns a finite float or raises, so "^" tests no result.  min
+# and max keep the builtins' choice between tied values, so between 0.0 and
+# -0.0 too; abs stays the builtin, since "-a if a < 0.0 else a" would keep
+# -0.0.
 
 _RULES = {
     "+": ("a", "b", "a + b"),
@@ -364,61 +361,6 @@ BUILTIN_ARITY = {name: len(rule) - 1 for name, rule in _RULES.items()
 _WORD = r"'[^']*'|Undefined\(|[A-Za-z_]\w*"
 
 
-def _spell(name: str, args: tuple[str, ...], out: str | None, fault: str,
-           static: Mapping[str, float]) -> list[str]:
-    """The statements of rule `name` over the expressions `args`: each
-    parameter renamed to its argument, the result assigned to `out`
-    (returned where `out` is None), and each `raise Undefined(m)` written
-    `raise <fault>m) from None`.  r is renamed to `out` where it is the
-    result, else to `out` + "r", so each local is assigned once.  A test
-    that reads only parameters whose arguments are constants, the keys of
-    `static`, is decided now and written only where it holds."""
-    *params, source = _RULES[name]
-    lines = source.strip("\n").splitlines()
-    indent = len(lines[0]) - len(lines[0].lstrip())
-    lines = [line[indent:] for line in lines]
-    temp = "r" if out is None else out if lines[-1] == "r" else out + "r"
-    names = {**dict(zip(params, args)), "r": temp, "Undefined(": fault}
-    known = {p: static[a] for p, a in zip(params, args) if a in static}
-    lines = iter(lines)
-    spelt = []
-    for line in lines:
-        test = line[3:-1] if line.startswith("if ") else ""
-        if test and set(re.findall(_WORD, test)) <= known.keys() and not eval(
-                test, {}, known):
-            next(lines)  # the raise it guards
-            continue
-        line = re.sub(_WORD, lambda m: names.get(m[0], m[0]), line)
-        raise_ = line.lstrip().startswith("raise ")
-        spelt.append(line + " from None" if raise_ else line)
-    result = spelt.pop()
-    if out is None:
-        spelt.append(f"return {result}")
-    elif result != out:
-        spelt.append(f"{out} = {result}")
-    return spelt
-
-
-def __getattr__(name: str):
-    """BINARY_RULES and BUILTIN_RULES: the rules of the operators and of
-    the builtins as functions, compiled from their source on first use and
-    kept.  No command calls them, so start-up does not compile them."""
-    if name not in ("BINARY_RULES", "BUILTIN_RULES"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    names = _BINARY if name == "BINARY_RULES" else BUILTIN_ARITY
-    source = ""
-    for i, rule in enumerate(names):
-        params = _RULES[rule][:-1]
-        source += f"def rule{i}({', '.join(params)}):\n" + "".join(
-            f"    {line}\n"
-            for line in _spell(rule, params, None, "Undefined(", {}))
-    namespace = {"math": math, "Undefined": Undefined}
-    exec(compile(source, "<ouro.expr rules>", "exec"), namespace)
-    rules = globals()[name] = {rule: namespace[f"rule{i}"]
-                               for i, rule in enumerate(names)}
-    return rules
-
-
 # ---------------------------------------------------------------------------
 # compiled programs
 #
@@ -444,14 +386,15 @@ class _ValueSource:
     it is made, in the tree walk's order, so the function raises what the
     walk would: a variable's binding is checked where it is first read, the
     result of + - * / is checked where it is made, and each operator and
-    builtin writes its rule inline (see _spell), raising EvalDomainError
-    where the rule raises Undefined; a constant, and the negation of a
-    finite value, need no check.  A constant, and so the negation of one,
-    is written as the repr of its float, which reads back to the same bits:
-    "x / -6" tests no divisor.  No other user text reaches the source but
-    variable names, which Var has validated, and only inside repr string
-    literals: the keys and the binding error's message.  Nodes are reached
-    through the function's globals; it calls no rule function.
+    builtin writes its rule inline (see spell, the rules' only reader),
+    raising EvalDomainError where the rule spells a raise of Undefined; a
+    constant, and the negation of a finite value, need no check.  A
+    constant, and so the negation of one, is written as the repr of its
+    float, which reads back to the same bits: "x / -6" tests no divisor.
+    No other user text reaches the source but variable names, which Var has
+    validated, and only inside repr string literals: the keys and the
+    binding error's message.  Nodes are reached through the function's
+    globals.
     """
 
     params = "env"
@@ -529,10 +472,37 @@ class _ValueSource:
 
     def spell(self, rule: str, args: tuple[str, ...], out: str, here: str,
               inputs: str) -> list[str]:
-        """Rule `rule`'s statements setting `out`, raising
-        EvalDomainError(here, inputs, message) outside its domain."""
-        return _spell(rule, args, out, f"EvalDomainError({here}, {inputs}, ",
-                      self.static)
+        """Rule `rule`'s statements over the expressions `args`, setting
+        `out`: each parameter renamed to its argument, and each
+        `raise Undefined(m)` written `raise EvalDomainError(here, inputs,
+        m) from None`.  r is renamed to `out` where it is the result, else
+        to `out` + "r", so each local is assigned once.  A test that reads
+        only parameters whose arguments are constants, the keys of
+        self.static, is decided now and written only where it holds."""
+        *params, source = _RULES[rule]
+        lines = source.strip("\n").splitlines()
+        indent = len(lines[0]) - len(lines[0].lstrip())
+        lines = [line[indent:] for line in lines]
+        temp = out if lines[-1] == "r" else out + "r"
+        fault = f"EvalDomainError({here}, {inputs}, "
+        names = {**dict(zip(params, args)), "r": temp, "Undefined(": fault}
+        known = {p: self.static[a] for p, a in zip(params, args)
+                 if a in self.static}
+        lines = iter(lines)
+        spelt = []
+        for line in lines:
+            test = line[3:-1] if line.startswith("if ") else ""
+            if (test and set(re.findall(_WORD, test)) <= known.keys()
+                    and not eval(test, {}, known)):
+                next(lines)  # the raise it guards
+                continue
+            line = re.sub(_WORD, lambda m: names.get(m[0], m[0]), line)
+            raise_ = line.lstrip().startswith("raise ")
+            spelt.append(line + " from None" if raise_ else line)
+        result = spelt.pop()
+        if result != out:
+            spelt.append(f"{out} = {result}")
+        return spelt
 
     def result(self, expr: Expr) -> str:
         """The expression the function returns: `expr` folded by the table."""

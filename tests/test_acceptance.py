@@ -10,6 +10,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -283,6 +284,72 @@ def _random_ast(rng: random.Random, depth: int):
     if rng.random() < 0.5:
         return Call(rng.choice(("min", "max")), tuple(operands(2)))
     return Call("clamp", tuple(operands(3)))
+
+
+# The reference rules: the functions the generated value functions called
+# before expr stated each rule once, as source that they write inline.
+# They are the oracle of test_expr and test_deriv: every rule, inlined over
+# variables and over constants, is pinned to them.
+
+class Undefined(Exception):
+    """A reference rule's inputs lie outside its domain; the message says
+    how, in the words of the rule's EvalDomainError."""
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise Undefined("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    try:
+        r = math.pow(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise Undefined(f"invalid power ({exc})") from None
+    if not math.isfinite(r):
+        raise Undefined("power overflows")
+    return r
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise Undefined("exp overflows") from None
+
+
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise Undefined("ln of a non-positive number")
+    return math.log(v)
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise Undefined("sqrt of a negative number")
+    return math.sqrt(v)
+
+
+_REFERENCE_RULES = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "^": _pow,
+    "abs": abs,
+    "floor": lambda v: float(math.floor(v)),
+    "ceil": lambda v: float(math.ceil(v)),
+    "sign": lambda v: 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0),
+    "relu": lambda v: v if v > 0.0 else 0.0,
+    "exp": _exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "min": min,
+    "max": max,
+    "clamp": lambda v, lo, hi: min(max(v, lo), hi),
+}
+
 
 
 @criterion(9, "parser round-trip, format idempotence and fuzz safety")

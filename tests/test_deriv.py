@@ -3,10 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import _random_ast
+from test_acceptance import _REFERENCE_RULES, Undefined, _random_ast
 
 from ouro.catalog import instantiate, list_entries
 from ouro.deriv import (
@@ -15,9 +16,8 @@ from ouro.deriv import (
     check_unity, dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
-    BINARY_RULES, BUILTIN_RULES, BinOp, Const, EvalDomainError,
-    EvaluationError, Neg, UnboundVariableError, Undefined, Var, _fold,
-    evaluate, free_variables, parse,
+    _BINARY, BUILTIN_ARITY, BinOp, Const, EvalDomainError, EvaluationError,
+    Neg, UnboundVariableError, Var, _fold, evaluate, free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status, check_iterated, check_membership
 
@@ -146,6 +146,12 @@ def test_dual_eval_validates_inputs():
         dual_eval(f, {"x1": 1.0}, 0)
     with pytest.raises(ValueError):
         dual_eval(f, {"x1": 1.0, "x2": float("nan")}, 0)
+    # the coordinate is an integer: True is not 1, nor is 1.0
+    env = {"x1": 2.0, "x2": 3.0}
+    for i in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="i must be an integer"):
+            dual_eval(f, env, i)
+    assert dual_eval(parse("x1 * x2"), env, np.int64(1)) == (6.0, 2.0)
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
@@ -220,6 +226,11 @@ def test_fd_leaves_env_alone():
 def test_fd_coordinate_validation():
     with pytest.raises(ValueError):
         fd_partial(parse("x"), {"x": 1.0}, 1)
+    f, env = parse("x1 * x2"), {"x1": 2.0, "x2": 3.0}
+    for i in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="i must be an integer"):
+            fd_partial(f, env, i)
+    assert fd_partial(f, env, np.int64(1)) == pytest.approx(2.0)
     # a missing binding is named, whichever coordinate is probed
     for i in (0, 1):
         with pytest.raises(UnboundVariableError, match="x2"):
@@ -333,8 +344,8 @@ def test_vector_tangent_matches_per_coordinate_duals():
 
 
 # The reference rules: each derivative over whole tangents, keyed like
-# BINARY_RULES / BUILTIN_RULES.  A rule takes the values and tangents of its
-# arguments and the node's value.  They are written apart from
+# test_acceptance._REFERENCE_RULES.  A rule takes the values and tangents
+# of its arguments and the node's value.  They are written apart from
 # deriv._TangentSource, which states the same rules as the source it emits,
 # so the oracle below checks the emitter rather than repeating it.
 
@@ -366,7 +377,7 @@ def _pow_tangent(a: float, at: Tangent, b: float, bt: Tangent,
                 out.append(0.0)
                 continue
             if base is None:
-                base = BINARY_RULES["^"](a, b - 1.0)
+                base = _REFERENCE_RULES["^"](a, b - 1.0)
             out.append(b * base * da)
         else:
             if a <= 0.0:
@@ -380,7 +391,7 @@ def _componentwise(rule):
                                           for da, db in zip(at, bt)])
 
 
-# Keyed like expr.BINARY_RULES: (a, a', b, b', value) -> tangent.
+# Keyed like expr._BINARY: (a, a', b, b', value) -> tangent.
 BINARY_TANGENTS = {**{op: _componentwise(rule)
                       for op, rule in _COMPONENT_RULES.items()},
                    "^": _pow_tangent}
@@ -431,7 +442,7 @@ def _call_tangent(func: str, args, v: float, margin: float) -> Tangent:
 
 def _tangent_oracle(node, bound, margin, zero):
     """The recursive closure walk the generated tangent function replaced,
-    kept as the slow reference: it reads BINARY_RULES / BUILTIN_RULES and
+    kept as the slow reference: it reads _REFERENCE_RULES and
     BINARY_TANGENTS / _call_tangent directly.  bound maps each variable to
     its (value, seed) pair."""
     if isinstance(node, Const):
@@ -445,11 +456,11 @@ def _tangent_oracle(node, bound, margin, zero):
         return -v, tuple([-d for d in t])
     inputs = tuple([v for v, _ in pairs])
     if isinstance(node, BinOp):
-        rule = BINARY_RULES[node.op]
+        rule = _REFERENCE_RULES[node.op]
         (a, at), (b, bt) = pairs
         tangent = lambda v: BINARY_TANGENTS[node.op](a, at, b, bt, v)
     else:
-        rule = BUILTIN_RULES[node.func]
+        rule = _REFERENCE_RULES[node.func]
         tangent = lambda v: _call_tangent(node.func, pairs, v, margin)
     try:
         v = rule(*inputs)
@@ -738,8 +749,8 @@ def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
 
 
 def test_every_operator_has_a_tangent_rule():
-    assert _COMPONENT_RULES.keys() | {"^"} == BINARY_RULES.keys()
-    assert _TangentSource().calls.keys() == BUILTIN_RULES.keys()
+    assert _COMPONENT_RULES.keys() | {"^"} == _BINARY.keys()
+    assert _TangentSource().calls.keys() == BUILTIN_ARITY.keys()
 
 
 def test_each_kink_test_is_written_once():

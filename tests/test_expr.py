@@ -4,7 +4,6 @@ import copy
 import io
 import itertools
 import math
-import operator
 import pickle
 import random
 import re
@@ -15,16 +14,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import _random_ast
+from test_acceptance import _REFERENCE_RULES, Undefined, _random_ast
 
 import ouro
 from ouro._record import Record
 from ouro.deriv import _TangentSource, _unit_seeds
 from ouro.expr import (
-    _BINARY, BINARY_RULES, BUILTIN_ARITY, BUILTIN_RULES, BinOp, Call, Const,
-    EvalDomainError, EvaluationError, Expr, Neg, ParseError,
-    UnboundVariableError, Undefined, Var, _IDENT_RE, _UNBOUNDED_OPS, _fold,
-    _ValueSource, evaluate, format_expr, free_variables, parse,
+    _BINARY, _RULES, BUILTIN_ARITY, BinOp, Call, Const, EvalDomainError,
+    EvaluationError, Expr, Neg, ParseError, UnboundVariableError, Var,
+    _IDENT_RE, _UNBOUNDED_OPS, _fold, _ValueSource, evaluate, format_expr,
+    free_variables, parse,
 )
 
 
@@ -220,71 +219,9 @@ def test_deep_expression_pickles_and_copies_as_its_text():
         assert evaluate(twin, {"x": 1.5}) == evaluate(e, {"x": 1.5}) == 1.5
 
 
-# --- the reference rules ---------------------------------------------------------
-#
-# The functions the generated value functions called before expr stated
-# each rule once, as source that they write inline.  They are the oracle:
-# every rule, called from BINARY_RULES / BUILTIN_RULES and inlined, is
-# pinned to them below.
-
-def _div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise Undefined("division by zero")
-    return a / b
-
-
-def _pow(a: float, b: float) -> float:
-    try:
-        r = math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise Undefined(f"invalid power ({exc})") from None
-    if not math.isfinite(r):
-        raise Undefined("power overflows")
-    return r
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise Undefined("exp overflows") from None
-
-
-def _ln(v: float) -> float:
-    if v <= 0.0:
-        raise Undefined("ln of a non-positive number")
-    return math.log(v)
-
-
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise Undefined("sqrt of a negative number")
-    return math.sqrt(v)
-
-
-_REFERENCE_RULES = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "^": _pow,
-    "abs": abs,
-    "floor": lambda v: float(math.floor(v)),
-    "ceil": lambda v: float(math.ceil(v)),
-    "sign": lambda v: 0.0 if v == 0.0 else (1.0 if v > 0.0 else -1.0),
-    "relu": lambda v: v if v > 0.0 else 0.0,
-    "exp": _exp,
-    "ln": _ln,
-    "sqrt": _sqrt,
-    "min": min,
-    "max": max,
-    "clamp": lambda v, lo, hi: min(max(v, lo), hi),
-}
-
-
 def _oracle(node, env):
     """The recursive tree walk evaluate replaced, kept as the slow
-    reference: it calls the reference rules above."""
+    reference: it calls test_acceptance's reference rules."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -401,7 +338,8 @@ _PIN_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 710.0, 1e200, -1e308,
 
 
 def _called(rule, args):
-    """A rule function's result by its bits, or its error's type and text."""
+    """A reference rule's result by its bits, or its error's type and
+    text."""
     try:
         return rule(*args).hex()
     except Undefined as exc:
@@ -426,13 +364,11 @@ def _node(name, args, as_constant):
 
 
 def _pin_rule(name):
-    """Assert that rule `name`, called and inlined over variables and over
-    constants, gives the reference rule's bits or error on every tuple of
+    """Assert that rule `name`, inlined over variables and over constants,
+    gives the reference rule's bits or error on every tuple of
     _PIN_VALUES."""
     arity = BUILTIN_ARITY.get(name, 2)
-    called = BINARY_RULES.get(name) or BUILTIN_RULES[name]
     for args in itertools.product(_PIN_VALUES, repeat=arity):
-        assert _called(called, args) == _called(_REFERENCE_RULES[name], args), args
         for as_constant in (False, True):
             f, env = _node(name, args, as_constant)
             want = _outcome(lambda: _oracle(f, env))
@@ -466,8 +402,8 @@ def test_rule_pins_meet_zeros_ties_overflow_and_domain_faults():
     for name in ("min", "max", "clamp"):
         assert {"0x0.0p+0", "-0x0.0p+0"} <= outcomes[name], name
     # of tied arguments the first is kept, as the builtins keep it
-    assert BUILTIN_RULES["min"](0.0, -0.0).hex() == "0x0.0p+0"
-    assert BUILTIN_RULES["max"](-0.0, 0.0).hex() == "-0x0.0p+0"
+    assert evaluate(parse("min(x1, x2)"), {"x1": 0.0, "x2": -0.0}).hex() == "0x0.0p+0"
+    assert evaluate(parse("max(x1, x2)"), {"x1": -0.0, "x2": 0.0}).hex() == "-0x0.0p+0"
     assert evaluate(parse("clamp(-0, 0, 1)"), {}).hex() == "-0x0.0p+0"
 
 
@@ -484,12 +420,11 @@ def _every_rule_tree():
 
 
 def test_generated_functions_call_no_rule_function():
-    # every rule is written inline: no rule function is among the globals
-    # of a value or tangent function, none is called, and neither is the
-    # builtin min or max; abs stays the builtin
+    # every rule is written inline: no reference rule function is among
+    # the globals of a value or tangent function, no global is called, and
+    # neither is the builtin min or max; abs stays the builtin
     f = _every_rule_tree()
-    rules = [*BINARY_RULES.values(), *BUILTIN_RULES.values(),
-             *_REFERENCE_RULES.values()]
+    rules = _REFERENCE_RULES.values()
     seeds = _unit_seeds(len(free_variables(f)))
     for emitter in (_ValueSource, _TangentSource, lambda: _TangentSource(seeds)):
         source = emitter()
@@ -508,18 +443,21 @@ _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(_EDGES + tuple(-x for x in _EDGES)))
 
 # The rules whose results the value function does not check.
-_SELF_CHECKED = {**BUILTIN_RULES, **{op: rule for op, rule in BINARY_RULES.items()
-                                     if op not in _UNBOUNDED_OPS}}
+_SELF_CHECKED = _RULES.keys() - set(_UNBOUNDED_OPS)
 
 
 @pytest.mark.parametrize("name", sorted(_SELF_CHECKED))
 @given(args=st.tuples(_FINITE, _FINITE, _FINITE))
 @settings(max_examples=300)
 def test_unchecked_rules_return_a_finite_float_or_raise_undefined(name, args):
-    # so a new builtin that can overflow fails here, not at a user's point
+    # so a new builtin that can overflow fails here, not at a user's point:
+    # the value function returns such a rule's result unchecked, and an
+    # EvalDomainError on this one-node tree is the rule's own raise
+    f, env = _node(name, args[:BUILTIN_ARITY.get(name, 2)], False)
     try:
-        r = _SELF_CHECKED[name](*args[:BUILTIN_ARITY.get(name, 2)])
-    except Undefined:
+        r = evaluate(f, env)
+    except EvalDomainError as exc:
+        assert exc.node is f and exc.detail != "result is not finite"
         return
     assert type(r) is float and math.isfinite(r), (name, args, r)
 
@@ -529,12 +467,16 @@ def test_checked_operators_can_leave_the_reals():
     partner = {"+": big, "-": -big, "*": big, "/": 0.5}
     assert partner.keys() == set(_UNBOUNDED_OPS)
     for op, b in partner.items():
-        assert BINARY_RULES[op](big, b) == math.inf
+        assert _REFERENCE_RULES[op](big, b) == math.inf
+        with pytest.raises(EvalDomainError, match="result is not finite"):
+            evaluate(BinOp(op, Var("a"), Var("b")), {"a": big, "b": b})
 
 
 def test_every_operator_binds_and_computes():
-    # the binding table and the value table name the same operators
-    assert _BINARY.keys() == BINARY_RULES.keys()
+    # the binding table and the rule table name the same operators, and
+    # the reference states every rule
+    assert _BINARY.keys() == _RULES.keys() - BUILTIN_ARITY.keys()
+    assert _REFERENCE_RULES.keys() == _RULES.keys()
 
 
 def test_generated_source_holds_only_variable_names():
