@@ -441,7 +441,7 @@ def instantiate(name: str, **overrides):
         params.update((key, _typed(key, params[key], value))
                       for key, value in overrides.items())
         built, size = builder(params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, CatalogError):
             raise
         raise CatalogError(f"bad parameters for {name}: {exc}") from None

@@ -223,7 +223,7 @@ def _load_config(path: str, rows: dict) -> dict:
 def _effective_options(ns: argparse.Namespace, rows: dict) -> dict:
     options = {dest: default for dest, (default, _) in rows.items()}
     provided = {k: v for k, v in vars(ns).items() if k != "command"}
-    if provided.get("config"):
+    if "config" in provided:
         options.update(_load_config(provided["config"], rows))
         # --params adds to the file's params, so a key in both is given
         # twice; every other flag replaces its config value

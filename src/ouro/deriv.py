@@ -84,7 +84,9 @@ class KinkPointError(EvaluationError):
 # the tree a second time, reading every variable as the first fold's value,
 # so one generated call gives both; a kink on the diagonal returns no
 # shares there instead of raising.  tests/test_deriv.py keeps the two calls
-# of the tangent function as its reference.
+# of the tangent function as its reference.  Both methods check a point
+# through it: dual with the unit seeds, and fd at width 0, as the screen
+# that meets every kink and fault at both points before the differences.
 
 Tangent = tuple[float, ...]
 
@@ -417,7 +419,9 @@ class _UnitySource(_TangentSource):
     binding is read or checked.  That half runs the statements the tangent
     function runs on dict.fromkeys(names, value), raising its value and
     derivative faults, and shares is its tangent; but where its kink test
-    holds, the function returns (value, tangent, None) instead.
+    holds, the function returns (value, tangent, None) instead.  With the
+    unit seeds it is dual's unity check; with no seeds, at width 0, it is
+    fd's screen, whose shares () or None say whether the diagonal kinks.
     """
 
     def __init__(self, seeds: tuple[Tangent, ...]):
@@ -482,8 +486,9 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
     """Central-difference estimate of d f / d x_i at `env`, with step
     h = 1e-6 * max(1, |x_i|).
 
-    Where one probe, x_i + h or x_i - h, raises EvalDomainError, the
-    one-sided difference on the other side is taken; where both do, the
+    Where one probe, x_i + h or x_i - h, raises EvalDomainError or is not
+    finite (near the largest doubles), it has left the domain, and the
+    one-sided difference on the other side is taken; where both raise, the
     upper probe's error propagates.  Keeping the probes away from kinks is
     the caller's part (the step is not validated against the box).
     """
@@ -501,39 +506,39 @@ def fd_partial(f: Expr, env: Mapping[str, float], i: int) -> float:
     probe, ends, errors = dict(env), [], []
     for step in (h, -h):
         probe[name] = x + step
+        if not math.isfinite(probe[name]):
+            continue
         try:
             ends.append((step, evaluate(f, probe)))
         except EvalDomainError as exc:
             errors.append(exc)
     if not ends:
         raise errors[0]
-    if errors:  # x itself stands in for the probe that left the domain
+    if len(ends) == 1:  # x stands in for the probe that left the domain
         ends.append((0.0, evaluate(f, env)))
     (s0, y0), (s1, y1) = ends
     return (y0 - y1) / (s0 - s1)
 
 
-def _gradient_walk(f: Expr, names: list[str], method: str):
-    """The function (env, margin) -> f's value and gradient at env by
-    `method`; its tangent function is looked up once."""
+def _seeds(method: str, n: int) -> tuple[Tangent, ...]:
+    """The seeds of `method`'s tangent function: the n unit seeds for dual,
+    none for fd, whose width-0 function screens for kinks and faults."""
     if method not in TOL_UNITY:
         raise ValueError(f"unknown method {method!r}")
-    if method == "dual":
-        return f.program.generated(_TangentSource, _unit_seeds(len(names)))
-    # Finite differencing cannot see kinks on its own: a width-0 walk
-    # screens the point first.
-    screen = f.program.generated(_TangentSource, ())
+    return _unit_seeds(n) if method == "dual" else ()
 
-    def walk(env, margin):
-        value, _ = screen(env, margin)
-        return value, tuple([fd_partial(f, env, i) for i in range(len(names))])
-    return walk
+
+def _differences(f: Expr, env: Mapping[str, float]) -> tuple[float, ...]:
+    """f's gradient at env by central differences."""
+    return tuple([fd_partial(f, env, i) for i in range(len(f.program.names))])
 
 
 def gradient(f: Expr, env: Mapping[str, float], method: str = "dual", *,
              kink_margin: float = 0.0) -> tuple[float, ...]:
     """All partials of f at `env` by the chosen method."""
-    return _gradient_walk(f, f.program.names, method)(env, kink_margin)[1]
+    seeds = _seeds(method, len(f.program.names))
+    _, grad = f.program.generated(_TangentSource, seeds)(env, kink_margin)
+    return grad if method == "dual" else _differences(f, env)
 
 
 class UnityReport(Record):
@@ -565,20 +570,20 @@ class UnitySweep(Record):
 def _unity_walk(f: Expr, names: list[str], method: str):
     """The function (env, margin) -> (value, outer, shares) by `method`:
     f's value and gradient at env, and its gradient at the diagonal point
-    (value, ..., value), None where that point is a kink.  For dual it is
-    one generated call; fd walks both points."""
+    (value, ..., value), None where that point is a kink.  One call of the
+    unity function meets every kink and fault at both points; fd then
+    takes the differences at each point that has them."""
+    unity = f.program.generated(_UnitySource, _seeds(method, len(names)))
     if method == "dual":
-        return f.program.generated(_UnitySource, _unit_seeds(len(names)))
-    walk = _gradient_walk(f, names, method)
+        return unity
 
-    def unity(env, margin):
-        value, outer = walk(env, margin)
-        try:  # value is finite, so the diagonal point binds every name
-            shares = walk(dict.fromkeys(names, value), margin)[1]
-        except KinkPointError:
-            shares = None
+    def differences(env, margin):
+        value, _, shares = unity(env, margin)
+        outer = _differences(f, env)
+        if shares is not None:  # value is finite: it binds every name
+            shares = _differences(f, dict.fromkeys(names, value))
         return value, outer, shares
-    return unity
+    return differences
 
 
 def _unity_checker(f: Expr, plan: SamplePlan, method: str):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +214,13 @@ def test_weighted_mean_values_and_validation():
         instantiate("weighted_mean", w=(-0.2, 1.2))
 
 
+def test_weighted_mean_weights_that_overflow_are_bad_parameters():
+    # fsum of the weights overflows before their sum can be compared to 1
+    with pytest.raises(CatalogError, match=r"^bad parameters for weighted_mean: "
+                                           r"intermediate overflow in fsum$"):
+        instantiate("weighted_mean", w=(1e308, 1e308))
+
+
 def test_one_number_is_a_one_element_vector_parameter():
     for a in (2, 2.0):
         inst = instantiate("hyperplane_projection", a=a)
@@ -342,6 +350,18 @@ def test_l2_ball_projection_survives_overflowing_squares():
     assert inst((-3e200, 0.0)) == (-1.0, 0.0)
     # the norm itself exceeds the largest double
     assert inst((-1.7e308, -1.7e308)) == (-1.0 / math.sqrt(2.0),) * 2
+
+
+def test_dot_sums_again_in_units_where_the_products_overflow():
+    # the products 6e307, 4e307 (four times) and -4e307 (three times) sum
+    # to 1e308, a double, but their partial sum 2.2e308 overflows fsum
+    x, y = (8e307,) * 5 + (-8e307,) * 3, (0.75,) + (0.5,) * 7
+    products = [Fraction(v * w) for v, w in zip(x, y)]
+    with pytest.raises(OverflowError):
+        math.fsum(v * w for v, w in zip(x, y))
+    assert float(sum(products)) == catalog._dot(x, y) == 1e308
+    # 8 * 4e307 exceeds the largest double
+    assert catalog._dot((8e307,) * 8, (0.5,) * 8) == math.inf
 
 
 def test_simplex_projection_rejects_entries_too_large_to_threshold():

@@ -103,6 +103,22 @@ def test_one_number_is_a_one_element_vector_parameter():
     assert r.stderr == "ouro: error: weighted_mean needs at least two weights\n"
 
 
+def test_catalog_parameters_that_overflow_are_a_usage_error():
+    r = run_cli("check", "--catalog", "weighted_mean", "--w", "1e308,1e308")
+    assert r.returncode == 2
+    assert r.stderr == ("ouro: error: bad parameters for weighted_mean: "
+                        "intermediate overflow in fsum\n")
+
+
+def test_hyperplane_projection_near_the_largest_doubles_passes():
+    # eight coordinates of up to 8e307 each, whose sum could exceed the
+    # largest double: every sampled projection is still finite
+    r = run_cli("check", "--catalog", "hyperplane_projection", "--params",
+                "a=1,1,1,1,1,1,1,1", "--box=-8e307:8e307", "--samples", "64")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "overall: PASS" in r.stdout
+
+
 @pytest.mark.parametrize("name, box, code, overall", [
     # x.x overflows a double there: each sample projects onto the sphere
     ("l2_ball_projection", "--box=-1e200:1e200", 0, "overall: PASS"),
@@ -411,6 +427,31 @@ def test_derive_fd_at_a_domain_edge_differences_one_side():
         assert json.loads(r.stdout)["reports"][0]["sum_to_one"] == "PASS"
 
 
+@pytest.mark.parametrize("box, point", [
+    ("--box=0:1.7976931348623157e308", "--point=1.7976931348623157e308"),
+    ("--box=-1.7976931348623157e308:0", "--point=-1.7976931348623157e308"),
+])
+def test_derive_fd_at_the_largest_doubles_differences_one_side(box, point):
+    # the outward probe overflows to inf, so fd looks inward only
+    r = run_cli("derive", "--expr", "x", box, point, "--method", "fd",
+                "--skip-membership", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)["reports"][0]
+    assert report["shares"] == [1.0000000000287559]
+    assert report["sum_to_one"] == "PASS"
+
+
+@pytest.mark.parametrize("method", ["dual", "fd"])
+def test_derive_meets_the_diagonal_fault_before_the_probes(method):
+    # at x = 1 the diagonal point is -0.0, where sqrt's argument is -1;
+    # fd's probes x +- h would leave sqrt's domain too, but come later
+    r = run_cli("derive", "--expr", "sqrt(-(x - 1)^2)", "--point", "1",
+                "--skip-membership", "--method", method)
+    assert r.returncode == 3
+    assert r.stderr == ("ouro: error: sqrt of a negative number in "
+                        "'sqrt(-(x - 1)^2)' with arguments (-1.0,)\n")
+
+
 def test_derive_sweep_domain_fault_exits_3():
     # an evaluation fault inside the sweep is a domain error, not a usage
     # error, just as it is at a single --point
@@ -694,6 +735,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     r = run_cli("check", "--expr", "abs(x)", "--config", str(cfg))
     assert r.returncode == 2
     assert "unknown config key" in r.stderr
+
+
+def test_an_empty_config_path_is_unreadable():
+    r = run_cli("check", "--expr", "x", "--config", "")
+    assert r.returncode == 2
+    assert r.stderr.startswith("ouro: error: cannot read config file: ")
+    assert r.stdout == ""
 
 
 def test_config_rejects_bad_values(tmp_path):

@@ -13,7 +13,7 @@ from ouro.catalog import instantiate, list_entries
 from ouro.deriv import (
     GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, _COMPONENT_RULES,
     KinkPointError, Tangent, _TangentSource, _UnitySource, _unit_seeds,
-    check_unity, dual_eval, fd_partial, gradient, unity_sweep,
+    _unity_walk, check_unity, dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
     _BINARY, BUILTIN_ARITY, BinOp, Const, EvalDomainError, EvaluationError,
@@ -211,6 +211,18 @@ def test_fd_raises_the_upper_probe_error_where_both_leave_the_domain():
     with pytest.raises(EvalDomainError) as got:
         fd_partial(f, {"x": 0.0}, 0)
     assert str(got.value) == str(upper.value)
+
+
+@pytest.mark.parametrize("x", [1.7976931348623157e308,
+                               -1.7976931348623157e308])
+def test_fd_is_one_sided_where_a_probe_overflows(x):
+    # x + h (or x - h) rounds to inf, which is no binding the caller made:
+    # that probe has left the domain, and the difference looks inward
+    h = 1e-6 * abs(x)
+    inward = x - math.copysign(h, x)
+    got = fd_partial(parse("x"), {"x": x}, 0)
+    assert got == (x - inward) / math.copysign(h, x)
+    assert got == 1.0000000000287559
 
 
 def test_fd_leaves_env_alone():
@@ -584,17 +596,26 @@ def test_each_node_is_bound_once():
 
 # --- the unity function ---------------------------------------------------------
 
-def _two_walks(f, env, margin):
-    """The unity function's reference: the tangent function at env, then
-    at the diagonal point dict.fromkeys(names, value), where a
-    KinkPointError means shares None."""
+def _two_walks(f, env, margin, method="dual"):
+    """The unity walk's reference: the tangent function at env, then at
+    the diagonal point dict.fromkeys(names, value), where a KinkPointError
+    means shares None.  For fd that function has width 0, and fd_partial
+    then gives the gradient at env and, where shares are not None, at the
+    diagonal point."""
     names = free_variables(f)
-    tangent = f.program.generated(_TangentSource, _unit_seeds(len(names)))
+    seeds = _unit_seeds(len(names)) if method == "dual" else ()
+    tangent = f.program.generated(_TangentSource, seeds)
     value, outer = tangent(env, margin)
+    diagonal = dict.fromkeys(names, value)
     try:
-        shares = tangent(dict.fromkeys(names, value), margin)[1]
+        shares = tangent(diagonal, margin)[1]
     except KinkPointError:
         shares = None
+    if method == "fd":
+        outer = tuple(fd_partial(f, env, i) for i in range(len(names)))
+        if shares is not None:
+            shares = tuple(fd_partial(f, diagonal, i)
+                           for i in range(len(names)))
     return value, outer, shares
 
 
@@ -605,14 +626,17 @@ def _unity_outcome(fn):
         return type(exc), str(exc), getattr(exc, "node", None)
 
 
-def _unity_against_two_walks(f, env, margin):
-    """The unity function's outcome, asserted equal to the two walks': the
+def _unity_against_two_walks(f, env, margin, method="dual"):
+    """The unity walk's outcome, asserted equal to the two walks': the
     value, outer gradient and shares by float.hex, or the exception's
-    class, message and very node."""
-    unity = f.program.generated(_UnitySource, _unit_seeds(len(env)))
+    class, message and very node.  For dual the walk is the unity
+    function itself."""
+    unity = _unity_walk(f, free_variables(f), method)
+    if method == "dual":
+        assert unity is f.program.generated(_UnitySource, _unit_seeds(len(env)))
     got = _unity_outcome(lambda: unity(env, margin))
-    want = _unity_outcome(lambda: _two_walks(f, env, margin))
-    assert got == want, (f, env, margin)
+    want = _unity_outcome(lambda: _two_walks(f, env, margin, method))
+    assert got == want, (f, env, margin, method)
     if isinstance(want[0], type):
         assert got[2] is want[2]
     return want
@@ -627,7 +651,7 @@ def _kind(outcome):
 def test_unity_function_matches_the_two_walks_on_random_trees():
     rng = random.Random(20261021)
     pool = (0.0, 1.0, -1.0, 2.0, 0.5, -0.5)
-    kinds = {}
+    kinds = {"dual": {}, "fd": {}}
     for _ in range(2000):
         f = _random_ast(rng, 6)
         names = free_variables(f)
@@ -635,14 +659,16 @@ def test_unity_function_matches_the_two_walks_on_random_trees():
             continue
         env = {name: (rng.choice(pool) if rng.random() < 0.2
                       else rng.uniform(-4.0, 4.0)) for name in names}
-        want = _unity_against_two_walks(f, env,
-                                        rng.choice((0.0, 1e-7, 0.05)))
-        kinds[_kind(want)] = kinds.get(_kind(want), 0) + 1
+        margin = rng.choice((0.0, 1e-7, 0.05))
+        for method, counts in kinds.items():
+            want = _unity_against_two_walks(f, env, margin, method)
+            counts[_kind(want)] = counts.get(_kind(want), 0) + 1
     # a kink and a fault at the point, a kink and a fault at the diagonal
-    assert kinds["shares"] >= 500, kinds
-    assert kinds["kink_diagonal"] >= 100, kinds
-    assert kinds["KinkPointError"] >= 200, kinds
-    assert kinds["EvalDomainError"] >= 200, kinds
+    for counts in kinds.values():
+        assert counts["shares"] >= 500, kinds
+        assert counts["kink_diagonal"] >= 100, kinds
+        assert counts["KinkPointError"] >= 200, kinds
+        assert counts["EvalDomainError"] >= 200, kinds
 
 
 def test_unity_function_matches_the_two_walks_on_the_catalog():
@@ -656,8 +682,21 @@ def test_unity_function_matches_the_two_walks_on_the_catalog():
             point = inst.box.sample_point(rng.randrange(1 << 64), i)
             if i % 8 == 0:  # on the diagonal itself
                 point = (point[0],) * len(point)
-            _unity_against_two_walks(inst.expr, dict(zip(names, point)),
-                                     rng.choice((0.0, 1e-7, 0.05)))
+            env = dict(zip(names, point))
+            margin = rng.choice((0.0, 1e-7, 0.05))
+            for method in ("dual", "fd"):
+                _unity_against_two_walks(inst.expr, env, margin, method)
+
+
+@pytest.mark.parametrize("method", ["dual", "fd"])
+def test_both_methods_meet_the_diagonal_fault_before_the_probes(method):
+    # at x = 1 the value is sqrt(-0.0); the probes x +- h leave sqrt's
+    # domain, but the diagonal point -0.0 leaves it first
+    f = parse("sqrt(-(x - 1)^2)")
+    with pytest.raises(EvalDomainError) as exc:
+        check_unity(f, {"x": 1.0}, PLAN, method)
+    assert str(exc.value) == ("sqrt of a negative number in "
+                              "'sqrt(-(x - 1)^2)' with arguments (-1.0,)")
 
 
 def test_a_fault_only_the_diagonal_meets_raises_from_the_unity_function():
@@ -687,6 +726,20 @@ def test_check_unity_makes_one_generated_call_per_point(monkeypatch):
     sweep = unity_sweep(f, DomainBox.uniform(-1.0, 1.0, 2),
                         SamplePlan(sample_count=16))
     assert len(sweep.reports) == len(calls) == 16
+    assert len(f.program._generated) == 1
+
+
+def test_fd_check_unity_makes_one_generated_call_per_point():
+    calls = []
+    f = parse("(x1 + x2) / 2")
+    screen = f.program.generated(_UnitySource, ())
+    f.program._generated[_UnitySource, ()] = (
+        lambda env, margin: calls.append(dict(env)) or screen(env, margin))
+    sweep = unity_sweep(f, DomainBox.uniform(-1.0, 1.0, 2),
+                        SamplePlan(sample_count=16), "fd")
+    assert len(sweep.reports) == len(calls) == 16
+    assert [tuple(c.values()) for c in calls] == [
+        r.point for r in sweep.reports]
     assert len(f.program._generated) == 1
 
 
@@ -736,7 +789,7 @@ def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
     generated = program.generated
 
     def counted(self, emitter, *args):
-        lookups.append(args)
+        lookups.append((emitter, *args))
         return generated(self, emitter, *args)
 
     monkeypatch.setattr(program, "generated", counted)
@@ -745,7 +798,7 @@ def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
         lookups.clear()
         r = check_unity(f, {"x1": 2.0, "x2": 3.0}, PLAN, method)
         assert r.sum_to_one is Status.PASS
-        assert lookups == [(layout,)]
+        assert lookups == [(_UnitySource, layout)]
 
 
 def test_every_operator_has_a_tangent_rule():
