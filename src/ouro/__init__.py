@@ -12,12 +12,8 @@ of its attributes is first read.  `ouro.<name>` and `from ouro import
 <name>` work as for any other submodule.
 """
 
-from .expr import (BUILTIN_ARITY, BinOp, Call, Const, EvalDomainError,
-                   EvaluationError, Expr, Neg, ParseError,
-                   UnboundVariableError, Var, evaluate, format_expr,
-                   free_variables, parse)
-from .verify import (DEFAULT_INTERVAL, DomainBox, SamplePlan, Status, Verdict,
-                     Witness, check_iterated, check_membership, unit_uniform)
+from .expr import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 

@@ -289,6 +289,13 @@ def _v_hyperplane(p):
 
     def fn(x):
         lam = (_dot(x, a) - b) / denom
+        if not math.isfinite(lam):
+            # x . a - b exceeds the largest double: project x / 2**64 onto
+            # a . y = b / 2**64 and scale back, both exact but for
+            # subnormals, so the projection stays finite
+            x = [v / _UNIT for v in x]
+            lam = (_dot(x, a) - b / _UNIT) / denom
+            return tuple([(v - lam * w) * _UNIT for v, w in zip(x, a)])
         return tuple([v - lam * w for v, w in zip(x, a)])
 
     return fn, len(a)

@@ -61,14 +61,14 @@ class KinkPointError(EvaluationError):
 # Vector forward mode: every node has a value and a tangent, a tuple of any
 # width holding one directional derivative per seed direction.
 # _TangentSource states each derivative rule once, as the source it emits:
-# one builder per node type and one per builtin of expr._RULES.  It
-# generates one function per expression and seeds.  The seeds are known
-# when the source is written, each component 0.0 or 1.0, so each rule is
-# written as one statement per tangent component not known then, and a
-# known component costs nothing: x_i^p has a non-zero tangent only in
-# component i.  This is source-transformation forward mode with static
-# sparsity (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008,
-# ch. 3 and 7).
+# one builder per key of expr._RULES, reached through the value source's
+# `checked`, and one per other node type.  It generates one function per
+# expression and seeds.  The seeds are known when the source is written,
+# each component 0.0 or 1.0, so each rule is written as one statement per
+# tangent component not known then, and a known component costs nothing:
+# x_i^p has a non-zero tangent only in component i.  This is
+# source-transformation forward mode with static sparsity (Griewank &
+# Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3 and 7).
 #
 # Values come from the very statements evaluate's generated function runs,
 # each value rule written inline from expr's one statement of it, so the
@@ -167,12 +167,14 @@ class _TangentSource(_ValueSource):
     the function runs the values and the kink checks only.  A constant's
     tangent is zero.
 
-    Each builder states its node's derivative rule.  It returns the node's
-    value, a local's name or a constant's literal, and its tangent, a tuple
-    of floats known now, written as their literals, and _Terms.  It emits
-    the value and its check through _ValueSource's own builder, then the
-    rule's kink checks and errors, then one statement per component not
-    known now, then the check that those are finite.
+    Each node's builder returns its value, a local's name or a constant's
+    literal, and its tangent, a tuple of floats known now, written as their
+    literals, and _Terms.  Every operator and builtin reaches `checked`,
+    which emits the value and its check through _ValueSource's own, then
+    its key's builder in `derivatives`, one per key of expr._RULES, taking
+    (node, value, *operands) and emitting the rule's kink checks and
+    errors; then one statement per component not known now, then the
+    check that those are finite.
 
     Its subclass _UnitySource is the diagonal mode: it folds the tree again
     with every variable read as the point's value, and a kink check there
@@ -189,11 +191,6 @@ class _TangentSource(_ValueSource):
                               floor=math.floor, log=math.log, inf=math.inf)
         self.tangents: dict[str, Tangent] = {}  # variable -> its seed
         self.kinks: set[str] = set()  # the kink conditions written
-        self.calls = {"abs": self.corner, "relu": self.corner,
-                      "sign": self.corner, "floor": self.jump,
-                      "ceil": self.jump, "exp": self.exp, "ln": self.ln,
-                      "sqrt": self.sqrt, "min": self.min_max,
-                      "max": self.min_max, "clamp": self.clamp}
 
     def operand(self, name: str):
         """A value as a rule's operand: a constant's float, else a term."""
@@ -265,28 +262,23 @@ class _TangentSource(_ValueSource):
         a, at = operand
         return super().neg(node, a), self.settle([-d for d in at])
 
-    def binop(self, node: BinOp, left, right):
-        (a, at), (b, bt) = left, right
-        v = super().binop(node, a, b)
-        if node.op == "^":
-            comps = self.power(node, a, at, b, bt, v)
-        else:
-            rule = _COMPONENT_RULES[node.op]
-            A, B, V = self.operand(a), self.operand(b), self.operand(v)
-            comps = [rule(A, da, B, db, V) for da, db in zip(at, bt)]
-        return v, self.settle(comps, node, (a, b))
-
-    def call(self, node: Call, *args):
-        values = tuple(a for a, _ in args)
-        v = super().call(node, *values)
-        comps = self.calls[node.func](node, v, *args)
+    def checked(self, node: Expr, rule: str, args):
+        values = tuple([a for a, _ in args])
+        v = super().checked(node, rule, values)
+        comps = self.derivatives[rule](self, node, v, *args)
         return v, self.settle(comps, node, values)
 
     def result(self, expr: Expr) -> str:
         v, t = _fold(expr, self.table)
         return f"{v}, {_spelt(t)}"
 
-    # -- the builtins, keyed like the builtins of expr._RULES
+    # -- the derivative builders, one per key of expr._RULES
+
+    def arithmetic(self, node: BinOp, v: str, left, right):
+        (a, at), (b, bt) = left, right
+        rule = _COMPONENT_RULES[node.op]
+        A, B, V = self.operand(a), self.operand(b), self.operand(v)
+        return [rule(A, da, B, db, V) for da, db in zip(at, bt)]
 
     def corner(self, node: Call, v: str, arg):
         (a, t), func = arg, node.func
@@ -345,9 +337,7 @@ class _TangentSource(_ValueSource):
         return self.select(f"{m} <= {hi}",
                            self.select(f"{a} >= {lo}", t, lot), hit)
 
-    # -- the power rule
-
-    def power(self, node: BinOp, a: str, at, b: str, bt, v: str) -> list:
+    def power(self, node: BinOp, v: str, left, right) -> list:
         """Component k of d(a^b) is b * a^(b-1) * a'_k where b'_k is 0.0
         (0.0 where a'_k or b is), else a^b * (b'_k * ln a + b * a'_k / a),
         which needs a positive base.  Each component takes the branch its
@@ -355,6 +345,7 @@ class _TangentSource(_ValueSource):
         known.  a^(b-1) is written from the "^" rule's source, so the same
         inputs give the same bits and error: once where a component needs
         it on every path, and in each branch needing it before that."""
+        (a, at), (b, bt) = left, right
         here, inputs = self.bind(node), f"({a}, {b},)"
         B = self.operand(b)
         base = None  # the local holding a^(b-1) on every path from here
@@ -406,6 +397,13 @@ class _TangentSource(_ValueSource):
                     self.lines += constant_exponent(da, out, False)
                 comps.append(_Term(out))
         return comps
+
+    # each key of expr._RULES -> its builder(self, node, value, *operands)
+    derivatives = {"+": arithmetic, "-": arithmetic, "*": arithmetic,
+                   "/": arithmetic, "^": power, "abs": corner,
+                   "floor": jump, "ceil": jump, "sign": corner,
+                   "relu": corner, "exp": exp, "ln": ln, "sqrt": sqrt,
+                   "min": min_max, "max": min_max, "clamp": clamp}
 
 
 class _UnitySource(_TangentSource):
@@ -567,41 +565,30 @@ class UnitySweep(Record):
     points_skipped: int
 
 
-def _unity_walk(f: Expr, names: list[str], method: str):
-    """The function (env, margin) -> (value, outer, shares) by `method`:
-    f's value and gradient at env, and its gradient at the diagonal point
-    (value, ..., value), None where that point is a kink.  One call of the
-    unity function meets every kink and fault at both points; fd then
-    takes the differences at each point that has them."""
-    unity = f.program.generated(_UnitySource, _seeds(method, len(names)))
-    if method == "dual":
-        return unity
-
-    def differences(env, margin):
-        value, _, shares = unity(env, margin)
-        outer = _differences(f, env)
-        if shares is not None:  # value is finite: it binds every name
-            shares = _differences(f, dict.fromkeys(names, value))
-        return value, outer, shares
-    return differences
-
-
 def _unity_checker(f: Expr, plan: SamplePlan, method: str):
     """check_unity's body as the function check(env, point) -> UnityReport,
-    with what every point shares looked up once: the unity walk, the
+    with what every point shares looked up once: the unity function, the
     tolerance, the kink margin and 1/n.  `point` is env's coordinates in
-    the order of f's names, or None to read them from env."""
+    the order of f's names, or None to read them from env.  One call of
+    the unity function meets every kink and fault at env and at the
+    diagonal point; for fd, at width 0, the gradient at env and the shares
+    where the diagonal has them are then central differences."""
     names = f.program.names
-    unity = _unity_walk(f, names, method)
-    tol = TOL_UNITY[method]
     n = len(names)
+    unity = f.program.generated(_UnitySource, _seeds(method, n))
     if n == 0:
         raise ValueError("candidate has no free variables")
+    tol = TOL_UNITY[method]
+    fd = method == "fd"
     margin = plan.kink_margin
     target = 1.0 / n
 
     def check(env: Mapping[str, float], point) -> UnityReport:
         value, outer, shares = unity(env, margin)
+        if fd:
+            outer = _differences(f, env)
+            if shares is not None:  # value is finite: it binds every name
+                shares = _differences(f, dict.fromkeys(names, value))
         if max(map(abs, outer)) <= GRADIENT_FLOOR:
             reason = "zero_gradient"
         elif shares is None:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ouro import catalog
+from ouro import catalog, cli
 from ouro.catalog import (
     CatalogError, POSITIVE_INTERVAL, ScalarInstance, VectorInstance,
     entry_names, get_entry, instantiate, list_entries,
@@ -556,6 +556,28 @@ def test_scaled_hyperplane_projection_matches_the_unscaled_formula():
         for _ in range(5):
             x = tuple(rng.uniform(-10.0, 10.0) for _ in range(d))
             assert _hexed(inst(x)) == _hexed(reference(x)), (a, x)
+
+
+def test_hyperplane_projection_past_the_largest_dot_product(capsys):
+    # x . a exceeds the largest double on these boxes, yet the projection
+    # is finite: it is taken on x / 2**64 and scaled back
+    argv = ["check", "--catalog", "hyperplane_projection", "--params",
+            "a=1,1,1,1,1,1,1,1", "--box=4e307:8e307", "--samples", "64"]
+    assert cli.main(argv) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    rng = random.Random(25)
+    for (lo, hi), d in (((4e307, 8e307), 8), ((1e308, 1.7e308), 3),
+                        ((-8e307, 8e307), 8)):
+        inst = instantiate("hyperplane_projection", a=(1.0,) * d)
+        a = [Fraction(w) for w in inst.params["a"]]
+        b = Fraction(inst.params["b"])
+        for _ in range(100):
+            x = tuple(rng.uniform(lo, hi) for _ in range(d))
+            lam = (sum(Fraction(v) * w for v, w in zip(x, a)) - b) / sum(
+                w * w for w in a)
+            scale = 2 * math.ulp(max(map(abs, x)))
+            for got, v, w in zip(inst(x), x, a):
+                assert abs(Fraction(got) - (Fraction(v) - lam * w)) <= scale, x
 
 
 def _grid_simplex_argmin(x: np.ndarray, steps: int) -> float:

@@ -13,11 +13,11 @@ from ouro.catalog import instantiate, list_entries
 from ouro.deriv import (
     GRADIENT_FLOOR, KINK_RETRY_LIMIT, TOL_UNITY, _COMPONENT_RULES,
     KinkPointError, Tangent, _TangentSource, _UnitySource, _unit_seeds,
-    _unity_walk, check_unity, dual_eval, fd_partial, gradient, unity_sweep,
+    _unity_checker, check_unity, dual_eval, fd_partial, gradient, unity_sweep,
 )
 from ouro.expr import (
-    _BINARY, BUILTIN_ARITY, BinOp, Const, EvalDomainError, EvaluationError,
-    Neg, UnboundVariableError, Var, _fold, evaluate, free_variables, parse,
+    _RULES, BinOp, Const, EvalDomainError, EvaluationError, Neg,
+    UnboundVariableError, Var, _fold, evaluate, free_variables, parse,
 )
 from ouro.verify import DomainBox, SamplePlan, Status, check_iterated, check_membership
 
@@ -627,14 +627,18 @@ def _unity_outcome(fn):
 
 
 def _unity_against_two_walks(f, env, margin, method="dual"):
-    """The unity walk's outcome, asserted equal to the two walks': the
+    """The unity checker's outcome, asserted equal to the two walks': the
     value, outer gradient and shares by float.hex, or the exception's
-    class, message and very node.  For dual the walk is the unity
-    function itself."""
-    unity = _unity_walk(f, free_variables(f), method)
-    if method == "dual":
-        assert unity is f.program.generated(_UnitySource, _unit_seeds(len(env)))
-    got = _unity_outcome(lambda: unity(env, margin))
+    class, message and very node.  Both methods reach it through the
+    unity function of their seeds."""
+    check = _unity_checker(f, SamplePlan(kink_margin=margin), method)
+    seeds = _unit_seeds(len(env)) if method == "dual" else ()
+    assert (_UnitySource, seeds) in f.program._generated
+
+    def unity():
+        report = check(env, None)
+        return report.value, report.outer_gradient, report.shares
+    got = _unity_outcome(unity)
     want = _unity_outcome(lambda: _two_walks(f, env, margin, method))
     assert got == want, (f, env, margin, method)
     if isinstance(want[0], type):
@@ -802,8 +806,18 @@ def test_check_unity_looks_up_its_tangent_function_once(monkeypatch):
 
 
 def test_every_operator_has_a_tangent_rule():
-    assert _COMPONENT_RULES.keys() | {"^"} == _BINARY.keys()
-    assert _TangentSource().calls.keys() == BUILTIN_ARITY.keys()
+    assert _TangentSource.derivatives.keys() == _RULES.keys()
+
+
+@pytest.mark.parametrize("method, message", [
+    ("bogus", "unknown method 'bogus'"),
+    ("dual", "candidate has no free variables"),
+    ("fd", "candidate has no free variables"),
+])
+def test_check_unity_validates_the_method_before_the_variables(method, message):
+    with pytest.raises(ValueError) as exc:
+        check_unity(parse("1"), {}, PLAN, method)
+    assert str(exc.value) == message
 
 
 def test_each_kink_test_is_written_once():
